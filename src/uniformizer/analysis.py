@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dampening import evaluate
-from .graphspace import GraphSpace, shortest_route
+from .graphspace import shortest_route
 from .solver import Condenser, SolveOptions, capacity, capacity_of_infinity
 from .transform import BoundaryMeasure, TransformedSpace, _approx_boundary_diameter
 
@@ -25,44 +25,37 @@ class AnalysisError(ValueError):
     pass
 
 
-def _graph_of(space) -> GraphSpace:
-    return space.graph if isinstance(space, TransformedSpace) else space
-
-
 # ---------------------------------------------------------------------------
 # deterministic samplers
 
 
 def sample_interior(space, count: int, seed: int) -> list[str]:
     """Uniform interior vertex sample (without the infinity vertex)."""
-    g = _graph_of(space)
-    pool = np.nonzero(g.interior_mask)[0]
-    if g.infinity_index >= 0:
-        pool = pool[pool != g.infinity_index]
+    pool = np.nonzero(space.interior_mask)[0]
+    if space.infinity_index >= 0:
+        pool = pool[pool != space.infinity_index]
     rng = np.random.default_rng(seed)
     pick = rng.choice(pool, size=min(count, pool.size), replace=False)
-    return [g.ids[i] for i in np.sort(pick)]
+    return [space.ids[i] for i in np.sort(pick)]
 
 
 def sample_boundary(space, count: int, seed: int) -> list[str]:
-    g = _graph_of(space)
-    pool = g.boundary_indices()
+    pool = space.boundary_indices()
     rng = np.random.default_rng(seed)
     pick = rng.choice(pool, size=min(count, pool.size), replace=False)
-    return [g.ids[i] for i in np.sort(pick)]
+    return [space.ids[i] for i in np.sort(pick)]
 
 
 def sample_pairs(space, count: int, seed: int) -> list[tuple[str, str]]:
     """Disjoint interior vertex pairs, deterministic in the seed."""
-    g = _graph_of(space)
-    pool = np.nonzero(g.interior_mask)[0]
-    if g.infinity_index >= 0:
-        pool = pool[pool != g.infinity_index]
+    pool = np.nonzero(space.interior_mask)[0]
+    if space.infinity_index >= 0:
+        pool = pool[pool != space.infinity_index]
     rng = np.random.default_rng(seed)
     take = min(2 * count, pool.size - pool.size % 2)
     pick = rng.choice(pool, size=take, replace=False)
     return [
-        (g.ids[int(pick[2 * i])], g.ids[int(pick[2 * i + 1])])
+        (space.ids[int(pick[2 * i])], space.ids[int(pick[2 * i + 1])])
         for i in range(take // 2)
     ]
 
@@ -96,19 +89,18 @@ def doubling_constant(space, centers: list, radii: list, bound: float | None = N
     the dampened metric/measure pair).  Zero-mass inner balls are skipped
     and counted.
     """
-    g = _graph_of(space)
     per_scale = []
     skipped = 0
     overall = 0.0
     for r in radii:
         worst = None
         for c in centers:
-            d = g.distances_from(g.index[c] if isinstance(c, str) else int(c))
-            mu_r = float(g.measure[d < r].sum())
+            d = space.distances_from(space.index[c] if isinstance(c, str) else int(c))
+            mu_r = float(space.measure[d < r].sum())
             if mu_r <= 0:
                 skipped += 1
                 continue
-            mu_2r = float(g.measure[d < 2 * r].sum())
+            mu_2r = float(space.measure[d < 2 * r].sum())
             ratio = mu_2r / mu_r
             if worst is None or ratio > worst[1]:
                 worst = (c, ratio)
@@ -161,7 +153,6 @@ def mass_exponents(space, centers: list, radii: list, slack_fraction: float = 0.
     least-squares slope of log mass against log r (fit per center, pooled)
     gives the point estimate and residual.
     """
-    g = _graph_of(space)
     radii = sorted(float(r) for r in radii)
     if len(radii) < 3:
         raise AnalysisError("mass_exponents: need at least 3 radii")
@@ -169,8 +160,8 @@ def mass_exponents(space, centers: list, radii: list, slack_fraction: float = 0.
     ls_slopes = []
     residuals = []
     for c in centers:
-        d = g.distances_from(g.index[c] if isinstance(c, str) else int(c))
-        mus = np.array([float(g.measure[d < r].sum()) for r in radii])
+        d = space.distances_from(space.index[c] if isinstance(c, str) else int(c))
+        mus = np.array([float(space.measure[d < r].sum()) for r in radii])
         keep = mus > 0
         rs = np.array(radii)[keep]
         mus = mus[keep]
@@ -431,26 +422,25 @@ def uniformity_spot_check(space, pairs: list, exclude_infinity: bool = True) -> 
     over pairs upper-bounds what curves achieve; shortest paths need not be
     the best uniform curves.
     """
-    g = _graph_of(space)
-    d_bdry = g.boundary_distance_array()
+    d_bdry = space.boundary_distance_array()
     rows = []
     flags = []
     best = 0.0
     for x, y in pairs:
-        xi, yi = g.index[x], g.index[y]
-        excluded = g.boundary_mask.copy()
-        if exclude_infinity and g.infinity_index >= 0:
-            excluded[g.infinity_index] = True
+        xi, yi = space.index[x], space.index[y]
+        excluded = space.boundary_mask.copy()
+        if exclude_infinity and space.infinity_index >= 0:
+            excluded[space.infinity_index] = True
         excluded[xi] = excluded[yi] = False
-        w = np.where(excluded[g.edge_u] | excluded[g.edge_v], np.inf, g.edge_length)
+        w = np.where(excluded[space.edge_u] | excluded[space.edge_v], np.inf, space.edge_length)
         try:
-            cost, vpath, epath = shortest_route(g, [xi], [yi], w)
+            cost, vpath, epath = shortest_route(space, [xi], [yi], w)
         except ValueError:
             flags.append({"pair": [x, y], "reason": "no-interior-path"})
             continue
-        dist = float(g.distances_from(xi)[yi])
+        dist = float(space.distances_from(xi)[yi])
         len_ratio = cost / dist if dist > 0 else 1.0
-        cum = np.concatenate([[0.0], np.cumsum(g.edge_length[epath])])
+        cum = np.concatenate([[0.0], np.cumsum(space.edge_length[epath])])
         cigar = 0.0
         for j in range(1, len(vpath) - 1):
             sub = min(cum[j], cost - cum[j])
@@ -501,26 +491,25 @@ def boundary_fatness(
     respect r <= min(1, boundary diameter)/2.  Balls whose interior part is
     empty are flagged unresolved; zero-nu balls are skipped.
     """
-    g = t.graph
-    diam = _approx_boundary_diameter(g)
+    diam = _approx_boundary_diameter(t)
     rcap = min(1.0, diam / 2.0)
     for r in radii:
         if r > rcap * (1 + 1e-9):
             raise AnalysisError(
                 f"radius {r:g} exceeds min(1, boundary diameter)/2 = {rcap:g}"
             )
-    nu_vec = nu.array(g)
+    nu_vec = nu.array(t)
     rows = []
     skipped = []
     for c in centers:
-        ci = g.index[c]
-        d = g.distances_from(ci)
+        ci = t.index[c]
+        d = t.distances_from(ci)
         for r in radii:
             in_ball = d <= r * (1 + 1e-9)
-            if not (in_ball & g.interior_mask).any():
+            if not (in_ball & t.interior_mask).any():
                 skipped.append({"center": c, "r": r, "reason": "unresolved"})
                 continue
-            E_sel = in_ball & g.boundary_mask
+            E_sel = in_ball & t.boundary_mask
             nu_ball = float(nu_vec[E_sel].sum())
             if nu_ball <= 0:
                 skipped.append({"center": c, "r": r, "reason": "zero-nu-ball"})
@@ -530,8 +519,8 @@ def boundary_fatness(
                 skipped.append({"center": c, "r": r, "reason": "degenerate-shell"})
                 continue
             cond = Condenser(
-                E=[g.ids[i] for i in np.nonzero(E_sel)[0]],
-                F=[g.ids[i] for i in np.nonzero(F_sel)[0]],
+                E=[t.ids[i] for i in np.nonzero(E_sel)[0]],
+                F=[t.ids[i] for i in np.nonzero(F_sel)[0]],
             )
             cap = capacity(t, cond, p, options).value
             ratio = cap * r ** (p - nu.theta) / nu_ball

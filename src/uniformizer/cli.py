@@ -52,7 +52,7 @@ from .dampening import (
     tabulated,
 )
 from .dampening import validate as validate_dampening
-from .domains import GENERATORS, DomainBundle, generate
+from .domains import GENERATORS, generate
 from .energy import (
     EnergyError,
     adams_check,
@@ -77,7 +77,6 @@ from .transform import (
     BoundaryMeasure,
     TransformError,
     attach_infinity,
-    codimensional_measure,
     transform,
     verify_codimensionality,
 )
@@ -170,8 +169,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_rows(path: str, payload: dict, rows: list[dict]) -> None:
-    """Write check rows as CSV (with a JSON sidecar payload) or as JSON."""
+    """Write check rows as CSV plus the full payload in a ``.csv.json``
+    sidecar, or the payload alone as JSON."""
     if path.endswith(".csv"):
+        _write_json(path + ".json", payload)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["check", "params", "value", "pass"])
@@ -235,10 +236,10 @@ def cmd_transform(args) -> int:
     ts = transform(space, phi, args.p)
     if not args.no_infinity:
         ts = attach_infinity(ts)
-    dump_domain(ts.graph, args.out)
+    dump_domain(ts, args.out)
     d_inf = ts.distance_to_infinity() if ts.infinity_attached else None
     print(
-        f"transformed: {ts.graph.n_vertices} vertices; "
+        f"transformed: {ts.n_vertices} vertices; "
         + (f"max d_phi to infinity {float(np.nanmax(d_inf[np.isfinite(d_inf)])):.6g}" if d_inf is not None else "no infinity vertex")
     )
     return 0
@@ -377,7 +378,6 @@ def _verify_rows(args) -> list[dict]:
     nu = _load_nu(args.nu) if args.nu else None
     phi = _parse_phi(args.phi) if args.phi else None
     seed = args.seed
-    h = nu.mesh_scale if nu is not None else None
     rows: list[dict] = []
 
     def add(check: str, params: dict, value, ok: bool) -> None:
@@ -410,7 +410,7 @@ def _verify_rows(args) -> list[dict]:
     elif args.check == "doubling":
         target = need_ts(attach=True) if (phi and args.at_infinity) else (need_ts() if phi else space)
         if phi and args.at_infinity:
-            centers = [target.graph.infinity_id]
+            centers = [target.infinity_id]
             d = target.distance_to_infinity()
             fin = d[np.isfinite(d) & (d > 0)]
             base_r = float(fin.min()) * 2
@@ -423,7 +423,7 @@ def _verify_rows(args) -> list[dict]:
     elif args.check == "exponents":
         target = need_ts(attach=True) if (phi and args.at_infinity) else (need_ts() if phi else space)
         if phi and args.at_infinity:
-            centers = [target.graph.infinity_id]
+            centers = [target.infinity_id]
             d = target.distance_to_infinity()
             fin = d[np.isfinite(d) & (d > 0)]
             lo = float(fin.min()) * 2

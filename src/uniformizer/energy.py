@@ -5,87 +5,80 @@ inequality checkers built on them: Poincare, weighted-integrability (Hardy
 type), Riesz potentials, Besov boundary norms, ball-average traces, and the
 boundary oscillation (Adams type) estimate.
 
-Edge masses split each vertex measure over its incident edges in proportion
-to edge length, so the total edge mass equals the total vertex measure
-exactly; a transformed space reports its own masses so that the chain rule
-and the energy identity hold to machine precision.
+Every space carries one edge-mass slot.  A dampened realization fills it
+with the transform's masses, ``m(e) * phi(dbar_e)^p``, so that the chain rule
+and the energy identity hold to machine precision; any other space gets
+length-share masses on first use, which split each vertex measure over its
+incident edges in proportion to edge length, so the total edge mass equals
+the total vertex measure exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graphspace import GraphSpace
-from .transform import BoundaryMeasure, TransformedSpace, local_distances
+
+if TYPE_CHECKING:
+    from .transform import BoundaryMeasure, TransformedSpace
 
 
 class EnergyError(ValueError):
     pass
 
 
-def _space_parts(obj) -> tuple[GraphSpace, np.ndarray]:
-    """Return (graph, edge mass array) for a GraphSpace or TransformedSpace."""
-    if isinstance(obj, TransformedSpace):
-        return obj.graph, obj.edge_masses
-    return obj, edge_mass(obj)
-
-
-def field_array(space, u) -> np.ndarray:
+def field_array(space: GraphSpace, u) -> np.ndarray:
     """Coerce a field given as dict (id -> value) or array to index order."""
-    graph = space.graph if isinstance(space, TransformedSpace) else space
     if isinstance(u, dict):
         try:
-            return np.array([float(u[i]) for i in graph.ids])
+            return np.array([float(u[i]) for i in space.ids])
         except KeyError as missing:
             raise EnergyError(f"field missing vertex {missing.args[0]!r}") from None
     arr = np.asarray(u, dtype=float)
-    if arr.shape != (graph.n_vertices,):
+    if arr.shape != (space.n_vertices,):
         raise EnergyError(
-            f"field has shape {arr.shape}, expected ({graph.n_vertices},)"
+            f"field has shape {arr.shape}, expected ({space.n_vertices},)"
         )
     return arr
 
 
-def edge_mass(space) -> np.ndarray:
-    """Length-share edge masses m(e) = l(e) (mu(x)/S(x) + mu(y)/S(y)).
+def edge_mass(space: GraphSpace) -> np.ndarray:
+    """The space's edge masses (read-only), from its edge-mass slot.
 
-    S(v) is the total length incident to v, so summing over edges returns the
-    total vertex measure exactly (each vertex spreads its measure over its
-    incident edges proportionally to length).  Transformed spaces carry their
-    own mass vector.
+    An empty slot is filled with the length-share masses
+    m(e) = l(e) (mu(x)/S(x) + mu(y)/S(y)), where S(v) is the total length
+    incident to v, so summing over edges returns the total vertex measure
+    exactly (each vertex spreads its measure over its incident edges
+    proportionally to length).
     """
-    if isinstance(space, TransformedSpace):
-        return space.edge_masses
-    cached = getattr(space, "_edge_mass_cache", None)
-    if cached is not None:
-        return cached
-    nv = space.n_vertices
-    eu, ev, ln = space.edge_u, space.edge_v, space.edge_length
-    S = np.bincount(eu, weights=ln, minlength=nv) + np.bincount(
-        ev, weights=ln, minlength=nv
-    )
-    share = np.where(S > 0, space.measure / np.where(S > 0, S, 1.0), 0.0)
-    m = ln * (share[eu] + share[ev])
-    space._edge_mass_cache = m
-    return m
+    if space._edge_mass is None:
+        nv = space.n_vertices
+        eu, ev, ln = space.edge_u, space.edge_v, space.edge_length
+        S = np.bincount(eu, weights=ln, minlength=nv) + np.bincount(
+            ev, weights=ln, minlength=nv
+        )
+        share = np.where(S > 0, space.measure / np.where(S > 0, S, 1.0), 0.0)
+        m = ln * (share[eu] + share[ev])
+        m.flags.writeable = False
+        space._edge_mass = m
+    return space._edge_mass
 
 
-def upper_gradient(space, u) -> np.ndarray:
+def upper_gradient(space: GraphSpace, u) -> np.ndarray:
     """Per-edge difference quotient |u(x) - u(y)| / l(e)."""
-    graph = space.graph if isinstance(space, TransformedSpace) else space
     vals = field_array(space, u)
-    return np.abs(vals[graph.edge_u] - vals[graph.edge_v]) / graph.edge_length
+    return np.abs(vals[space.edge_u] - vals[space.edge_v]) / space.edge_length
 
 
-def p_energy(space, u, p: float) -> float:
+def p_energy(space: GraphSpace, u, p: float) -> float:
     """Sum of m(e) g(e)^p over edges; the discrete Dirichlet p-energy."""
     if p < 1:
         raise EnergyError(f"p={p:g} must be >= 1")
-    graph, masses = _space_parts(space)
-    g = upper_gradient(graph, field_array(space, u))
-    return float(np.sum(masses * g**p))
+    g = upper_gradient(space, u)
+    return float(np.sum(edge_mass(space) * g**p))
 
 
 def random_smooth_fields(
@@ -96,12 +89,11 @@ def random_smooth_fields(
     Vertices without coordinates (the added point at infinity) get value 0.
     Returns an array of shape (count, n_vertices).
     """
-    graph = space.graph if isinstance(space, TransformedSpace) else space
-    if graph.coords is None:
+    if space.coords is None:
         raise EnergyError("space has no coordinates; cannot build smooth fields")
-    xy = np.array([graph.coords.get(i, (0.0, 0.0)) for i in graph.ids])
+    xy = np.array([space.coords.get(i, (0.0, 0.0)) for i in space.ids])
     rng = np.random.default_rng(seed)
-    out = np.zeros((count, graph.n_vertices))
+    out = np.zeros((count, space.n_vertices))
     for k in range(count):
         amp = rng.normal(size=modes) / modes
         wx = rng.uniform(-frequency, frequency, size=modes)
@@ -152,29 +144,29 @@ def poincare_check(
     """
     if lam < 1:
         raise EnergyError(f"lambda={lam:g} must be >= 1")
-    graph, masses = _space_parts(space)
+    masses = edge_mass(space)
     report = PoincareReport(p=p, lam=lam)
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
     for center in centers:
-        ci = graph.index[center] if isinstance(center, str) else int(center)
-        d = graph.distances_from(ci)
+        ci = space.index[center] if isinstance(center, str) else int(center)
+        d = space.distances_from(ci)
         for r in radii:
             in_ball = d < r
             in_lam = d < lam * r
-            mu_ball = float(graph.measure[in_ball].sum())
-            mu_lam = float(graph.measure[in_lam].sum())
+            mu_ball = float(space.measure[in_ball].sum())
+            mu_lam = float(space.measure[in_lam].sum())
             if mu_ball <= 0 or mu_lam <= 0:
                 report.skipped.append({"center": center, "r": r, "reason": "zero-mass ball"})
                 continue
-            emask = in_lam[graph.edge_u] & in_lam[graph.edge_v]
+            emask = in_lam[space.edge_u] & in_lam[space.edge_v]
             for fi, vals in enumerate(fields):
-                u_mean = float((vals[in_ball] * graph.measure[in_ball]).sum()) / mu_ball
+                u_mean = float((vals[in_ball] * space.measure[in_ball]).sum()) / mu_ball
                 lhs = (
-                    float((np.abs(vals[in_ball] - u_mean) * graph.measure[in_ball]).sum())
+                    float((np.abs(vals[in_ball] - u_mean) * space.measure[in_ball]).sum())
                     / mu_ball
                 )
-                g = np.abs(vals[graph.edge_u[emask]] - vals[graph.edge_v[emask]])
-                g /= graph.edge_length[emask]
+                g = np.abs(vals[space.edge_u[emask]] - vals[space.edge_v[emask]])
+                g /= space.edge_length[emask]
                 grad_mean = float((masses[emask] * g**p).sum()) / mu_lam
                 rhs = r * grad_mean ** (1.0 / p)
                 ratio = 0.0 if lhs == 0 else (np.inf if rhs == 0 else lhs / rhs)
@@ -198,7 +190,7 @@ def hardy_check(t: TransformedSpace, u) -> float:
     base = t.base
     nb = base.n_vertices
     vals = field_array(base, u)
-    mu_phi = t.graph.measure[:nb]
+    mu_phi = t.measure[:nb]
     total = float(mu_phi.sum())
     if total <= 0:
         raise EnergyError("transformed measure vanishes on the base vertices")
@@ -359,18 +351,16 @@ def trace(space: GraphSpace, u, nu: BoundaryMeasure, radii: list) -> TraceReport
     rmax = radii[0] * (1 + 1e-9)
     interior_mass = np.where(space.boundary_mask, 0.0, space.measure)
     for k, vid in enumerate(ids):
-        vi = space.index[vid]
-        idx, dist = local_distances(space, vi, rmax)
-        mass = interior_mass[idx]
+        dist = space.distances_from(space.index[vid], limit=rmax)
         means = []
         ok = True
         for r in radii:
             sel = dist <= r * (1 + 1e-9)
-            m = float(mass[sel].sum())
+            m = float(interior_mass[sel].sum())
             if m <= 0:
                 ok = False
                 break
-            means.append(float((vals[idx[sel]] * mass[sel]).sum()) / m)
+            means.append(float((vals[sel] * interior_mass[sel]).sum()) / m)
         if not ok:
             unresolved.append(vid)
             continue
@@ -450,20 +440,19 @@ def adams_check(
     Balls are inclusive.  A ball with zero RHS but positive LHS is recorded
     as a violation.
     """
-    graph = t.graph
-    masses = t.edge_masses
+    masses = edge_mass(t)
     p = t.p
     vals = field_array(t, u)
     report = AdamsReport(q=q, theta=theta)
-    nu_arr = np.zeros(graph.n_vertices)
+    nu_arr = np.zeros(t.n_vertices)
     for vid, wv in nu.nu.items():
-        nu_arr[graph.index[vid]] = wv
+        nu_arr[t.index[vid]] = wv
     for center, r in balls:
-        ci = graph.index[center] if isinstance(center, str) else int(center)
-        d = graph.distances_from(ci)
+        ci = t.index[center] if isinstance(center, str) else int(center)
+        d = t.distances_from(ci)
         in_ball = d <= r * (1 + 1e-9)
         bsel = in_ball & (nu_arr > 0)
-        mu_ball = float(graph.measure[in_ball].sum())
+        mu_ball = float(t.measure[in_ball].sum())
         if not bsel.any():
             report.skipped.append({"center": center, "r": r, "reason": "no boundary mass in ball"})
             continue
@@ -475,9 +464,9 @@ def adams_check(
         c = _weighted_median(uv, w)
         lhs = float((w * np.abs(uv - c) ** q).sum()) ** (1.0 / q)
         in_2b = d <= 2 * r * (1 + 1e-9)
-        emask = in_2b[graph.edge_u] & in_2b[graph.edge_v]
-        g = np.abs(vals[graph.edge_u[emask]] - vals[graph.edge_v[emask]])
-        g /= graph.edge_length[emask]
+        emask = in_2b[t.edge_u] & in_2b[t.edge_v]
+        g = np.abs(vals[t.edge_u[emask]] - vals[t.edge_v[emask]])
+        g /= t.edge_length[emask]
         energy = float((masses[emask] * g**p).sum())
         rhs = r ** (1.0 - theta / q) / mu_ball ** (1.0 / p - 1.0 / q) * energy ** (1.0 / p)
         if rhs == 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
@@ -49,16 +49,24 @@ class BandDecomposition:
         return self.band_measure.get(n, 0.0)
 
 
-def band_of_distance(d: float) -> int:
-    """Band index of a boundary distance: 0 for d <= 1, else ceil(log2 d).
+def band_of_distance(d):
+    """Band index of boundary distances: 0 for d <= 1, else ceil(log2 d).
 
-    A small downward shift before the ceiling keeps values that are powers of
-    two (up to float drift) in the lower band, matching the half-open
-    convention (2^(n-1), 2^n].
+    Elementwise on arrays; a scalar distance gives an int.  A small downward
+    shift before the ceiling keeps values that are powers of two (up to float
+    drift) in the lower band, matching the half-open convention (2^(n-1), 2^n].
     """
-    if d <= 1.0:
-        return 0
-    return max(1, math.ceil(math.log2(d) - 1e-12))
+    d = np.asarray(d, dtype=float)
+    band = np.zeros(d.shape, dtype=np.int64)
+    far = d > 1.0
+    band[far] = np.maximum(1, np.ceil(np.log2(d[far]) - 1e-12).astype(np.int64))
+    return int(band) if band.ndim == 0 else band
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so callers cannot corrupt the cache."""
+    a.flags.writeable = False
+    return a
 
 
 class GraphSpace:
@@ -69,6 +77,11 @@ class GraphSpace:
     byte-stable.  ``infinity_id`` marks the single added point used by
     dampened (transformed) spaces; it is exempt from the measure-positivity
     rule but from nothing else.
+
+    The edge-mass slot holds one mass per edge.  ``from_arrays(edge_mass=...)``
+    fills it with explicit masses (the dampened ones of a transform);
+    otherwise ``energy.edge_mass`` fills it on first use with the length-share
+    rule.  Either way every engine reads masses through ``energy.edge_mass``.
     """
 
     def __init__(
@@ -80,24 +93,7 @@ class GraphSpace:
         coords: dict[str, tuple[float, ...]] | None = None,
         infinity_id: str | None = None,
     ):
-        self.ids: list[str] = list(ids)
-        self.index: dict[str, int] = {vid: i for i, vid in enumerate(self.ids)}
-        if len(self.index) != len(self.ids):
-            seen: set[str] = set()
-            for k, vid in enumerate(self.ids):
-                if vid in seen:
-                    raise DomainFormatError(f"vertices[{k}]: duplicate id {vid!r}")
-                seen.add(vid)
-        n = len(self.ids)
-        if n == 0:
-            raise DomainFormatError("vertices: empty vertex list")
-        self.measure = np.asarray(measures, dtype=float)
-        self.boundary_mask = np.asarray(boundary_flags, dtype=bool)
-        if self.measure.shape != (n,) or self.boundary_mask.shape != (n,):
-            raise DomainFormatError("vertices: measure/boundary arrays misaligned")
-        self.infinity_id = infinity_id
-        self.infinity_index = self.index[infinity_id] if infinity_id is not None else -1
-
+        self._set_vertices(ids, measures, boundary_flags, infinity_id)
         eu = np.empty(len(edges), dtype=np.int64)
         ev = np.empty(len(edges), dtype=np.int64)
         el = np.empty(len(edges), dtype=float)
@@ -132,25 +128,17 @@ class GraphSpace:
         edge_length: np.ndarray,
         coords: dict[str, tuple[float, ...]] | None = None,
         infinity_id: str | None = None,
+        edge_mass: np.ndarray | None = None,
     ) -> "GraphSpace":
         """Array fast path for graphs derived from an already-validated one.
 
         Endpoint indices must refer to `ids`; pair uniqueness is trusted, the
-        cheap vector checks (positive finite lengths, no self loops) still run.
+        cheap vector checks (positive finite lengths, no self loops, finite
+        nonnegative masses) still run.  ``edge_mass``, when given, fills the
+        edge-mass slot in place of the length-share rule.
         """
         obj = cls.__new__(cls)
-        obj.ids = list(ids)
-        obj.index = {vid: i for i, vid in enumerate(obj.ids)}
-        if len(obj.index) != len(obj.ids):
-            raise DomainFormatError("vertices: duplicate ids")
-        if not obj.ids:
-            raise DomainFormatError("vertices: empty vertex list")
-        obj.measure = np.ascontiguousarray(measures, dtype=float)
-        obj.boundary_mask = np.ascontiguousarray(boundary_flags, dtype=bool)
-        if obj.measure.shape != (len(obj.ids),) or obj.boundary_mask.shape != (len(obj.ids),):
-            raise DomainFormatError("vertices: measure/boundary arrays misaligned")
-        obj.infinity_id = infinity_id
-        obj.infinity_index = obj.index[infinity_id] if infinity_id is not None else -1
+        obj._set_vertices(ids, measures, boundary_flags, infinity_id)
         obj.edge_u = np.ascontiguousarray(edge_u, dtype=np.int64)
         obj.edge_v = np.ascontiguousarray(edge_v, dtype=np.int64)
         obj.edge_length = np.ascontiguousarray(edge_length, dtype=float)
@@ -158,12 +146,46 @@ class GraphSpace:
             raise DomainFormatError("edges: self loop")
         if not (np.isfinite(obj.edge_length).all() and (obj.edge_length > 0).all()):
             raise DomainFormatError("edges: lengths must be positive and finite")
-        obj._finish_init(coords)
+        if edge_mass is not None:
+            edge_mass = _frozen(np.array(edge_mass, dtype=float))
+            if edge_mass.shape != obj.edge_length.shape or not (
+                np.isfinite(edge_mass).all() and (edge_mass >= 0).all()
+            ):
+                raise DomainFormatError("edges: masses must align with edges, finite and >= 0")
+        obj._finish_init(coords, edge_mass)
         return obj
 
-    def _finish_init(self, coords: dict[str, tuple[float, ...]] | None) -> None:
+    def _set_vertices(
+        self,
+        ids: Sequence[str],
+        measures: Sequence[float],
+        boundary_flags: Sequence[bool],
+        infinity_id: str | None,
+    ) -> None:
+        self.ids: list[str] = list(ids)
+        self.index: dict[str, int] = {vid: i for i, vid in enumerate(self.ids)}
+        if len(self.index) != len(self.ids):
+            seen: set[str] = set()
+            for k, vid in enumerate(self.ids):
+                if vid in seen:
+                    raise DomainFormatError(f"vertices[{k}]: duplicate id {vid!r}")
+                seen.add(vid)
+        n = len(self.ids)
+        if n == 0:
+            raise DomainFormatError("vertices: empty vertex list")
+        self.measure = np.ascontiguousarray(measures, dtype=float)
+        self.boundary_mask = np.ascontiguousarray(boundary_flags, dtype=bool)
+        if self.measure.shape != (n,) or self.boundary_mask.shape != (n,):
+            raise DomainFormatError("vertices: measure/boundary arrays misaligned")
+        self.infinity_id = infinity_id
+        self.infinity_index = self.index[infinity_id] if infinity_id is not None else -1
+
+    def _finish_init(
+        self, coords: dict[str, tuple[float, ...]] | None, edge_mass: np.ndarray | None = None
+    ) -> None:
         self._validate_measures()
         self.coords = coords
+        self._edge_mass = edge_mass
         self._adjacency = None
         self._adj_indptr = None
         self._adj_nbr = None
@@ -249,7 +271,10 @@ class GraphSpace:
     # -- metric primitives --------------------------------------------------
 
     def distances_from(self, source: str | int, limit: float | None = None) -> np.ndarray:
-        """Single-source path distances to every vertex (inf when unreached/over limit)."""
+        """Single-source path distances to every vertex (inf when unreached/over limit).
+
+        The array is cached and returned read-only.
+        """
         idx = source if isinstance(source, (int, np.integer)) else self.index[source]
         key = (int(idx), limit)
         hit = self._dist_cache.get(key)
@@ -263,7 +288,7 @@ class GraphSpace:
         )
         if len(self._dist_cache) >= _DIST_CACHE_MAX:
             self._dist_cache.pop(next(iter(self._dist_cache)))
-        self._dist_cache[key] = dist
+        self._dist_cache[key] = _frozen(dist)
         return dist
 
     def multi_source_distances(self, sources: Iterable[int], limit: float | None = None) -> np.ndarray:
@@ -281,7 +306,7 @@ class GraphSpace:
 
     def boundary_distance_array(self) -> np.ndarray:
         if self._boundary_distance is None:
-            self._boundary_distance = self.multi_source_distances(self.boundary_indices())
+            self._boundary_distance = _frozen(self.multi_source_distances(self.boundary_indices()))
         return self._boundary_distance
 
     def bands(self) -> BandDecomposition:
@@ -289,12 +314,7 @@ class GraphSpace:
             d = self.boundary_distance_array()
             if not np.isfinite(d).all():
                 raise DomainFormatError("bands: some vertex cannot reach the boundary")
-            idx = np.zeros(self.n_vertices, dtype=np.int64)
-            far = d > 1.0
-            if far.any():
-                idx[far] = np.maximum(
-                    1, np.ceil(np.log2(d[far]) - 1e-12).astype(np.int64)
-                )
+            idx = band_of_distance(d)
             totals = np.bincount(idx, weights=self.measure)
             meas = {int(b): float(totals[b]) for b in range(len(totals)) if totals[b] > 0 or (idx == b).any()}
             self._bands = BandDecomposition(

@@ -97,12 +97,6 @@ class UnboundedSolveResult:
     solve: SolveResult
 
 
-def _parts(space) -> tuple[GraphSpace, np.ndarray]:
-    if isinstance(space, TransformedSpace):
-        return space.graph, space.edge_masses
-    return space, edge_mass(space)
-
-
 # ---------------------------------------------------------------------------
 # regularized edge functionals
 
@@ -336,6 +330,26 @@ def _pin_arrays(graph: GraphSpace, data: dict) -> tuple[np.ndarray, np.ndarray]:
     return idx, val
 
 
+def _condenser_mask(space: GraphSpace, cond: Condenser) -> np.ndarray | None:
+    """Validate a condenser against the space; returns the mask of U (None
+    when U is every vertex)."""
+    if not cond.E or not cond.F:
+        raise SolverError("condenser plates must be non-empty")
+    if set(cond.E) & set(cond.F):
+        raise SolverError("condenser plates overlap")
+    for vid in [*cond.E, *cond.F, *(cond.U or [])]:
+        if vid not in space.index:
+            raise SolverError(f"condenser vertex {vid!r} is not in the space")
+    if cond.U is None:
+        return None
+    mask = np.zeros(space.n_vertices, dtype=bool)
+    mask[[space.index[v] for v in cond.U]] = True
+    outside = [v for v in [*cond.E, *cond.F] if not mask[space.index[v]]]
+    if outside:
+        raise SolverError(f"plate vertex {outside[0]!r} is outside U")
+    return mask
+
+
 def solve_p_harmonic(problem: DirichletProblem) -> SolveResult:
     """Minimize the p-energy over fields agreeing with the pinned data.
 
@@ -343,18 +357,18 @@ def solve_p_harmonic(problem: DirichletProblem) -> SolveResult:
     the infinity vertex, are allowed).  Raises when a free vertex has no
     positive-conductance route to a pin.
     """
-    graph, masses = _parts(problem.space)
+    space = problem.space
     data = problem.boundary_data
     if not data:
         raise SolverError("boundary data is empty")
-    idx, val = _pin_arrays(graph, data)
-    pinned = np.zeros(graph.n_vertices, dtype=bool)
+    idx, val = _pin_arrays(space, data)
+    pinned = np.zeros(space.n_vertices, dtype=bool)
     pinned[idx] = True
-    uncovered = graph.boundary_mask & ~pinned
+    uncovered = space.boundary_mask & ~pinned
     if uncovered.any():
-        vid = graph.ids[int(np.nonzero(uncovered)[0][0])]
+        vid = space.ids[int(np.nonzero(uncovered)[0][0])]
         raise SolverError(f"boundary vertex {vid!r} is missing from boundary data")
-    return _minimize(graph, masses, problem.p, idx, val, problem.options, isolated="raise")
+    return _minimize(space, edge_mass(space), problem.p, idx, val, problem.options, isolated="raise")
 
 
 def capacity(space, cond: Condenser, p: float, options: SolveOptions | None = None) -> CapacityResult:
@@ -365,28 +379,12 @@ def capacity(space, cond: Condenser, p: float, options: SolveOptions | None = No
     U with no conductive route to E or F sit at 0 and contribute nothing.
     """
     opts = options or SolveOptions()
-    graph, masses = _parts(space)
-    if not cond.E or not cond.F:
-        raise SolverError("condenser plates must be non-empty")
-    E = [v for v in cond.E]
-    F = [v for v in cond.F]
-    if set(E) & set(F):
-        raise SolverError("condenser plates overlap")
-    mask = None
-    if cond.U is not None:
-        mask = np.zeros(graph.n_vertices, dtype=bool)
-        for vid in cond.U:
-            if vid not in graph.index:
-                raise SolverError(f"condenser vertex {vid!r} is not in the space")
-            mask[graph.index[vid]] = True
-        missing = [v for v in E + F if v not in graph.index or not mask[graph.index[v]]]
-        if missing:
-            raise SolverError(f"plate vertex {missing[0]!r} is outside U")
-    data = {v: 1.0 for v in E}
-    data.update({v: 0.0 for v in F})
-    idx, val = _pin_arrays(graph, data)
+    mask = _condenser_mask(space, cond)
+    data = {v: 1.0 for v in cond.E}
+    data.update({v: 0.0 for v in cond.F})
+    idx, val = _pin_arrays(space, data)
     res = _minimize(
-        graph, masses, p, idx, val, opts,
+        space, edge_mass(space), p, idx, val, opts,
         vertex_mask=mask, isolated="constant", isolated_fill=0.0,
     )
     return CapacityResult(value=res.energy, potential=res.u, solve=res)
@@ -412,23 +410,15 @@ def modulus(
     """
     if p <= 1:
         raise SolverError(f"p={p:g} must exceed 1 for modulus")
-    graph, masses = _parts(space)
-    if not cond.E or not cond.F:
-        raise SolverError("condenser plates must be non-empty")
-    if set(cond.E) & set(cond.F):
-        raise SolverError("condenser plates overlap")
-    nv, ne = graph.n_vertices, graph.n_edges
-    in_U = np.ones(nv, dtype=bool)
-    if cond.U is not None:
-        in_U[:] = False
-        for vid in cond.U:
-            in_U[graph.index[vid]] = True
-    E_idx = [graph.index[v] for v in cond.E]
-    F_idx = [graph.index[v] for v in cond.F]
-    if not all(in_U[i] for i in E_idx + F_idx):
-        raise SolverError("condenser plates must lie inside U")
+    masses = edge_mass(space)
+    in_U = _condenser_mask(space, cond)
+    nv, ne = space.n_vertices, space.n_edges
+    if in_U is None:
+        in_U = np.ones(nv, dtype=bool)
+    E_idx = [space.index[v] for v in cond.E]
+    F_idx = [space.index[v] for v in cond.F]
 
-    eu, ev, ln = graph.edge_u, graph.edge_v, graph.edge_length
+    eu, ev, ln = space.edge_u, space.edge_v, space.edge_length
     e_in_U = in_U[eu] & in_U[ev]
     costed = e_in_U & (masses > 0)
     freebie = e_in_U & ~costed
@@ -438,11 +428,11 @@ def modulus(
 
     w_first = np.where(costed, ln, np.inf)
     try:
-        _, _, epath = shortest_route(graph, E_idx, F_idx, w_first)
+        _, _, epath = shortest_route(space, E_idx, F_idx, w_first)
     except ValueError:
         w_any = np.where(e_in_U, ln, np.inf)
         try:
-            shortest_route(graph, E_idx, F_idx, w_any)
+            shortest_route(space, E_idx, F_idx, w_any)
             flags.append("zero-cost-connection")
         except ValueError:
             flags.append("no-path")
@@ -492,7 +482,7 @@ def modulus(
         w = np.full(ne, np.inf)
         w[costed] = rho[costed] * ln[costed]
         w[freebie] = 1.0
-        cost, _, epath = shortest_route(graph, E_idx, F_idx, w)
+        cost, _, epath = shortest_route(space, E_idx, F_idx, w)
         if cost >= 1.0 - tol:
             converged = True
             break
@@ -531,7 +521,7 @@ def capacity_of_infinity(
         raise SolverError(f"degenerate shells: nothing at distance >= R={R:g}")
     if (E_sel & F_sel).any():
         raise SolverError("degenerate shells: E and F overlap")
-    ids = t.graph.ids
+    ids = t.ids
     cond = Condenser(
         E=[ids[i] for i in np.nonzero(E_sel)[0]],
         F=[ids[i] for i in np.nonzero(F_sel)[0]],
@@ -573,7 +563,7 @@ def solve_dirichlet_unbounded(
     nb = space.n_vertices
     return UnboundedSolveResult(
         u=res.u[:nb],
-        at_infinity_value=float(res.u[ts.graph.infinity_index]),
+        at_infinity_value=float(res.u[ts.infinity_index]),
         transformed=ts,
         solve=res,
     )

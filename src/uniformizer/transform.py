@@ -26,13 +26,12 @@ boundary vertices calibrated so that a boundary ball of radius r carries about
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dampening import Dampening, edge_weight, tail_integral_many
+from .energy import edge_mass
 from .graphspace import DomainFormatError, GraphSpace
 
 
@@ -44,41 +43,37 @@ DEFAULT_BOUNDARY_DIAMETER_BOUND = 64.0
 INFINITY_ID = "infinity"
 
 
-@dataclass
-class TransformedSpace:
-    """A domain together with its dampened metric/measure realization.
+class TransformedSpace(GraphSpace):
+    """The dampened realization of a domain: a GraphSpace plus its provenance.
 
-    ``graph`` carries the dampened lengths and measures (plus the infinity
-    vertex once attached) and is a full GraphSpace, so every metric primitive
-    works on it directly.  Base vertices keep their indices in ``graph``;
-    the infinity vertex, when present, is the last one.
+    Lengths and measures are the dampened ones (plus the infinity vertex once
+    attached), so every metric primitive and engine takes it as the GraphSpace
+    it is.  Base vertices keep their indices; the infinity vertex, when
+    present, is the last one.
 
-    ``edge_masses`` aligns with ``graph``'s edge order: base-derived edges
-    first (mass ``m(e) * phi(dbar_e)^p``), then edges incident to infinity
-    (length-share mass computed in the dampened graph, as they have no base
-    counterpart).
+    The edge-mass slot holds the transform's masses in edge order: base-derived
+    edges first (mass ``m(e) * phi(dbar_e)^p``), then edges incident to
+    infinity (length-share mass computed in the dampened graph, as they have
+    no base counterpart).  ``energy.edge_mass`` returns them.
+
+    Provenance: ``base`` (the undampened domain), ``phi``, ``p`` and
+    ``edge_rep_dist`` (the representative boundary distance of each base edge).
     """
 
     base: GraphSpace
     phi: Dampening
     p: float
-    graph: GraphSpace
     edge_rep_dist: np.ndarray
-    edge_masses: np.ndarray
-    infinity_attached: bool = False
 
     @property
-    def infinity_id(self) -> str | None:
-        return self.graph.infinity_id
-
-    def n_base_edges(self) -> int:
-        return self.base.n_edges
+    def infinity_attached(self) -> bool:
+        return self.infinity_index >= 0
 
     def distance_to_infinity(self) -> np.ndarray:
         """Dampened distance from every vertex to the infinity vertex."""
         if not self.infinity_attached:
             raise TransformError("infinity not attached")
-        return self.graph.distances_from(self.graph.infinity_index)
+        return self.distances_from(self.infinity_index)
 
 
 def _approx_boundary_diameter(space: GraphSpace) -> float:
@@ -107,35 +102,22 @@ def transform(
             f"transform: boundary diameter ~{diam:g} exceeds bound {max_boundary_diameter:g}; "
             "only bounded boundaries are supported"
         )
-    from .energy import edge_mass
-
     d = space.boundary_distance_array()
     rep = 0.5 * (d[space.edge_u] + d[space.edge_v])
     w_edge = edge_weight(phi, rep)
     w_vertex = edge_weight(phi, d)
-    lengths_phi = space.edge_length * w_edge
-    measures_phi = space.measure * w_vertex**p
-    masses_phi = edge_mass(space) * w_edge**p
-
-    graph = GraphSpace.from_arrays(
+    ts = TransformedSpace.from_arrays(
         list(space.ids),
-        measures_phi,
+        space.measure * w_vertex**p,
         space.boundary_mask,
         space.edge_u,
         space.edge_v,
-        lengths_phi,
+        space.edge_length * w_edge,
         coords=space.coords,
-        infinity_id=None,
+        edge_mass=edge_mass(space) * w_edge**p,
     )
-    return TransformedSpace(
-        base=space,
-        phi=phi,
-        p=float(p),
-        graph=graph,
-        edge_rep_dist=rep,
-        edge_masses=masses_phi,
-        infinity_attached=False,
-    )
+    ts.base, ts.phi, ts.p, ts.edge_rep_dist = space, phi, float(p), rep
+    return ts
 
 
 def attach_infinity(ts: TransformedSpace, infinity_id: str = INFINITY_ID) -> TransformedSpace:
@@ -157,33 +139,31 @@ def attach_infinity(ts: TransformedSpace, infinity_id: str = INFINITY_ID) -> Tra
     d = space.boundary_distance_array()
     tail = tail_integral_many(ts.phi, d[outer])
 
-    ids = list(space.ids) + [infinity_id]
     inf_index = len(space.ids)
-    measures = np.append(ts.graph.measure, 0.0)
-    flags = np.append(space.boundary_mask, False)
+    measures = np.append(ts.measure, 0.0)
     edge_u = np.concatenate([space.edge_u, np.full(outer.size, inf_index, dtype=np.int64)])
     edge_v = np.concatenate([space.edge_v, outer.astype(np.int64)])
-    edge_length = np.concatenate([ts.graph.edge_length, tail])
-    graph = GraphSpace.from_arrays(
-        ids, measures, flags, edge_u, edge_v, edge_length,
-        coords=space.coords, infinity_id=infinity_id,
-    )
+    edge_length = np.concatenate([ts.edge_length, tail])
 
     # length-share masses for the new edges, computed in the dampened graph
     # (they have no base counterpart); S sums all incident dampened lengths
-    S = np.zeros(graph.n_vertices)
-    np.add.at(S, graph.edge_u, graph.edge_length)
-    np.add.at(S, graph.edge_v, graph.edge_length)
-    inf_masses = tail * graph.measure[outer] / S[outer]
-    return TransformedSpace(
-        base=space,
-        phi=ts.phi,
-        p=ts.p,
-        graph=graph,
-        edge_rep_dist=ts.edge_rep_dist,
-        edge_masses=np.concatenate([ts.edge_masses, inf_masses]),
-        infinity_attached=True,
+    S = np.zeros(inf_index + 1)
+    np.add.at(S, edge_u, edge_length)
+    np.add.at(S, edge_v, edge_length)
+    inf_masses = tail * measures[outer] / S[outer]
+    out = TransformedSpace.from_arrays(
+        list(space.ids) + [infinity_id],
+        measures,
+        np.append(space.boundary_mask, False),
+        edge_u,
+        edge_v,
+        edge_length,
+        coords=space.coords,
+        infinity_id=infinity_id,
+        edge_mass=np.concatenate([edge_mass(ts), inf_masses]),
     )
+    out.base, out.phi, out.p, out.edge_rep_dist = space, ts.phi, ts.p, ts.edge_rep_dist
+    return out
 
 
 # -- boundary measures -------------------------------------------------------
@@ -232,33 +212,11 @@ class BoundaryMeasure:
 def local_distances(
     space: GraphSpace, center: int, rmax: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact distances from one vertex to everything within rmax (inclusive).
-
-    Small-neighborhood Dijkstra over adjacency lists; cheap when rmax covers a
-    few mesh cells, which is the regime for boundary-ball sweeps.
-    """
-    indptr, nbr, eid = space._adjacency_lists()
-    lengths = space.edge_length
-    dist: dict[int, float] = {center: 0.0}
-    done: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, center)]
-    while heap:
-        dcur, u = heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for j in range(indptr[u], indptr[u + 1]):
-            v = int(nbr[j])
-            if v in done:
-                continue
-            nd = dcur + lengths[eid[j]]
-            if nd <= rmax and nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    idx = np.fromiter(dist.keys(), dtype=np.int64, count=len(dist))
-    vals = np.fromiter(dist.values(), dtype=float, count=len(dist))
-    order = np.argsort(idx)
-    return idx[order], vals[order]
+    """Vertices within rmax of one vertex (inclusive): ascending indices and
+    their distances, from the space's own Dijkstra stopped at rmax."""
+    dist = space.distances_from(center, limit=rmax)
+    idx = np.nonzero(np.isfinite(dist))[0]
+    return idx, dist[idx]
 
 
 def codimensional_measure(space: GraphSpace, theta: float, h: float) -> BoundaryMeasure:

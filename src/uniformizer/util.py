@@ -1,4 +1,4 @@
-"""Shared plumbing: deterministic JSON, atomic file writes, bounded parallel map.
+"""Shared plumbing: deterministic JSON and atomic file writes.
 
 Everything here is deliberately boring.  Reports must be byte-identical across
 runs with the same inputs, so JSON serialization is centralized (sorted keys,
@@ -8,16 +8,13 @@ through a temp-file-plus-rename so readers never observe partial output.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any
 
 import numpy as np
-
-ENV_THREADS = "UNIFORMIZER_THREADS"
 
 
 def jsonable(obj: Any) -> Any:
@@ -54,38 +51,21 @@ def config_hash(config: dict) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to `path` via a same-directory temp file and atomic rename."""
+    """Write text to `path` via a same-directory temp file and atomic rename.
+
+    The file gets the mode a plain open() would give it (0o666 less the
+    umask); mkstemp alone would leave it at 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def thread_budget() -> int:
-    """Worker cap from the environment; 1 (serial) when unset or invalid."""
-    raw = os.environ.get(ENV_THREADS, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def pmap(fn: Callable, items: Sequence) -> list:
-    """Map preserving order; uses a thread pool only when the env cap allows it.
-
-    Results are collected in input order, so output is deterministic regardless
-    of the worker count.
-    """
-    items = list(items)
-    workers = thread_budget()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -362,7 +362,7 @@ def test_criterion_06_doubling_at_infinity():
         ratios = []
         for H in (64.0, 128.0, 256.0):
             t = attach_infinity(transform(gen(h, H).space, power(2.0), 2.0))
-            rep = doubling_constant(t, [t.graph.infinity_id], radii)
+            rep = doubling_constant(t, [t.infinity_id], radii)
             assert np.isfinite(rep.max_ratio) and rep.max_ratio > 1.0
             ratios.append(rep.max_ratio)
         drift = (max(ratios) - min(ratios)) / min(ratios)
@@ -379,7 +379,7 @@ def test_criterion_06_doubling_at_infinity():
 
 def test_criterion_07_mass_exponent_at_infinity(strip128_inf):
     fit = mass_exponents(
-        strip128_inf, [strip128_inf.graph.infinity_id], [1 / 32, 1 / 16, 1 / 8, 1 / 4]
+        strip128_inf, [strip128_inf.infinity_id], [1 / 32, 1 / 16, 1 / 8, 1 / 4]
     )
     predicted, _ = q_beta(2.0, 2.0, (1.0, 1.0))
     gap = abs(fit.slope - predicted)

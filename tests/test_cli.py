@@ -130,6 +130,22 @@ def test_capacity_unknown_vertex(dom_file, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "plates",
+    [
+        ["--E", "nope", "--F", "v4_8"],
+        ["--E", "v4_0", "--F", "nope"],
+        ["--E", "v4_0", "--F", "v4_8", "--U", "v4_0,v4_8,nope"],
+    ],
+)
+def test_modulus_unknown_vertex(dom_file, capsys, plates):
+    code = run(["modulus", "--domain", dom_file] + plates)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "'nope'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_classify_smoke(dom_file, tmp_path, capsys):
     out = tmp_path / "cls.json"
     code = run(
@@ -156,6 +172,9 @@ def test_verify_exit_codes_and_csv(dom_file, tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["check", "params", "value", "pass"]
     assert rows[1][0] == "doubling" and rows[1][3] == "True"
+    sidecar = json.loads((tmp_path / "rows.csv.json").read_text())
+    assert sidecar["command"] == "verify" and sidecar["pass"] is True
+    assert [r["check"] for r in sidecar["rows"]] == ["doubling"]
     capsys.readouterr()
     bad = run(
         [

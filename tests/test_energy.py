@@ -64,6 +64,15 @@ def test_edge_mass_hand_computed():
     np.testing.assert_allclose(edge_mass(cycle_space()), CYCLE_MASSES, rtol=1e-14)
 
 
+def test_edge_mass_slot_is_read_only(strip_small):
+    ts = attach_infinity(transform(strip_small.space, power(2.0), 2.0))
+    for space in (cycle_space(), ts):
+        m = edge_mass(space)
+        with pytest.raises(ValueError, match="read-only"):
+            m[0] = -1.0
+        assert edge_mass(space) is m
+
+
 def test_upper_gradient_is_difference_quotient():
     space = cycle_space()
     u = np.array([0.0, 1.0, -1.0, 3.0])

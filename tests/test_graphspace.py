@@ -134,6 +134,20 @@ def test_boundary_distance_on_strip_rows(strip_small):
         assert boundary_distance(space, vid) == pytest.approx(xy[1], abs=1e-12)
 
 
+def test_cached_distance_arrays_are_read_only():
+    space = cycle_space()
+    cached = [
+        space.distances_from("a"),
+        space.distances_from(2, limit=2.5),
+        space.boundary_distance_array(),
+    ]
+    for arr in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = -1.0
+    np.testing.assert_array_equal(space.distances_from("a"), [0.0, 1.0, 3.0, 4.0])
+    assert space.distances_from("a") is cached[0]
+
+
 def test_band_of_distance_half_open_convention():
     assert band_of_distance(0.3) == 0
     assert band_of_distance(1.0) == 0
@@ -142,6 +156,9 @@ def test_band_of_distance_half_open_convention():
     assert band_of_distance(2.0000001) == 2
     assert band_of_distance(4.0) == 2
     assert band_of_distance(100.0) == 7
+    # the same rule elementwise on arrays
+    d = np.array([0.3, 1.0, 1.5, 2.0, 2.0000001, 4.0, 100.0])
+    np.testing.assert_array_equal(band_of_distance(d), [0, 0, 1, 1, 2, 2, 7])
 
 
 def test_bands_partition_and_measures(strip_small):

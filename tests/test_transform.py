@@ -41,21 +41,21 @@ def test_edge_lengths_follow_representative_distance(strip_small, strip_transfor
     rep = 0.5 * (d[space.edge_u] + d[space.edge_v])
     np.testing.assert_allclose(ts.edge_rep_dist, rep, atol=1e-14)
     expected = space.edge_length * edge_weight(power(2.0), rep)
-    np.testing.assert_allclose(ts.graph.edge_length, expected, rtol=1e-14)
+    np.testing.assert_allclose(ts.edge_length, expected, rtol=1e-14)
 
 
 def test_vertex_measures_follow_boundary_distance(strip_small, strip_transform):
     space = strip_small.space
     d = space.boundary_distance_array()
     w = np.minimum(1.0, np.where(d > 0, d, 1.0) ** -2.0)
-    np.testing.assert_allclose(strip_transform.graph.measure, space.measure * w**2, rtol=1e-14)
+    np.testing.assert_allclose(strip_transform.measure, space.measure * w**2, rtol=1e-14)
 
 
 def test_edge_masses_follow_representative_distance(strip_small, strip_transform):
     space = strip_small.space
     ts = strip_transform
     w = edge_weight(power(2.0), ts.edge_rep_dist)
-    np.testing.assert_allclose(ts.edge_masses, edge_mass(space) * w**2, rtol=1e-14)
+    np.testing.assert_allclose(edge_mass(ts), edge_mass(space) * w**2, rtol=1e-14)
 
 
 def test_dyadic_spot_reweights(strip_small, strip_transform):
@@ -66,10 +66,10 @@ def test_dyadic_spot_reweights(strip_small, strip_transform):
     at4 = np.nonzero(np.abs(ts.edge_rep_dist - 4.0) < 1e-12)[0]
     assert at4.size > 0
     np.testing.assert_allclose(
-        ts.graph.edge_length[at4] / space.edge_length[at4], 1.0 / 16.0, rtol=1e-14
+        ts.edge_length[at4] / space.edge_length[at4], 1.0 / 16.0, rtol=1e-14
     )
     np.testing.assert_allclose(
-        ts.edge_masses[at4] / edge_mass(space)[at4], 1.0 / 256.0, rtol=1e-14
+        edge_mass(ts)[at4] / edge_mass(space)[at4], 1.0 / 256.0, rtol=1e-14
     )
 
 
@@ -78,7 +78,7 @@ def test_band_zero_is_isometric(strip_small, strip_transform):
     ts = strip_transform
     near = ts.edge_rep_dist <= 1.0
     assert near.any()
-    np.testing.assert_array_equal(ts.graph.edge_length[near], space.edge_length[near])
+    np.testing.assert_array_equal(ts.edge_length[near], space.edge_length[near])
 
 
 def test_conductance_invariance(strip_small, strip_transform):
@@ -87,7 +87,7 @@ def test_conductance_invariance(strip_small, strip_transform):
     space = strip_small.space
     ts = strip_transform
     base = edge_mass(space) / space.edge_length**2.0
-    damp = ts.edge_masses / ts.graph.edge_length**2.0
+    damp = edge_mass(ts) / ts.edge_length**2.0
     np.testing.assert_allclose(damp, base, rtol=1e-12)
 
 
@@ -118,8 +118,7 @@ def test_energy_identity_other_exponents(strip_small, p):
 
 def test_attach_infinity_geometry(strip_small, strip_transform):
     space = strip_small.space
-    ts = attach_infinity(strip_transform)
-    g = ts.graph
+    g = attach_infinity(strip_transform)
     assert g.infinity_id == "infinity"
     assert g.n_vertices == space.n_vertices + 1
     assert g.measure[g.infinity_index] == 0.0
@@ -156,7 +155,7 @@ def test_attach_infinity_guards(strip_transform):
     with pytest.raises(TransformError, match="attached"):
         attach_infinity(ts)
     with pytest.raises(TransformError, match="carries an infinity"):
-        transform(ts.graph, power(2.0), 2.0)
+        transform(ts, power(2.0), 2.0)
 
 
 def test_transform_rejects_small_p(strip_small):
