@@ -321,7 +321,7 @@ def cmd_capacity(args) -> int:
 def cmd_modulus(args) -> int:
     target, cond = _condenser_setup(args)
     res = modulus(target, cond, args.p, tol=args.tol, max_paths=args.max_paths)
-    body = {"value": res.value, "paths_used": res.paths_used, "flags": res.flags}
+    body = {"value": res.value, "lower": res.lower, "paths_used": res.paths_used, "flags": res.flags}
     if args.out:
         _write_json(args.out, _report_payload(args, body))
     print(f"modulus: {res.value:.10g} ({res.paths_used} paths)")

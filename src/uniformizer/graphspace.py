@@ -280,9 +280,11 @@ class GraphSpace:
         hit = self._dist_cache.get(key)
         if hit is not None:
             return hit
+        # adjacency() is symmetric, so directed=True gives the undirected
+        # distances without scipy building its transpose on every call
         dist = csgraph.dijkstra(
             self.adjacency(),
-            directed=False,
+            directed=True,
             indices=int(idx),
             limit=np.inf if limit is None else float(limit),
         )
@@ -298,7 +300,7 @@ class GraphSpace:
             raise ValueError("multi_source_distances: empty source set")
         return csgraph.dijkstra(
             self.adjacency(),
-            directed=False,
+            directed=True,
             indices=idx,
             min_only=True,
             limit=np.inf if limit is None else float(limit),

@@ -6,8 +6,10 @@
 * ``capacity``: condenser capacity as the energy of the equilibrium
   potential (pins 1 on E, 0 on F, restricted to U).
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
-  generation, each restricted program solved through its smooth Lagrangian
-  dual.
+  generation.  Each restricted program is solved through its smooth
+  Lagrangian dual by projected Newton on a dense path matrix with one row
+  per generated path and one column per edge those paths use; the dual
+  value is returned as a lower bound.
 * ``capacity_of_infinity``: shell condenser around the added point of a
   transformed space; the probe behind parabolicity classification.
 * ``solve_dirichlet_unbounded``: transform, attach infinity, pin boundary
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+# minimize is not called here; bench/spans.py wraps solver.minimize by name
 from scipy.optimize import brentq, minimize
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
@@ -84,6 +87,7 @@ class CapacityResult:
 @dataclass
 class ModulusResult:
     value: float
+    lower: float
     rho: np.ndarray
     paths_used: int
     flags: list
@@ -390,6 +394,82 @@ def capacity(space, cond: Condenser, p: float, options: SolveOptions | None = No
     return CapacityResult(value=res.energy, potential=res.u, solve=res)
 
 
+def _restricted_dual(
+    A: np.ndarray, lam: np.ndarray, m: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Maximize the Lagrangian dual of the restricted modulus program,
+
+        D(lam) = sum(lam) - (p-1) sum m r^p,  r = (A^T lam / (p m))^q,
+
+    over lam >= 0 (q = 1/(p-1)) by projected Newton.  The gradient is
+    g = 1 - A r.  On the free set F = {lam > eps} or {g > 0} the step solves
+    A_F diag(q r / s) A_F^T d = g_F, with s = A^T lam; the multipliers
+    outside F (at most eps, with g <= 0) take a projected gradient step.
+    eps is the smaller of the projected-gradient (KKT) residual and 1e-8 of
+    the largest multiplier, so multipliers on their way to 0 cannot zigzag.
+    An Armijo search runs along the projection arc; the stop is a KKT
+    residual of 1e-11, or 200 iterations.  Returns lam, r and D(lam), which
+    by weak duality bounds from below the modulus of any family holding the
+    rows of A.
+    """
+    q = 1.0 / (p - 1.0)
+    pm = p * m
+
+    def evaluate(lm):
+        s = lm @ A
+        r = (s / pm) ** q
+        return s, r, float(lm.sum()) - (p - 1.0) * float(m @ r**p)
+
+    s, r, D = evaluate(lam)
+    g = 1.0 - A @ r
+    for _ in range(200):
+        kkt = float(np.max(np.abs(lam - np.maximum(lam + g, 0.0))))
+        if kkt <= 1e-11:
+            break
+        free = (lam > min(kkt, 1e-8 * lam.max())) | (g > 0)
+        AF, gF = A[free], g[free]
+        # The curvature q r / s is infinite (p > 2) or zero (p < 2) at
+        # s = 0: s is floored for the one, the curvature for the other.
+        st = np.maximum(s, 1e-12 * s.max())
+        c = q * (st / pm) ** q / st
+        H = (AF * np.maximum(c, 1e-12 * c.max())) @ AF.T
+        # paths can be linearly dependent (two crossing paths and their
+        # swapped halves); the ridge keeps H positive definite
+        H[np.diag_indices_from(H)] *= 1.0 + 1e-10
+        # numpy's LAPACK, not scipy.linalg: scipy ships its own OpenBLAS,
+        # whose idle threads then contend with numpy's on every iteration
+        try:
+            step = np.linalg.solve(H, gF)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(H, gF, rcond=None)[0]
+        # For p near 1, r is so flat at small s that the Newton step can
+        # overshoot by tens of orders; no step moves lam by more than ten
+        # times its largest entry.
+        t = min(1.0, 10.0 * lam.max() / np.abs(step).max())
+        for _ in range(60):
+            cand = np.maximum(lam + t * g, 0.0)
+            cand[free] = np.maximum(lam[free] + t * step, 0.0)
+            if cand.any():
+                s_t, r_t, D_t = evaluate(cand)
+                g_t = 1.0 - A @ r_t
+                move = cand - lam
+                inc = float(g @ move)
+                # Where the predicted increase is below round-off in D, the
+                # increase is judged from the slopes at both ends
+                # (trapezoid rule) instead of from D itself.
+                if inc > 1e-13 * (1.0 + abs(D)):
+                    gain = D_t - D
+                else:
+                    gain = 0.5 * (inc + float(g_t @ move))
+                if gain >= 1e-4 * inc:
+                    break
+            t *= 0.5
+        else:
+            break
+        lam, s, r, D, g = cand, s_t, r_t, D_t, g_t
+    return lam, r, D
+
+
 def modulus(
     space,
     cond: Condenser,
@@ -403,6 +483,13 @@ def modulus(
     length), solves the restricted program through its Lagrangian dual, then
     adds the most rho-violated path found by Dijkstra under rho*length
     weights, until the shortest path carries rho-length >= 1 - tol.
+
+    The dual is maximized by projected Newton (``_restricted_dual``) over
+    one multiplier per path, warm-started from the previous round: the first
+    path starts at its one-path optimum, each new path at 1e-3 of the
+    largest multiplier.  ``value`` is the energy sum m rho^p of the returned
+    density; ``lower`` is the dual value, which by weak duality bounds the
+    modulus of the full family from below for any multipliers.
 
     Edges with zero mass are free for the minimization: they carry
     rho = 1/length at zero cost, so any path using one is satisfied a
@@ -436,48 +523,48 @@ def modulus(
             flags.append("zero-cost-connection")
         except ValueError:
             flags.append("no-path")
-        return ModulusResult(value=0.0, rho=rho, paths_used=0, flags=flags)
+        return ModulusResult(value=0.0, lower=0.0, rho=rho, paths_used=0, flags=flags)
 
-    epos = np.nonzero(costed)[0]
-    pos_of = np.full(ne, -1, dtype=np.int64)
-    pos_of[epos] = np.arange(epos.size)
-    m_c = masses[epos]
-    l_c = ln[epos]
-    q = 1.0 / (p - 1.0)
+    # path matrix: row i holds the lengths of path i on the costed edges
+    # that some generated path uses, column j standing for edge used[j].  A
+    # costed edge no path uses has s = 0, hence rho = 0, and gets no column.
+    # Rows and columns are allocated in doubling blocks as paths arrive; the
+    # first path is kept whatever the budget.
+    col_of = np.full(ne, -1, dtype=np.int64)
+    used = np.zeros(0, dtype=np.int64)
+    row_cap = max(max_paths, 1)
+    A = np.zeros((min(row_cap, 16), 64))
+    seen: set = set()
+    n_paths = 0
 
-    paths: list[tuple] = [tuple(sorted(pos_of[epath]))]
-    lam = np.zeros(1)
+    def add_path(epath) -> bool:
+        nonlocal A, used, n_paths
+        edges = np.unique(epath)
+        key = edges.tobytes()
+        if key in seen:
+            return False
+        seen.add(key)
+        fresh = edges[col_of[edges] < 0]
+        col_of[fresh] = np.arange(used.size, used.size + fresh.size)
+        used = np.concatenate([used, fresh])
+        rows, cols = A.shape
+        more_rows = min(rows, row_cap - rows) if n_paths == rows else 0
+        more_cols = max(cols, used.size - cols) if used.size > cols else 0
+        if more_rows or more_cols:
+            A = np.pad(A, ((0, more_rows), (0, more_cols)))
+        A[n_paths, col_of[edges]] = ln[edges]
+        n_paths += 1
+        return True
+
+    add_path(epath)
+    m_u = masses[used]
+    # the one-path optimum: rho = (lam l / (p m))^(1/(p-1)) has rho-length 1
+    a0 = A[0, : used.size]
+    lam = np.array([float(a0 @ (a0 / (p * m_u)) ** (1.0 / (p - 1.0))) ** (1.0 - p)])
     converged = False
     while True:
-        A = sp.csr_matrix(
-            (
-                np.concatenate([l_c[list(pth)] for pth in paths]),
-                (
-                    np.concatenate([np.full(len(pth), i) for i, pth in enumerate(paths)]),
-                    np.concatenate([np.array(pth, dtype=np.int64) for pth in paths]),
-                ),
-            ),
-            shape=(len(paths), epos.size),
-        )
-
-        def neg_dual(lm):
-            s = A.T @ lm
-            r = (s / (p * m_c)) ** q
-            val = lm.sum() - (p - 1.0) * float(np.sum(m_c * r**p))
-            grad = 1.0 - A @ r
-            return -val, -grad
-
-        res = minimize(
-            neg_dual,
-            lam,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, None)] * len(paths),
-            options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 2000, "maxfun": 4000},
-        )
-        lam = np.maximum(res.x, 0.0)
-        r_c = ((A.T @ lam) / (p * m_c)) ** q
-        rho[epos] = r_c
+        lam, r_u, lower = _restricted_dual(A[:n_paths, : used.size], lam, m_u, p)
+        rho[used] = r_u
 
         w = np.full(ne, np.inf)
         w[costed] = rho[costed] * ln[costed]
@@ -486,19 +573,18 @@ def modulus(
         if cost >= 1.0 - tol:
             converged = True
             break
-        if len(paths) >= max_paths:
+        if n_paths >= max_paths:
             flags.append("path-budget")
             break
-        new = tuple(sorted(pos_of[epath]))
-        if new in paths:
+        if not add_path(epath):
             flags.append("stalled")
             break
-        paths.append(new)
-        lam = np.append(lam, 0.0)
+        m_u = masses[used]
+        lam = np.append(lam, 1e-3 * lam.max())
     if not converged and "path-budget" not in flags and "stalled" not in flags:
         flags.append("unconverged")
-    value = float(np.sum(m_c * r_c**p))
-    return ModulusResult(value=value, rho=rho, paths_used=len(paths), flags=flags)
+    value = float(np.sum(m_u * r_u**p))
+    return ModulusResult(value=value, lower=lower, rho=rho, paths_used=n_paths, flags=flags)
 
 
 def capacity_of_infinity(

@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
+from uniformizer import domains
 from uniformizer.graphspace import (
     DomainFormatError,
     GraphSpace,
@@ -146,6 +148,34 @@ def test_cached_distance_arrays_are_read_only():
             arr[0] = -1.0
     np.testing.assert_array_equal(space.distances_from("a"), [0.0, 1.0, 3.0, 4.0])
     assert space.distances_from("a") is cached[0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: domains.cantor_slit(1 / 32, 8.0, 1),
+        lambda: domains.plane_minus_cantor_square(0.25, 16.0, 1),
+    ],
+    ids=["cantor_slit", "plane_minus_cantor_square"],
+)
+def test_dijkstra_on_symmetric_adjacency_matches_undirected(make):
+    """distances_from and multi_source_distances run csgraph with
+    directed=True on the symmetric adjacency; the arrays must equal the
+    directed=False result bit for bit, with and without a limit."""
+    space = make().space
+    adj = space.adjacency()
+    b = space.boundary_indices()
+    sources = b[:: b.size // 5][:5]
+    for limit in (None, 0.25):
+        lim = np.inf if limit is None else limit
+        for s in sources:
+            ref = csgraph.dijkstra(adj, directed=False, indices=int(s), limit=lim)
+            got = space.distances_from(int(s), limit=limit)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        for src in (sources, b):
+            ref = csgraph.dijkstra(adj, directed=False, indices=src, min_only=True, limit=lim)
+            got = space.multi_source_distances(src, limit=limit)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_band_of_distance_half_open_convention():

@@ -8,13 +8,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uniformizer.dampening import edge_weight, power
 from uniformizer.energy import edge_mass, p_energy, upper_gradient
 from uniformizer.graphspace import GraphSpace
-from uniformizer.solver import DirichletProblem, solve_dirichlet_unbounded, solve_p_harmonic
+from uniformizer.solver import (
+    Condenser,
+    DirichletProblem,
+    capacity,
+    modulus,
+    solve_dirichlet_unbounded,
+    solve_p_harmonic,
+)
 from uniformizer.transform import transform
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -90,3 +97,16 @@ def test_maximum_principle_with_infinity(space, phi, p, seed):
     values = np.append(res.u, res.at_infinity_value)
     assert not any(f.startswith("max-principle-violation") for f in res.solve.flags)
     assert lo - slack <= values.min() and values.max() <= hi + slack
+
+
+@PROPERTY
+@given(domains(), EXPONENTS, st.data())
+def test_capacity_equals_modulus(space, p, data):
+    e, f = data.draw(st.lists(st.sampled_from(space.ids), min_size=2, max_size=2, unique=True))
+    cond = Condenser(E=[e], F=[f])
+    mod = modulus(space, cond, p, tol=1e-9)
+    # zero-mass edges can join the plates at no cost; then there is no
+    # path program to compare
+    assume(not {"zero-cost-connection", "no-path"} & set(mod.flags))
+    cap = capacity(space, cond, p).value
+    assert abs(mod.value - cap) <= 1e-6 * cap

@@ -354,7 +354,7 @@ def test_modulus_matches_full_program_on_grid(p):
         assert float((ln[pa] * res.rho[pa]).sum()) >= 1.0 - 1e-6
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0])
 def test_modulus_capacity_duality(p):
     space = grid_space(4, 3)
     E = ["g0_0", "g0_1", "g0_2"]
@@ -362,6 +362,22 @@ def test_modulus_capacity_duality(p):
     cap = capacity(space, Condenser(E=E, F=F), p)
     mod = modulus(space, Condenser(E=E, F=F), p, tol=1e-9)
     assert mod.value == pytest.approx(cap.value, rel=1e-6)
+    assert mod.flags == []
+
+
+def test_modulus_translated_condenser_does_not_stall(cone_small):
+    """A criterion-3 condenser moved inside the slit cone (as bench/stalls.py
+    places it for seed 2): an inexact restricted dual solve makes the path
+    generation return a path it already holds."""
+    space = cone_small.space
+    E, F = ["v6_22"], ["v6_26"]
+    d = space.multi_source_distances([space.index[v] for v in E + F])
+    U = [space.ids[i] for i in np.nonzero(d <= 2.5)[0]]
+    cond = Condenser(E=E, F=F, U=U)
+    cap = capacity(space, cond, 3.0).value
+    res = modulus(space, cond, 3.0, tol=1e-6, max_paths=400)
+    assert "stalled" not in res.flags
+    assert abs(cap - res.value) / cap <= 1e-3
 
 
 def test_modulus_path_budget_flag():
@@ -373,6 +389,14 @@ def test_modulus_path_budget_flag():
         max_paths=2,
     )
     assert "path-budget" in res.flags
+
+
+def test_modulus_zero_budget_keeps_first_path():
+    space = grid_space(4, 3)
+    res = modulus(space, Condenser(E=["g0_1"], F=["g3_1"]), 2.0, max_paths=0)
+    assert res.paths_used == 1
+    assert "path-budget" in res.flags
+    assert res.value == pytest.approx(res.lower, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
