@@ -270,7 +270,9 @@ def besov_norm(space: GraphSpace, nu: BoundaryMeasure, f, alpha: float, p: float
         vals = field_array(space, f)[idx]
     from scipy.sparse.csgraph import dijkstra
 
-    D = dijkstra(space.adjacency(), directed=False, indices=idx)[:, idx]
+    # adjacency() is symmetric, so directed=True gives the undirected
+    # distances without scipy building its transpose
+    D = dijkstra(space.adjacency(), directed=True, indices=idx)[:, idx]
     total = 0.0
     for i in range(len(ids)):
         order = np.argsort(D[i], kind="stable")

@@ -2,7 +2,9 @@
 
 * ``solve_p_harmonic``: Dirichlet energy minimizer with pinned values, by
   Newton iterations with exact line search under a geometric regularization
-  schedule (p = 2 reduces to one exact sparse linear solve).
+  schedule (p = 2 reduces to one exact sparse linear solve).  The Newton
+  steps and the line search act only on the edges with a free end; each
+  sparse solve orders the symmetric Hessian by minimum degree on A^T + A.
 * ``capacity``: condenser capacity as the energy of the equilibrium
   potential (pins 1 on E, 0 on F, restricted to U).
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
@@ -124,15 +126,20 @@ def _psi_second(a, d, p, eps):
     return a * p * s ** ((p - 4) / 2) * ((p - 1) * d * d + eps * eps)
 
 
+# Newton Hessians are symmetric: a minimum-degree ordering of A^T + A fills
+# the LU factors far less than SuperLU's default COLAMD.
+ORDERING = "MMD_AT_PLUS_A"
+
+
 def _linear_solve(H: sp.csr_matrix, b: np.ndarray, opts: SolveOptions, flags: list) -> np.ndarray:
     if H.shape[0] == 0:
         return np.zeros(0)
-    x = spsolve(H, b)
+    x = spsolve(H, b, permc_spec=ORDERING)
     bn = float(np.linalg.norm(b))
     if bn > 0:
         res = float(np.linalg.norm(H @ x - b)) / bn
         if res > opts.linear_residual:
-            x = x + spsolve(H, b - H @ x)
+            x = x + spsolve(H, b - H @ x, permc_spec=ORDERING)
             res = float(np.linalg.norm(H @ x - b)) / bn
             if res > opts.linear_residual:
                 flags.append(f"linear-residual {res:.2e}")
@@ -156,6 +163,9 @@ def _minimize(
     problem; their result entries are NaN.  Free components with no
     positive-conductance route to a pin are an error under
     isolated="raise", or held at isolated_fill (zero energy) otherwise.
+    Gradient, Hessian and line search run over the positive-conductance
+    edges with a free end; the energies F_old, F_new (and so the relative
+    residual) and the returned energy still count every edge.
     """
     if p <= 1:
         raise SolverError(f"p={p:g} must exceed 1 for the solver")
@@ -227,11 +237,28 @@ def _minimize(
         out[~mask] = np.nan
         return SolveResult(u=out, energy=true_energy(u), iterations=0, residual=0.0, flags=flags)
 
+    # Only the positive-conductance edges with a free end move; the other
+    # positive ones keep their differences, and each eps level adds their
+    # regularized energy as a constant.  au/av/aa are the moving edges'
+    # ends and conductances, su/sv the free slots of those ends (-1 at a
+    # fixed end).
+    moving = pos & (free_mask[eu] | free_mask[ev])
+    fixed = pos & ~moving
+    au, av, aa = eu[moving], ev[moving], a[moving]
+    a_fixed, d_fixed = a[fixed], u[eu[fixed]] - u[ev[fixed]]
+    su, sv = slot[au], slot[av]
+    fu, fv = su >= 0, sv >= 0
+    gu, gv = su[fu], sv[fv]
+
+    def gradient(w: np.ndarray) -> np.ndarray:
+        """Gradient over the free slots from the per-edge derivatives w."""
+        return np.bincount(gu, weights=w[fu], minlength=nf) - np.bincount(
+            gv, weights=w[fv], minlength=nf
+        )
+
     # assembly index plan (pattern fixed; data changes per iteration)
-    su, sv = slot[eu], slot[ev]
-    ff = pos & (su >= 0) & (sv >= 0)
-    fx = pos & ((su >= 0) ^ (sv >= 0))
-    sfx = np.where(su[fx] >= 0, su[fx], sv[fx])
+    ff, fx = fu & fv, fu ^ fv
+    sfx = np.where(fu[fx], su[fx], sv[fx])
     rows = np.concatenate([su[ff], sv[ff], su[ff], sv[ff], sfx])
     cols = np.concatenate([su[ff], sv[ff], sv[ff], su[ff], sfx])
 
@@ -244,14 +271,11 @@ def _minimize(
     if opts.init == "flat" or p == 2:
         u[free_idx] = float(pins_val.mean())
     elif opts.init == "harmonic":
-        w0 = 2.0 * a
-        H = newton_matrix(w0)
-        d0 = u[eu] - u[ev]
-        grad = np.bincount(eu, weights=2 * a * d0, minlength=nv) - np.bincount(
-            ev, weights=2 * a * d0, minlength=nv
+        # pins enter through the gradient since free entries start at zero
+        w0 = 2.0 * aa
+        u[free_idx] = _linear_solve(
+            newton_matrix(w0), -gradient(w0 * (u[au] - u[av])), opts, flags
         )
-        u[free_idx] = _linear_solve(H, -grad[free_idx], opts, flags)
-        # pins enter through grad since free entries start at zero
     else:
         raise SolverError(f"unknown init {opts.init!r}")
 
@@ -268,35 +292,33 @@ def _minimize(
     iterations = 0
     residual = 0.0
     for eps in schedule:
+        F_fixed = _psi_sum(a_fixed, d_fixed, p, eps)
         while True:
             if iterations >= opts.max_iter:
                 flags.append("unconverged")
                 break
-            d = u[eu] - u[ev]
-            F_old = _psi_sum(a, d, p, eps)
-            gr = _psi_prime(a, d, p, eps)
-            grad = np.bincount(eu, weights=gr, minlength=nv) - np.bincount(
-                ev, weights=gr, minlength=nv
-            )
-            H = newton_matrix(_psi_second(a, d, p, eps))
-            delta = _linear_solve(H, -grad[free_idx], opts, flags)
-            dfull = np.zeros(nv)
-            dfull[free_idx] = delta
-            dd = dfull[eu] - dfull[ev]
+            d = u[au] - u[av]
+            F_old = _psi_sum(aa, d, p, eps) + F_fixed
+            grad = gradient(_psi_prime(aa, d, p, eps))
+            delta = _linear_solve(newton_matrix(_psi_second(aa, d, p, eps)), -grad, opts, flags)
+            dx = np.append(delta, 0.0)  # slot -1 reads the 0 step of a fixed end
+            dd = dx[su] - dx[sv]
 
             def slope(t):
-                return float(np.sum(_psi_prime(a, d + t * dd, p, eps) * dd))
+                return float(np.sum(_psi_prime(aa, d + t * dd, p, eps) * dd))
 
             if slope(0.0) >= 0.0:
                 residual = 0.0
                 break
             t_hi = 2.0
-            while slope(t_hi) < 0.0 and t_hi < 1024.0:
+            s_hi = slope(t_hi)
+            while s_hi < 0.0 and t_hi < 1024.0:
                 t_hi *= 2.0
-            t = t_hi if slope(t_hi) < 0.0 else brentq(slope, 0.0, t_hi, xtol=1e-13)
+                s_hi = slope(t_hi)
+            t = t_hi if s_hi < 0.0 else brentq(slope, 0.0, t_hi, xtol=1e-13)
             u[free_idx] += t * delta
             iterations += 1
-            F_new = _psi_sum(a, u[eu] - u[ev], p, eps)
+            F_new = _psi_sum(aa, u[au] - u[av], p, eps) + F_fixed
             if F_new > F_old + 1e-9 * (abs(F_old) + 1.0):
                 raise SolverError(
                     f"energy increased during iteration ({F_old:g} -> {F_new:g})"
@@ -382,13 +404,27 @@ def capacity(space, cond: Condenser, p: float, options: SolveOptions | None = No
     vertices); edge masses come from the ambient space.  Free components of
     U with no conductive route to E or F sit at 0 and contribute nothing.
     """
-    opts = options or SolveOptions()
     mask = _condenser_mask(space, cond)
-    data = {v: 1.0 for v in cond.E}
-    data.update({v: 0.0 for v in cond.F})
-    idx, val = _pin_arrays(space, data)
+    E_idx = np.unique([space.index[v] for v in cond.E])
+    F_idx = np.unique([space.index[v] for v in cond.F])
+    return _capacity(space, E_idx, F_idx, p, options, mask)
+
+
+def _capacity(
+    space: GraphSpace,
+    E_idx: np.ndarray,
+    F_idx: np.ndarray,
+    p: float,
+    options: SolveOptions | None,
+    mask: np.ndarray | None = None,
+) -> CapacityResult:
+    """``capacity`` on validated plates: disjoint, non-empty index arrays
+    without repeats, inside the vertex mask of U (None for every vertex)."""
     res = _minimize(
-        space, edge_mass(space), p, idx, val, opts,
+        space, edge_mass(space), p,
+        np.concatenate([E_idx, F_idx]),
+        np.concatenate([np.ones(E_idx.size), np.zeros(F_idx.size)]),
+        options or SolveOptions(),
         vertex_mask=mask, isolated="constant", isolated_fill=0.0,
     )
     return CapacityResult(value=res.energy, potential=res.u, solve=res)
@@ -607,12 +643,7 @@ def capacity_of_infinity(
         raise SolverError(f"degenerate shells: nothing at distance >= R={R:g}")
     if (E_sel & F_sel).any():
         raise SolverError("degenerate shells: E and F overlap")
-    ids = t.ids
-    cond = Condenser(
-        E=[ids[i] for i in np.nonzero(E_sel)[0]],
-        F=[ids[i] for i in np.nonzero(F_sel)[0]],
-    )
-    return capacity(t, cond, p, options).value
+    return _capacity(t, np.nonzero(E_sel)[0], np.nonzero(F_sel)[0], p, options).value
 
 
 def solve_dirichlet_unbounded(

@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
+from uniformizer import domains
 from uniformizer.dampening import power
 from uniformizer.energy import (
     EnergyError,
@@ -29,6 +31,7 @@ from uniformizer.energy import (
     upper_gradient,
 )
 from uniformizer.graphspace import GraphSpace
+from uniformizer.solver import DirichletProblem, solve_p_harmonic
 from uniformizer.transform import BoundaryMeasure, attach_infinity, codimensional_measure, transform
 
 
@@ -143,6 +146,32 @@ def test_besov_rejects_bad_smoothness():
     f = {"zl": 0.0, "m": 0.0, "zr": 1.0}
     with pytest.raises(EnergyError):
         besov_norm(space, nu, f, 1.5, 2.0)
+
+
+def test_besov_norm_directed_dijkstra_matches_undirected(monkeypatch):
+    """besov_norm runs csgraph with directed=True on the symmetric
+    adjacency; on criterion 10's level-2 cantor slit and one of its traced
+    fields the norm must equal the directed=False result bit for bit."""
+    level2 = domains.cantor_slit(1 / 16, 8.0, 2)
+    space, nu = level2.space, level2.nu
+    w = random_smooth_fields(space, 1, seed=7)[0]
+    data = {space.ids[i]: float(w[i]) for i in space.boundary_indices()}
+    sol = solve_p_harmonic(DirichletProblem(space, 2.0, data))
+    f = trace(space, sol.u, nu, [0.5, 0.25]).as_dict()
+    alpha = 1.0 - level2.theta / 2.0
+    got = besov_norm(space, nu, f, alpha, 2.0)
+
+    directed_args = []
+    dijkstra = csgraph.dijkstra
+
+    def undirected(graph, directed=True, **kwargs):
+        directed_args.append(directed)
+        return dijkstra(graph, directed=False, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", undirected)
+    ref = besov_norm(space, nu, f, alpha, 2.0)
+    assert directed_args == [True]
+    assert got > 0 and got.hex() == ref.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ Examples are derandomized and few, so the suite stays deterministic and fast.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from uniformizer.dampening import edge_weight, power
 from uniformizer.energy import edge_mass, p_energy, upper_gradient
-from uniformizer.graphspace import GraphSpace
+from uniformizer.graphspace import GraphSpace, from_payload
 from uniformizer.solver import (
     Condenser,
     DirichletProblem,
@@ -22,7 +24,8 @@ from uniformizer.solver import (
     solve_dirichlet_unbounded,
     solve_p_harmonic,
 )
-from uniformizer.transform import transform
+from uniformizer.transform import attach_infinity, transform
+from uniformizer.util import canonical_json
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 EXPONENTS = st.sampled_from([1.5, 2.0, 3.0])
@@ -110,3 +113,11 @@ def test_capacity_equals_modulus(space, p, data):
     assume(not {"zero-cost-connection", "no-path"} & set(mod.flags))
     cap = capacity(space, cond, p).value
     assert abs(mod.value - cap) <= 1e-6 * cap
+
+
+@PROPERTY
+@given(domains(), PROFILES, EXPONENTS)
+def test_json_round_trip_is_byte_stable(space, phi, p):
+    for g in (space, attach_infinity(transform(space, phi, p))):
+        text = canonical_json(g.to_payload())
+        assert canonical_json(from_payload(json.loads(text)).to_payload()) == text

@@ -209,6 +209,27 @@ def test_series_capacity_closed_form(p):
     assert res.potential[0] == 1.0 and res.potential[4] == 0.0
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_capacity_counts_edge_between_plates(p):
+    # E = {w0} and F = {w4} share an edge beside the free chain w1..w3; the
+    # Newton steps never move that edge, but its energy (its conductance,
+    # at difference 1) adds to the closed-form series capacity of the chain
+    ids = [f"w{i}" for i in range(5)]
+    chain = [(ids[i], ids[i + 1], ln) for i, ln in enumerate([1.0, 2.0, 0.5, 1.5])]
+    space = GraphSpace(
+        ids, [0.5, 1.0, 1.0, 1.0, 0.0], [False, False, False, False, True],
+        chain + [("w0", "w4", 3.0)],
+    )
+    c = edge_mass(space) / space.edge_length**p
+    ends = [{space.ids[u], space.ids[v]} for u, v in zip(space.edge_u, space.edge_v)]
+    shared = ends.index({"w0", "w4"})
+    in_chain = np.arange(space.n_edges) != shared
+    series = float(np.sum(c[in_chain] ** (-1.0 / (p - 1.0)))) ** (1.0 - p)
+    assert c[shared] > 0
+    res = capacity(space, Condenser(E=["w0"], F=["w4"]), p)
+    assert res.value == pytest.approx(float(c[shared]) + series, rel=1e-9)
+
+
 def test_capacity_symmetric_in_plates():
     space = grid_space(4, 3)
     E = ["g0_0", "g0_1", "g0_2"]
@@ -431,6 +452,15 @@ def test_capacity_of_infinity_shells(strip_small):
     assert all(c > 0 and math.isfinite(c) for c in caps)
     # shrinking the inner shell can only shrink the condenser family
     assert caps[0] >= caps[1] >= caps[2]
+    # the shell's index arrays and the public id path give the same value
+    d = ts.distance_to_infinity()
+    for k, cap in zip((2, 3, 4), caps):
+        r = R / 2.0**k
+        cond = Condenser(
+            E=[vid for vid, dv in zip(ts.ids, d) if dv <= r * (1 + 1e-9)],
+            F=[vid for vid, dv in zip(ts.ids, d) if dv >= R],
+        )
+        assert cap == capacity(ts, cond, 2.0).value
     with pytest.raises(SolverError, match="r <= R/4"):
         capacity_of_infinity(ts, 2.0, 0.3 * R, R)
     with pytest.raises(SolverError, match="infinity"):
