@@ -80,7 +80,7 @@ from .transform import (
     transform,
     verify_codimensionality,
 )
-from .util import atomic_write_text, canonical_json, config_hash, jsonable
+from .util import atomic_write_text, canonical_json, config_hash
 
 INPUT_ERRORS = (
     DomainFormatError,
@@ -161,7 +161,7 @@ def _report_payload(args: argparse.Namespace, body: dict) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     payload.update(body)
-    return jsonable(payload)
+    return payload
 
 
 def _write_json(path: str, payload: dict) -> None:

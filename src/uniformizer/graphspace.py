@@ -15,9 +15,9 @@ the far field: band 0 is ``{d <= 1}`` and band ``n >= 1`` is
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,6 +69,53 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _vertex_index(ids: list[str]) -> dict[str, int]:
+    """Position of each vertex id; names the first repeated id."""
+    index = {vid: i for i, vid in enumerate(ids)}
+    if len(index) != len(ids):
+        first: dict[str, int] = {}
+        k = next(k for k, vid in enumerate(ids) if first.setdefault(vid, k) != k)
+        raise DomainFormatError(f"vertices[{k}]: duplicate id {ids[k]!r}")
+    if not ids:
+        raise DomainFormatError("vertices: empty vertex list")
+    return index
+
+
+def _edge_arrays(
+    index: dict[str, int], us: Sequence, vs: Sequence, lengths: Sequence
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoint indices and lengths of an edge list given as three columns.
+
+    Per edge the checks are, in this order: both endpoints known, no self
+    loop, vertex pair not seen on an earlier edge, length positive and
+    finite.  They run on whole arrays; the error names the first failing
+    edge and, on it, the first failing check.
+    """
+    eu = np.array([index.get(u, -1) for u in us], dtype=np.int64)
+    ev = np.array([index.get(v, -1) for v in vs], dtype=np.int64)
+    el = np.array(lengths, dtype=float)
+    unknown = (eu < 0) | (ev < 0)
+    loop = eu == ev
+    seen_before = np.ones(eu.size, dtype=bool)
+    pair = np.minimum(eu, ev) * len(index) + np.maximum(eu, ev)
+    seen_before[np.unique(pair, return_index=True)[1]] = False
+    bad_length = ~(el > 0.0) | ~np.isfinite(el)
+    bad = unknown | loop | seen_before | bad_length
+    if bad.any():
+        k = int(np.argmax(bad))
+        u, v = us[k], vs[k]
+        if unknown[k]:
+            msg = f"unknown endpoint {u!r} or {v!r}"
+        elif loop[k]:
+            msg = f"self loop at {u!r}"
+        elif seen_before[k]:
+            msg = f"duplicate edge {u!r}-{v!r}"
+        else:
+            msg = "length must be positive and finite"
+        raise DomainFormatError(f"edges[{k}]: {msg}")
+    return eu, ev, el
+
+
 class GraphSpace:
     """Immutable weighted graph domain.
 
@@ -94,27 +141,8 @@ class GraphSpace:
         infinity_id: str | None = None,
     ):
         self._set_vertices(ids, measures, boundary_flags, infinity_id)
-        eu = np.empty(len(edges), dtype=np.int64)
-        ev = np.empty(len(edges), dtype=np.int64)
-        el = np.empty(len(edges), dtype=float)
-        pair_seen: set[tuple[int, int]] = set()
-        for k, (u, v, length) in enumerate(edges):
-            iu = self.index.get(u)
-            iv = self.index.get(v)
-            if iu is None or iv is None:
-                raise DomainFormatError(f"edges[{k}]: unknown endpoint {u!r} or {v!r}")
-            if iu == iv:
-                raise DomainFormatError(f"edges[{k}]: self loop at {u!r}")
-            key = (min(iu, iv), max(iu, iv))
-            if key in pair_seen:
-                raise DomainFormatError(f"edges[{k}]: duplicate edge {u!r}-{v!r}")
-            pair_seen.add(key)
-            if not (length > 0.0 and math.isfinite(length)):
-                raise DomainFormatError(f"edges[{k}]: length must be positive and finite")
-            eu[k], ev[k], el[k] = iu, iv, length
-        self.edge_u = eu
-        self.edge_v = ev
-        self.edge_length = el
+        us, vs, lengths = zip(*[(u, v, ln) for u, v, ln in edges]) if len(edges) else ((), (), ())
+        self.edge_u, self.edge_v, self.edge_length = _edge_arrays(self.index, us, vs, lengths)
         self._finish_init(coords)
 
     @classmethod
@@ -163,16 +191,8 @@ class GraphSpace:
         infinity_id: str | None,
     ) -> None:
         self.ids: list[str] = list(ids)
-        self.index: dict[str, int] = {vid: i for i, vid in enumerate(self.ids)}
-        if len(self.index) != len(self.ids):
-            seen: set[str] = set()
-            for k, vid in enumerate(self.ids):
-                if vid in seen:
-                    raise DomainFormatError(f"vertices[{k}]: duplicate id {vid!r}")
-                seen.add(vid)
+        self.index: dict[str, int] = _vertex_index(self.ids)
         n = len(self.ids)
-        if n == 0:
-            raise DomainFormatError("vertices: empty vertex list")
         self.measure = np.ascontiguousarray(measures, dtype=float)
         self.boundary_mask = np.ascontiguousarray(boundary_flags, dtype=bool)
         if self.measure.shape != (n,) or self.boundary_mask.shape != (n,):
@@ -466,8 +486,41 @@ def _require(cond: bool, where: str, msg: str) -> None:
         raise DomainFormatError(f"{where}: {msg}")
 
 
+def _first_offender(where: str, checks: list[tuple[list[bool], str]]) -> None:
+    """Raise for the first list entry that fails a check.
+
+    ``checks`` pairs, in the order the checks apply to one entry, a pass flag
+    per entry with the check's message.  The lowest failing entry is named,
+    with the earliest check it fails.
+    """
+    hits = [(ok.index(False), i) for i, (ok, _) in enumerate(checks) if not all(ok)]
+    if hits:
+        k, i = min(hits)
+        raise DomainFormatError(f"{where}[{k}]: {checks[i][1]}")
+
+
+def _columns(entries: list, keys: tuple[str, ...]) -> tuple[list[dict], list, list[list]]:
+    """Entries as dicts (a non-object as an empty one), the checks every entry
+    starts with (it is an object, it carries each of ``keys``) and the value
+    columns under ``keys`` (None where absent)."""
+    is_obj = list(map(isinstance, entries, repeat(dict)))
+    rows = entries if all(is_obj) else [e if ok else {} for e, ok in zip(entries, is_obj)]
+    checks = [(is_obj, "must be an object")]
+    checks += [(list(map(dict.__contains__, rows, repeat(key))), f"missing '{key}'") for key in keys]
+    return rows, checks, [list(map(dict.get, rows, repeat(key))) for key in keys]
+
+
+_NUMBER = (int, float)
+_ABSENT = object()
+
+
 def from_payload(payload: dict) -> GraphSpace:
-    """Build a space from the plain-dict schema, with entry-level diagnostics."""
+    """Build a space from the plain-dict schema, with entry-level diagnostics.
+
+    Each entry check runs over the whole list at once; a malformed entry is
+    reported as ``vertices[k]``, ``edges[k]`` or ``infinity.edges[k]`` (the
+    first offender), with the message of the first check it fails.
+    """
     _require(isinstance(payload, dict), "domain", "top level must be an object")
     _require("vertices" in payload, "domain", "missing 'vertices'")
     _require("edges" in payload, "domain", "missing 'edges'")
@@ -475,39 +528,25 @@ def from_payload(payload: dict) -> GraphSpace:
     elist = payload["edges"]
     _require(isinstance(vlist, list), "vertices", "must be a list")
     _require(isinstance(elist, list), "edges", "must be a list")
-    ids: list[str] = []
-    measures: list[float] = []
-    flags: list[bool] = []
-    coords: dict[str, tuple[float, ...]] = {}
-    for k, entry in enumerate(vlist):
-        where = f"vertices[{k}]"
-        _require(isinstance(entry, dict), where, "must be an object")
-        _require("id" in entry, where, "missing 'id'")
-        _require("measure" in entry, where, "missing 'measure'")
-        _require("boundary" in entry, where, "missing 'boundary'")
-        vid = entry["id"]
-        _require(isinstance(vid, str) and vid != "", where, "'id' must be a nonempty string")
-        _require(isinstance(entry["measure"], (int, float)), where, "'measure' must be a number")
-        _require(isinstance(entry["boundary"], bool), where, "'boundary' must be a boolean")
-        ids.append(vid)
-        measures.append(float(entry["measure"]))
-        flags.append(bool(entry["boundary"]))
-        if "coords" in entry:
-            c = entry["coords"]
-            _require(
-                isinstance(c, list) and all(isinstance(x, (int, float)) for x in c),
-                where,
-                "'coords' must be a list of numbers",
-            )
-            coords[vid] = tuple(float(x) for x in c)
-    edges: list[tuple[str, str, float]] = []
-    for k, entry in enumerate(elist):
-        where = f"edges[{k}]"
-        _require(isinstance(entry, dict), where, "must be an object")
-        for key in ("u", "v", "length"):
-            _require(key in entry, where, f"missing '{key}'")
-        _require(isinstance(entry["length"], (int, float)), where, "'length' must be a number")
-        edges.append((entry["u"], entry["v"], float(entry["length"])))
+    rows, checks, (ids, measures, flags) = _columns(vlist, ("id", "measure", "boundary"))
+    coords_col = list(map(dict.get, rows, repeat("coords"), repeat(_ABSENT)))
+    checks += [
+        ([isinstance(x, str) and x != "" for x in ids], "'id' must be a nonempty string"),
+        (list(map(isinstance, measures, repeat(_NUMBER))), "'measure' must be a number"),
+        (list(map(isinstance, flags, repeat(bool))), "'boundary' must be a boolean"),
+        (
+            [
+                c is _ABSENT or (isinstance(c, list) and all(isinstance(x, _NUMBER) for x in c))
+                for c in coords_col
+            ],
+            "'coords' must be a list of numbers",
+        ),
+    ]
+    _first_offender("vertices", checks)
+    coords = {vid: tuple(map(float, c)) for vid, c in zip(ids, coords_col) if c is not _ABSENT}
+    _, checks, (us, vs, lengths) = _columns(elist, ("u", "v", "length"))
+    checks.append((list(map(isinstance, lengths, repeat(_NUMBER))), "'length' must be a number"))
+    _first_offender("edges", checks)
     infinity_id = None
     if "infinity" in payload:
         inf = payload["infinity"]
@@ -516,16 +555,21 @@ def from_payload(payload: dict) -> GraphSpace:
         _require("edges" in inf and isinstance(inf["edges"], list), "infinity", "missing 'edges' list")
         infinity_id = inf["id"]
         _require(infinity_id not in set(ids), "infinity", f"id {infinity_id!r} collides with a vertex")
+        rows, checks, (inf_vs, inf_lengths) = _columns(inf["edges"], ("v", "length"))
+        # one message for either key
+        _first_offender(
+            "infinity.edges",
+            [checks[0], ([a and b for a, b in zip(checks[1][0], checks[2][0])], "needs 'v' and 'length'")],
+        )
         ids.append(infinity_id)
         measures.append(0.0)
         flags.append(False)
-        for k, entry in enumerate(inf["edges"]):
-            where = f"infinity.edges[{k}]"
-            _require(isinstance(entry, dict), where, "must be an object")
-            _require("v" in entry and "length" in entry, where, "needs 'v' and 'length'")
-            edges.append((infinity_id, entry["v"], float(entry["length"])))
-    return GraphSpace(
-        ids, measures, flags, edges, coords=coords or None, infinity_id=infinity_id
+        us += [infinity_id] * len(rows)
+        vs += inf_vs
+        lengths += map(float, inf_lengths)
+    eu, ev, el = _edge_arrays(_vertex_index(ids), us, vs, lengths)
+    return GraphSpace.from_arrays(
+        ids, measures, flags, eu, ev, el, coords=coords or None, infinity_id=infinity_id
     )
 
 

@@ -430,9 +430,12 @@ def _capacity(
     return CapacityResult(value=res.energy, potential=res.u, solve=res)
 
 
+_DUAL_KKT_TOL = 1e-11
+
+
 def _restricted_dual(
     A: np.ndarray, lam: np.ndarray, m: np.ndarray, p: float
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Maximize the Lagrangian dual of the restricted modulus program,
 
         D(lam) = sum(lam) - (p-1) sum m r^p,  r = (A^T lam / (p m))^q,
@@ -444,9 +447,10 @@ def _restricted_dual(
     eps is the smaller of the projected-gradient (KKT) residual and 1e-8 of
     the largest multiplier, so multipliers on their way to 0 cannot zigzag.
     An Armijo search runs along the projection arc; the stop is a KKT
-    residual of 1e-11, or 200 iterations.  Returns lam, r and D(lam), which
-    by weak duality bounds from below the modulus of any family holding the
-    rows of A.
+    residual of 1e-11, 200 iterations, or a search that finds no increase.
+    Returns lam, r, D(lam), which by weak duality bounds from below the
+    modulus of any family holding the rows of A, and the KKT residual at lam
+    (above 1e-11 when the solve stopped early).
     """
     q = 1.0 / (p - 1.0)
     pm = p * m
@@ -456,11 +460,14 @@ def _restricted_dual(
         r = (s / pm) ** q
         return s, r, float(lm.sum()) - (p - 1.0) * float(m @ r**p)
 
+    def kkt_residual(lm, gr):
+        return float(np.max(np.abs(lm - np.maximum(lm + gr, 0.0))))
+
     s, r, D = evaluate(lam)
     g = 1.0 - A @ r
     for _ in range(200):
-        kkt = float(np.max(np.abs(lam - np.maximum(lam + g, 0.0))))
-        if kkt <= 1e-11:
+        kkt = kkt_residual(lam, g)
+        if kkt <= _DUAL_KKT_TOL:
             break
         free = (lam > min(kkt, 1e-8 * lam.max())) | (g > 0)
         AF, gF = A[free], g[free]
@@ -503,7 +510,7 @@ def _restricted_dual(
         else:
             break
         lam, s, r, D, g = cand, s_t, r_t, D_t, g_t
-    return lam, r, D
+    return lam, r, D, kkt_residual(lam, g)
 
 
 def modulus(
@@ -525,7 +532,10 @@ def modulus(
     path starts at its one-path optimum, each new path at 1e-3 of the
     largest multiplier.  ``value`` is the energy sum m rho^p of the returned
     density; ``lower`` is the dual value, which by weak duality bounds the
-    modulus of the full family from below for any multipliers.
+    modulus of the full family from below for any multipliers.  Both come
+    from the last restricted solve; the flag ``unconverged`` says that solve
+    stopped above its KKT residual of 1e-11 (iteration cap or a failed line
+    search), so ``lower`` is a dual value but not the restricted optimum.
 
     Edges with zero mass are free for the minimization: they carry
     rho = 1/length at zero cost, so any path using one is satisfied a
@@ -597,9 +607,8 @@ def modulus(
     # the one-path optimum: rho = (lam l / (p m))^(1/(p-1)) has rho-length 1
     a0 = A[0, : used.size]
     lam = np.array([float(a0 @ (a0 / (p * m_u)) ** (1.0 / (p - 1.0))) ** (1.0 - p)])
-    converged = False
     while True:
-        lam, r_u, lower = _restricted_dual(A[:n_paths, : used.size], lam, m_u, p)
+        lam, r_u, lower, kkt = _restricted_dual(A[:n_paths, : used.size], lam, m_u, p)
         rho[used] = r_u
 
         w = np.full(ne, np.inf)
@@ -607,7 +616,6 @@ def modulus(
         w[freebie] = 1.0
         cost, _, epath = shortest_route(space, E_idx, F_idx, w)
         if cost >= 1.0 - tol:
-            converged = True
             break
         if n_paths >= max_paths:
             flags.append("path-budget")
@@ -617,7 +625,8 @@ def modulus(
             break
         m_u = masses[used]
         lam = np.append(lam, 1e-3 * lam.max())
-    if not converged and "path-budget" not in flags and "stalled" not in flags:
+    # value and lower come from the last restricted solve
+    if kkt > _DUAL_KKT_TOL:
         flags.append("unconverged")
     value = float(np.sum(m_u * r_u**p))
     return ModulusResult(value=value, lower=lower, rho=rho, paths_used=n_paths, flags=flags)

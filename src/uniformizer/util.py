@@ -1,24 +1,55 @@
 """Shared plumbing: deterministic JSON and atomic file writes.
 
 Everything here is deliberately boring.  Reports must be byte-identical across
-runs with the same inputs, so JSON serialization is centralized (sorted keys,
-fixed indentation, non-finite floats turned into strings) and file writes go
-through a temp-file-plus-rename so readers never observe partial output.
+runs with the same inputs, so JSON serialization is centralized and file
+writes go through a temp-file-plus-rename so readers never observe partial
+output.
+
+``canonical_json`` writes exactly the text of
+``json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\\n"``, in one pass
+and without that expression's two costs: the recursive ``jsonable`` copy of a
+payload that is usually plain already, and CPython's pure-Python encoder,
+which ``json`` uses whenever ``indent`` is set (3.11 has no indenting C
+encoder).  The writer applies ``jsonable``'s value rules as it goes:
+
+- numpy bools, integers and floats are written as the plain Python values;
+  numpy arrays as lists (of their ``tolist()`` items);
+- nan, inf and -inf are written as the strings ``"nan"``, ``"inf"`` and
+  ``"-inf"``;
+- dict keys are turned into strings (``str(k)``) before sorting, so keys
+  that collide as strings keep the last value, as in a dict comprehension;
+- tuples are lists; any other value that is not a string or None is an
+  error, as it is for ``json``.
+
+Strings go through ``json``'s own C escaper (ASCII output) and finite floats
+through ``float.__repr__``, which is what ``json`` emits, so the bytes are
+the same.  A flat list of finite floats, strings or bools is joined in one
+call, and a list of dicts sharing one key sequence (the vertex and edge
+tables of a domain) is written column by column into one record template.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
-from typing import Any
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable
 
 import numpy as np
 
+_INDENT = "  "
+
 
 def jsonable(obj: Any) -> Any:
-    """Convert numpy scalars/arrays and non-finite floats into plain JSON values."""
+    """Convert numpy scalars/arrays and non-finite floats into plain JSON values.
+
+    ``config_hash`` hashes this form; ``canonical_json`` applies the same
+    rules while it writes.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -40,8 +71,108 @@ def jsonable(obj: Any) -> Any:
 
 
 def canonical_json(obj: Any) -> str:
-    """Serialize with sorted keys and a trailing newline; stable across runs."""
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Serialize with sorted keys, two-space indentation and a trailing
+    newline; stable across runs (see the module docstring)."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _float(f: float) -> str:
+    if f - f == 0.0:  # finite: nan and +-inf give nan here
+        return float.__repr__(f)
+    if f != f:
+        return '"nan"'
+    return '"inf"' if f > 0 else '"-inf"'
+
+
+def _encode(obj: Any, nl: str) -> str:
+    """JSON text of `obj` whose closing line starts with `nl` (newline plus
+    the current indentation)."""
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is float:
+        return _float(obj)
+    if t is dict:
+        return _dict(obj, nl)
+    if t is list or t is tuple:
+        return _list(obj, nl)
+    if t is bool:
+        return "true" if obj else "false"
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    # subclasses and numpy types, in jsonable's order
+    if isinstance(obj, dict):
+        return _dict(obj, nl)
+    if isinstance(obj, (list, tuple)):
+        return _list(obj, nl)
+    if isinstance(obj, np.ndarray):
+        return _list(list(obj.tolist()), nl)
+    if isinstance(obj, (np.bool_, bool)):
+        return "true" if obj else "false"
+    if isinstance(obj, (np.integer, int)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (np.floating, float)):
+        return _float(float(obj))
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dict(obj: dict, nl: str) -> str:
+    if not obj:
+        return "{}"
+    if set(map(type, obj)) != {str}:
+        obj = {str(k): v for k, v in obj.items()}
+    inner = nl + _INDENT
+    items = [encode_basestring_ascii(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+def _list(obj: list | tuple, nl: str) -> str:
+    if not obj:
+        return "[]"
+    inner = nl + _INDENT
+    types = set(map(type, obj))
+    items = _records(obj, inner) if types == {dict} else _column(obj, types, inner)
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _column(values: list | tuple, types: set, nl: str) -> Iterable[str]:
+    """Texts of `values`, whose types are `types`, each written at `nl`.
+    Values all of one plain type take one C call each."""
+    if types == {float} and math.isfinite(sum(values)):  # no nan or +-inf
+        return map(float.__repr__, values)
+    if types == {str}:
+        return map(encode_basestring_ascii, values)
+    if types == {bool}:
+        return map(_BOOL_TEXT.__getitem__, values)
+    return [_encode(v, nl) for v in values]
+
+
+def _records(rows: list | tuple, nl: str) -> Iterable[str]:
+    """Texts of dicts, each written at `nl`.
+
+    Dicts that share one nonempty sequence of string keys (a table, like the
+    vertex and edge lists of a domain) are written column by column, and
+    each record is filled into one template of its sorted keys.
+    """
+    keys = tuple(rows[0])
+    if not (set(map(type, keys)) == {str} and all(map(keys.__eq__, map(tuple, rows)))):
+        return [_dict(r, nl) for r in rows]
+    inner = nl + _INDENT
+    order = sorted(keys)
+    fields = ("," + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in order)
+    template = "{" + inner + fields + nl + "}"
+    columns = []
+    for k in order:
+        values = list(map(dict.__getitem__, rows, repeat(k)))
+        columns.append(_column(values, set(map(type, values)), inner))
+    return map(template.__mod__, zip(*columns))
 
 
 def config_hash(config: dict) -> str:

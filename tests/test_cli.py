@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -230,3 +231,49 @@ def test_report_determinism_modulo_timestamp(dom_file, tmp_path):
     second.pop("timestamp")
     assert first == second
     assert first["config_hash"] == second["config_hash"]
+
+
+# Digests of the README pipeline's outputs on half_strip --h 0.5 --H 8.  A
+# change that moves a byte of a domain file or of a solve body fails here.
+PIPELINE_DIGESTS = {
+    "domain.json": "3a2536c979ef9ac39ff3b87f6c8129ba9a1939eae796c631d9263f9cfd63a3c7",
+    "nu.json": "1d8dfacd2492a7a7d13dcd120d772de36ff7ca830485fe3116f964850e654769",
+    "dampened.json": "006e96b51bd860f302c0ebe6099f028814698bbd4108d805e6ef6020b039c60b",
+    "sol.json": "7a4f9f6431768b2806c179684f12064466c5e21888c9686e2dbe1976f68e5ca1",
+    "sol_phi.json": "de297bdf6b23d64b7771451bbd03033b29b3d8402d5be61a25398c35c3dd65bc",
+}
+
+
+def _body_bytes(path) -> bytes:
+    """A report's text without its run-specific top-level blocks
+    (``config`` holds temporary paths, ``timestamp`` the clock)."""
+    kept, skip = [], False
+    for line in path.read_text().splitlines(keepends=True):
+        if line.startswith('  "'):
+            skip = line.split('"')[1] in ("config", "config_hash", "timestamp")
+        if not skip:
+            kept.append(line)
+    return "".join(kept).encode()
+
+
+def test_pipeline_outputs_are_byte_stable(tmp_path):
+    f = {name: tmp_path / name for name in PIPELINE_DIGESTS}
+    argv = [
+        ["example", "--name", "half_strip", "--h", "0.5", "--H", "8",
+         "--out", str(f["domain.json"]), "--nu", str(f["nu.json"])],
+        ["transform", "--domain", str(f["domain.json"]), "--phi", "power:2", "--p", "2",
+         "--out", str(f["dampened.json"])],
+        ["solve", "--domain", str(f["domain.json"]), "--p", "2", "--data", "coord:x",
+         "--out", str(f["sol.json"])],
+        ["solve", "--domain", str(f["domain.json"]), "--phi", "power:2", "--p", "2",
+         "--data", "coord:x", "--out", str(f["sol_phi.json"])],
+    ]
+    for args in argv:
+        assert run(args) == 0
+    digests = {
+        name: hashlib.sha256(
+            _body_bytes(path) if name.startswith("sol") else path.read_bytes()
+        ).hexdigest()
+        for name, path in f.items()
+    }
+    assert digests == PIPELINE_DIGESTS

@@ -276,6 +276,156 @@ def test_payload_diagnostics_name_the_offender(mutate, fragment):
         from_payload(payload)
 
 
+def _set(entry: dict, **fields):
+    entry.update(fields)
+
+
+def _infinity(*edges, vid="inf"):
+    return lambda p: p.update(infinity={"id": vid, "edges": list(edges)})
+
+
+# Each case breaks an entry at k > 0 and another entry after it (in another
+# way where the order of the checks matters), so a check that looks at all
+# entries at once must still name the first offender.  Vertices are a, b, c, d
+# and edges a-b, b-c, c-d, d-a (cycle_space).
+FIRST_OFFENDER_CASES = [
+    ("top-level", lambda p: p.pop("edges"), "domain: missing 'edges'"),
+    ("vertices-list", lambda p: p.update(vertices={}), "vertices: must be a list"),
+    ("edges-list", lambda p: p.update(edges=None), "edges: must be a list"),
+    (
+        "vertex-object",
+        lambda p: (p["vertices"].__setitem__(1, "b"), p["vertices"].__setitem__(3, 7)),
+        "vertices[1]: must be an object",
+    ),
+    (
+        "vertex-missing-key",
+        lambda p: (p["vertices"][1].pop("boundary"), p["vertices"][2].pop("id")),
+        "vertices[1]: missing 'boundary'",
+    ),
+    (
+        "vertex-id",
+        lambda p: (_set(p["vertices"][1], id=""), _set(p["vertices"][2], id=5)),
+        "vertices[1]: 'id' must be a nonempty string",
+    ),
+    (
+        "vertex-measure",
+        lambda p: (_set(p["vertices"][2], measure="1"), p["vertices"][3].pop("id")),
+        "vertices[2]: 'measure' must be a number",
+    ),
+    (
+        "vertex-boundary",
+        lambda p: (_set(p["vertices"][1], boundary=0), _set(p["vertices"][2], measure=None)),
+        "vertices[1]: 'boundary' must be a boolean",
+    ),
+    (
+        "vertex-coords",
+        lambda p: (
+            _set(p["vertices"][1], coords=[0.0, "x"]),
+            _set(p["vertices"][2], coords="xy"),
+        ),
+        "vertices[1]: 'coords' must be a list of numbers",
+    ),
+    (
+        "edge-object",
+        lambda p: (p["edges"].__setitem__(1, ["b", "c", 2.0]), p["edges"].__setitem__(2, None)),
+        "edges[1]: must be an object",
+    ),
+    (
+        "edge-missing-key",
+        lambda p: (p["edges"][1].pop("v"), p["edges"][3].pop("u")),
+        "edges[1]: missing 'v'",
+    ),
+    (
+        "edge-length-type",
+        lambda p: (_set(p["edges"][1], length="2"), _set(p["edges"][2], length=None)),
+        "edges[1]: 'length' must be a number",
+    ),
+    (
+        "duplicate-id",
+        lambda p: (
+            _set(p["vertices"][2], id="a"),
+            _set(p["vertices"][3], id="b"),
+            _set(p["edges"][0], v="ghost"),
+        ),
+        "vertices[2]: duplicate id 'a'",
+    ),
+    (
+        "unknown-endpoint",
+        lambda p: (_set(p["edges"][1], v="ghost"), _set(p["edges"][3], u="nope")),
+        "edges[1]: unknown endpoint 'b' or 'ghost'",
+    ),
+    (
+        "self-loop",
+        lambda p: (_set(p["edges"][1], v="b"), _set(p["edges"][2], v="ghost")),
+        "edges[1]: self loop at 'b'",
+    ),
+    (
+        "duplicate-edge",
+        lambda p: (_set(p["edges"][2], u="b", v="a"), _set(p["edges"][3], u="a", v="b")),
+        "edges[2]: duplicate edge 'b'-'a'",
+    ),
+    (
+        "zero-length",
+        lambda p: (_set(p["edges"][1], length=0.0), _set(p["edges"][2], v="ghost")),
+        "edges[1]: length must be positive and finite",
+    ),
+    (
+        "inf-length",
+        lambda p: (_set(p["edges"][1], length=math.inf), _set(p["edges"][3], length=-1.0)),
+        "edges[1]: length must be positive and finite",
+    ),
+    (
+        "nan-length",
+        lambda p: (_set(p["edges"][2], length=math.nan), _set(p["edges"][3], u="a", v="a")),
+        "edges[2]: length must be positive and finite",
+    ),
+    (
+        "measure-value",
+        lambda p: (_set(p["vertices"][2], measure=0.0), _set(p["vertices"][3], measure=0.0)),
+        "vertices[2] ('c'): interior vertex must have positive measure",
+    ),
+    ("infinity-object", lambda p: p.update(infinity=[]), "infinity: must be an object"),
+    ("infinity-id", _infinity(vid=3), "infinity: missing string 'id'"),
+    (
+        "infinity-collision",
+        _infinity({"v": "b", "length": 1.0}, vid="c"),
+        "infinity: id 'c' collides with a vertex",
+    ),
+    (
+        "infinity-edge-object",
+        _infinity({"v": "b", "length": 1.0}, 3, {"v": "c"}),
+        "infinity.edges[1]: must be an object",
+    ),
+    (
+        "infinity-edge-keys",
+        _infinity({"v": "b", "length": 1.0}, {"v": "c"}, {"length": 2.0}),
+        "infinity.edges[1]: needs 'v' and 'length'",
+    ),
+    (
+        "infinity-edge-endpoint",
+        _infinity({"v": "b", "length": 1.0}, {"v": "ghost", "length": 1.0}, {"v": "b", "length": 1.0}),
+        "edges[5]: unknown endpoint 'inf' or 'ghost'",
+    ),
+    (
+        "infinity-edge-duplicate",
+        _infinity({"v": "b", "length": 1.0}, {"v": "c", "length": 1.0}, {"v": "b", "length": 2.0}),
+        "edges[6]: duplicate edge 'inf'-'b'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [pytest.param(mutate, message, id=name) for name, mutate, message in FIRST_OFFENDER_CASES],
+)
+def test_payload_diagnostics_name_the_first_offender(mutate, message):
+    payload = cycle_space().to_payload()
+    mutate(payload)
+    with pytest.raises(DomainFormatError) as info:
+        from_payload(payload)
+    assert str(info.value) == message
+
+
 def test_json_round_trip(tmp_path):
     space = cycle_space()
     path = tmp_path / "cycle.json"

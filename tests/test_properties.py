@@ -7,10 +7,11 @@ Examples are derandomized and few, so the suite stays deterministic and fast.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uniformizer.dampening import edge_weight, power
@@ -25,7 +26,7 @@ from uniformizer.solver import (
     solve_p_harmonic,
 )
 from uniformizer.transform import attach_infinity, transform
-from uniformizer.util import canonical_json
+from uniformizer.util import canonical_json, jsonable
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 EXPONENTS = st.sampled_from([1.5, 2.0, 3.0])
@@ -121,3 +122,54 @@ def test_json_round_trip_is_byte_stable(space, phi, p):
     for g in (space, attach_infinity(transform(space, phi, p))):
         text = canonical_json(g.to_payload())
         assert canonical_json(from_payload(json.loads(text)).to_payload()) == text
+
+
+# Leaves for the JSON writer: every value kind jsonable converts, with the
+# floats json spells specially and strings that need escaping.
+SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-320, 1e308])
+FLOATS = st.floats() | SPECIAL_FLOATS
+TEXT = st.text(st.characters() | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028"]))
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | FLOATS
+    | TEXT
+    | FLOATS.map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | st.lists(FLOATS, max_size=6)
+    | st.lists(FLOATS, max_size=6).map(lambda xs: np.array(xs, dtype=float))
+)
+KEYS = TEXT | st.integers(-3, 3) | st.sampled_from(["%s", "%", "id"])
+
+
+def _tables(inner):
+    """Lists of dicts sharing one key sequence, as in a domain's vertex and
+    edge lists."""
+    keys = st.lists(KEYS, min_size=1, max_size=4, unique=True)
+    return keys.flatmap(
+        lambda ks: st.lists(
+            st.lists(inner, min_size=len(ks), max_size=len(ks)).map(lambda vs: dict(zip(ks, vs))),
+            max_size=4,
+        )
+    )
+
+
+NESTED = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, inner, max_size=4)
+    | _tables(inner),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(NESTED)
+@example([{}, {}])
+@example([{"v": 1.5, "u": "a"}, {"u": "b", "v": math.inf}, {"u": "c", "v": [True, None]}])
+def test_canonical_json_matches_json_dumps(obj):
+    reference = json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+    assert canonical_json(obj) == reference

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 
+from uniformizer import solver
 from uniformizer.dampening import power
 from uniformizer.energy import edge_mass, p_energy
 from uniformizer.graphspace import GraphSpace
@@ -418,6 +419,21 @@ def test_modulus_zero_budget_keeps_first_path():
     assert res.paths_used == 1
     assert "path-budget" in res.flags
     assert res.value == pytest.approx(res.lower, rel=1e-12)
+
+
+def test_modulus_reports_inexact_restricted_dual(monkeypatch):
+    """A restricted solve that stops above its KKT tolerance (iteration cap
+    or failed line search) makes the result ``unconverged``."""
+    exact = solver._restricted_dual
+
+    def inexact(*args):
+        lam, r, lower, _ = exact(*args)
+        return lam, r, lower, 1e-9
+
+    cond = Condenser(E=["g0_0", "g0_1", "g0_2"], F=["g3_0", "g3_1", "g3_2"])
+    assert modulus(grid_space(4, 3), cond, 2.0, tol=1e-9).flags == []
+    monkeypatch.setattr(solver, "_restricted_dual", inexact)
+    assert modulus(grid_space(4, 3), cond, 2.0, tol=1e-9).flags == ["unconverged"]
 
 
 # ---------------------------------------------------------------------------
