@@ -225,14 +225,20 @@ class GraphSpace:
         bad_interior = ~self.boundary_mask & (self.measure == 0.0)
         if self.infinity_index >= 0:
             bad_interior[self.infinity_index] = False
-        for mask, msg in (
-            (bad_value, "measure must be finite and >= 0"),
-            (bad_boundary, "boundary vertex must have zero measure"),
-            (bad_interior, "interior vertex must have positive measure"),
-        ):
-            if mask.any():
-                i = int(np.nonzero(mask)[0][0])
-                raise DomainFormatError(f"vertices[{i}] ({self.ids[i]!r}): {msg}")
+        bad = bad_value | bad_boundary | bad_interior
+        if bad.any():
+            # the first offending vertex, with the first rule it fails
+            i = int(np.argmax(bad))
+            msg = next(
+                msg
+                for mask, msg in (
+                    (bad_value, "measure must be finite and >= 0"),
+                    (bad_boundary, "boundary vertex must have zero measure"),
+                    (bad_interior, "interior vertex must have positive measure"),
+                )
+                if mask[i]
+            )
+            raise DomainFormatError(f"vertices[{i}] ({self.ids[i]!r}): {msg}")
         if not (~self.boundary_mask).any():
             raise DomainFormatError("vertices: no interior vertices")
         if self.infinity_index >= 0 and self.boundary_mask[self.infinity_index]:
@@ -514,6 +520,14 @@ _NUMBER = (int, float)
 _ABSENT = object()
 
 
+def _numbers(col: list) -> list[bool]:
+    """Per entry, whether it is a JSON number (a boolean is not)."""
+    ok = list(map(isinstance, col, repeat(_NUMBER)))
+    if any(map(isinstance, col, repeat(bool))):
+        ok = [num and not isinstance(x, bool) for num, x in zip(ok, col)]
+    return ok
+
+
 def from_payload(payload: dict) -> GraphSpace:
     """Build a space from the plain-dict schema, with entry-level diagnostics.
 
@@ -532,11 +546,16 @@ def from_payload(payload: dict) -> GraphSpace:
     coords_col = list(map(dict.get, rows, repeat("coords"), repeat(_ABSENT)))
     checks += [
         ([isinstance(x, str) and x != "" for x in ids], "'id' must be a nonempty string"),
-        (list(map(isinstance, measures, repeat(_NUMBER))), "'measure' must be a number"),
+        (_numbers(measures), "'measure' must be a number"),
         (list(map(isinstance, flags, repeat(bool))), "'boundary' must be a boolean"),
         (
             [
-                c is _ABSENT or (isinstance(c, list) and all(isinstance(x, _NUMBER) for x in c))
+                c is _ABSENT
+                or (
+                    isinstance(c, list)
+                    and all(map(isinstance, c, repeat(_NUMBER)))
+                    and not any(map(isinstance, c, repeat(bool)))
+                )
                 for c in coords_col
             ],
             "'coords' must be a list of numbers",
@@ -545,7 +564,7 @@ def from_payload(payload: dict) -> GraphSpace:
     _first_offender("vertices", checks)
     coords = {vid: tuple(map(float, c)) for vid, c in zip(ids, coords_col) if c is not _ABSENT}
     _, checks, (us, vs, lengths) = _columns(elist, ("u", "v", "length"))
-    checks.append((list(map(isinstance, lengths, repeat(_NUMBER))), "'length' must be a number"))
+    checks.append((_numbers(lengths), "'length' must be a number"))
     _first_offender("edges", checks)
     infinity_id = None
     if "infinity" in payload:
@@ -559,7 +578,11 @@ def from_payload(payload: dict) -> GraphSpace:
         # one message for either key
         _first_offender(
             "infinity.edges",
-            [checks[0], ([a and b for a, b in zip(checks[1][0], checks[2][0])], "needs 'v' and 'length'")],
+            [
+                checks[0],
+                ([a and b for a, b in zip(checks[1][0], checks[2][0])], "needs 'v' and 'length'"),
+                (_numbers(inf_lengths), "'length' must be a number"),
+            ],
         )
         ids.append(infinity_id)
         measures.append(0.0)

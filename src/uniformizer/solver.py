@@ -2,9 +2,13 @@
 
 * ``solve_p_harmonic``: Dirichlet energy minimizer with pinned values, by
   Newton iterations with exact line search under a geometric regularization
-  schedule (p = 2 reduces to one exact sparse linear solve).  The Newton
-  steps and the line search act only on the edges with a free end; each
-  sparse solve orders the symmetric Hessian by minimum degree on A^T + A.
+  schedule (p = 2 reduces to one exact sparse linear solve).  eps falls
+  from the data range to 1e-10 of it by factors of 0.01; every level but
+  the last is only the next level's warm start and stops at a relative
+  energy drop below sqrt(tol), and the last level stops below tol.  The
+  Newton steps and the line search act only on the edges with a free end;
+  each sparse solve orders the symmetric Hessian by minimum degree on
+  A^T + A.
 * ``capacity``: condenser capacity as the energy of the equilibrium
   potential (pins 1 on E, 0 on F, restricted to U).
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
@@ -46,10 +50,20 @@ class SolverError(ValueError):
 
 @dataclass
 class SolveOptions:
+    """Newton continuation settings.
+
+    ``tol`` is the stop test at the final eps level (relative energy drop
+    per Newton step); every earlier level stops below ``sqrt(tol)``.  The
+    default schedule is ``range * eps_factor**k`` down to
+    ``eps_floor_factor * range``, where range is the spread of the pinned
+    values and both factors lie in (0, 1); a passed ``eps_schedule`` is
+    used verbatim (nonempty, finite, and positive for p != 2).
+    """
+
     tol: float = 1e-12
     max_iter: int = 500
     eps_schedule: list | None = None
-    eps_factor: float = 0.1
+    eps_factor: float = 0.01
     eps_floor_factor: float = 1e-10
     init: str = "harmonic"
     linear_residual: float = 1e-10
@@ -166,9 +180,17 @@ def _minimize(
     Gradient, Hessian and line search run over the positive-conductance
     edges with a free end; the energies F_old, F_new (and so the relative
     residual) and the returned energy still count every edge.
+
+    Each eps level runs Newton steps until the relative energy drop falls
+    below its stop test, or the Newton decrement reaches round-off level.
+    The test is opts.tol at the last level and sqrt(opts.tol) before it,
+    since an intermediate iterate only warm-starts the next level; the
+    returned residual is the last level's drop.
     """
     if p <= 1:
         raise SolverError(f"p={p:g} must exceed 1 for the solver")
+    if not opts.tol > 0:
+        raise SolverError(f"tol={opts.tol:g} must be positive")
     nv = graph.n_vertices
     mask = np.ones(nv, dtype=bool) if vertex_mask is None else vertex_mask
     if pins_idx.size == 0:
@@ -177,6 +199,26 @@ def _minimize(
         raise SolverError("pinned vertex outside the active vertex set")
     if not np.isfinite(pins_val).all():
         raise SolverError("pinned values must be finite")
+    lo, hi = float(pins_val.min()), float(pins_val.max())
+    rng = hi - lo
+    if opts.eps_schedule is not None:
+        schedule = [float(e) for e in opts.eps_schedule]
+        if not schedule:
+            raise SolverError("eps schedule is empty")
+        if not np.isfinite(schedule).all():
+            raise SolverError("eps schedule entries must be finite")
+        if p != 2 and min(schedule) <= 0:
+            raise SolverError("eps schedule entries must be positive for p != 2")
+    elif p == 2:
+        schedule = [0.0]
+    else:
+        if not (0 < opts.eps_factor < 1 and 0 < opts.eps_floor_factor < 1):
+            raise SolverError(
+                f"eps_factor={opts.eps_factor:g} and eps_floor_factor="
+                f"{opts.eps_floor_factor:g} must lie in (0, 1)"
+            )
+        n_steps = int(np.ceil(-np.log(opts.eps_floor_factor) / -np.log(opts.eps_factor)))
+        schedule = [rng * opts.eps_factor**k for k in range(n_steps + 1)]
 
     eu, ev, ln = graph.edge_u, graph.edge_v, graph.edge_length
     e_active = mask[eu] & mask[ev]
@@ -228,8 +270,6 @@ def _minimize(
         d = vals[eu] - vals[ev]
         return float(np.sum(a * np.abs(d) ** p))
 
-    lo, hi = float(pins_val.min()), float(pins_val.max())
-    rng = hi - lo
     if nf == 0 or rng == 0:
         if rng == 0:
             u[free_idx] = lo
@@ -279,19 +319,11 @@ def _minimize(
     else:
         raise SolverError(f"unknown init {opts.init!r}")
 
-    if opts.eps_schedule is not None:
-        schedule = [float(e) for e in opts.eps_schedule]
-        if p != 2 and any(e <= 0 for e in schedule):
-            raise SolverError("eps schedule must be positive for p != 2")
-    elif p == 2:
-        schedule = [0.0]
-    else:
-        n_steps = int(np.ceil(-np.log(opts.eps_floor_factor) / -np.log(opts.eps_factor)))
-        schedule = [rng * opts.eps_factor**k for k in range(n_steps + 1)]
-
     iterations = 0
     residual = 0.0
-    for eps in schedule:
+    for level, eps in enumerate(schedule):
+        # an intermediate level only warm-starts the next one
+        stop_tol = opts.tol if level == len(schedule) - 1 else opts.tol**0.5
         F_fixed = _psi_sum(a_fixed, d_fixed, p, eps)
         while True:
             if iterations >= opts.max_iter:
@@ -299,7 +331,8 @@ def _minimize(
                 break
             d = u[au] - u[av]
             F_old = _psi_sum(aa, d, p, eps) + F_fixed
-            grad = gradient(_psi_prime(aa, d, p, eps))
+            w1 = _psi_prime(aa, d, p, eps)
+            grad = gradient(w1)
             delta = _linear_solve(newton_matrix(_psi_second(aa, d, p, eps)), -grad, opts, flags)
             dx = np.append(delta, 0.0)  # slot -1 reads the 0 step of a fixed end
             dd = dx[su] - dx[sv]
@@ -307,7 +340,13 @@ def _minimize(
             def slope(t):
                 return float(np.sum(_psi_prime(aa, d + t * dd, p, eps) * dd))
 
-            if slope(0.0) >= 0.0:
+            # The level has converged when the Newton decrement -slope(0) is
+            # at round-off level, where brentq would only bisect noise down
+            # to xtol.  At p = 2 the test is the plain sign test, which keeps
+            # the step sequence that the byte-pinned CLI outputs come from.
+            g0 = w1 * dd
+            floor = 0.0 if p == 2 else 1e-14 * float(np.sum(np.abs(g0)))
+            if float(np.sum(g0)) >= -floor:
                 residual = 0.0
                 break
             t_hi = 2.0
@@ -324,7 +363,7 @@ def _minimize(
                     f"energy increased during iteration ({F_old:g} -> {F_new:g})"
                 )
             residual = (F_old - F_new) / max(abs(F_old), 1e-300)
-            if residual < opts.tol:
+            if residual < stop_tol:
                 break
         if "unconverged" in flags:
             break

@@ -153,6 +153,28 @@ def test_modulus_unknown_vertex(dom_file, capsys, plates):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--p", "3", "--eps-schedule", ","],
+        ["--p", "2", "--eps-schedule", ","],
+        ["--p", "3", "--eps-schedule", "nan"],
+        ["--p", "1.5", "--eps-schedule", "0.1,inf"],
+        ["--p", "3", "--tol", "-1"],
+    ],
+)
+def test_solve_rejects_bad_continuation(dom_file, tmp_path, capsys, extra):
+    out = tmp_path / "solve.json"
+    code = run(
+        ["solve", "--domain", dom_file, "--data", "coord:x", "--out", str(out)] + extra
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_classify_smoke(dom_file, tmp_path, capsys):
     out = tmp_path / "cls.json"
     code = run(

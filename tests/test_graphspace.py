@@ -384,6 +384,21 @@ FIRST_OFFENDER_CASES = [
         lambda p: (_set(p["vertices"][2], measure=0.0), _set(p["vertices"][3], measure=0.0)),
         "vertices[2] ('c'): interior vertex must have positive measure",
     ),
+    (
+        "measure-rule-order",
+        lambda p: (_set(p["vertices"][2], measure=0.0), _set(p["vertices"][3], measure=-1.0)),
+        "vertices[2] ('c'): interior vertex must have positive measure",
+    ),
+    (
+        "vertex-measure-bool",
+        lambda p: (_set(p["vertices"][1], measure=True), _set(p["vertices"][2], measure="1")),
+        "vertices[1]: 'measure' must be a number",
+    ),
+    (
+        "edge-length-bool",
+        lambda p: (_set(p["edges"][1], length=True), _set(p["edges"][2], length="2")),
+        "edges[1]: 'length' must be a number",
+    ),
     ("infinity-object", lambda p: p.update(infinity=[]), "infinity: must be an object"),
     ("infinity-id", _infinity(vid=3), "infinity: missing string 'id'"),
     (
@@ -400,6 +415,21 @@ FIRST_OFFENDER_CASES = [
         "infinity-edge-keys",
         _infinity({"v": "b", "length": 1.0}, {"v": "c"}, {"length": 2.0}),
         "infinity.edges[1]: needs 'v' and 'length'",
+    ),
+    (
+        "infinity-edge-length-string",
+        _infinity({"v": "b", "length": 1.0}, {"v": "c", "length": "2.0"}, {"length": 2.0}),
+        "infinity.edges[1]: 'length' must be a number",
+    ),
+    (
+        "infinity-edge-length-bool",
+        _infinity({"v": "b", "length": 1.0}, {"v": "c", "length": True}, {"v": "d", "length": None}),
+        "infinity.edges[1]: 'length' must be a number",
+    ),
+    (
+        "infinity-edge-length-null",
+        _infinity({"v": "b", "length": 1.0}, {"v": "c", "length": None}, {"v": "d", "length": "1"}),
+        "infinity.edges[1]: 'length' must be a number",
     ),
     (
         "infinity-edge-endpoint",

@@ -164,6 +164,59 @@ def test_flat_and_harmonic_inits_agree(strip_small):
     np.testing.assert_allclose(a.u, b.u, atol=1e-8)
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_default_continuation_matches_fine_continuation(strip_small, p):
+    """The default schedule (factor 0.01, warm-start levels stopped at
+    sqrt(tol)) lands on the u of a fine one; energies alone cannot show an
+    error in u on edges where the difference is about 0."""
+    space = strip_small.space
+    f = {
+        space.ids[i]: math.sin(math.pi * space.coords[space.ids[i]][0])
+        for i in space.boundary_indices()
+    }
+    a = solve_p_harmonic(DirichletProblem(space, p, f))
+    b = solve_p_harmonic(DirichletProblem(space, p, f, SolveOptions(eps_factor=0.3)))
+    np.testing.assert_allclose(a.u, b.u, rtol=0, atol=1e-8)
+    assert a.flags == []
+    assert a.residual < SolveOptions().tol
+
+
+def test_condenser_capacity_newton_steps(cone_small):
+    """Criterion 3's slit-cone condenser at p = 3 takes at most 14 Newton
+    steps (22 under a factor-0.1 schedule that solves every level to tol)."""
+    space = cone_small.space
+    E, F = ["v0_2"], ["v0_6"]
+    d = space.multi_source_distances([space.index[v] for v in E + F])
+    U = [space.ids[i] for i in np.nonzero(d <= 2.5)[0]]
+    res = capacity(space, Condenser(E=E, F=F, U=U), 3.0)
+    assert res.solve.flags == []
+    assert res.solve.iterations <= 14
+
+
+@pytest.mark.parametrize(
+    "p, options, message",
+    [
+        (3.0, SolveOptions(eps_schedule=[]), "eps schedule is empty"),
+        (2.0, SolveOptions(eps_schedule=[]), "eps schedule is empty"),
+        (3.0, SolveOptions(eps_schedule=[float("nan")]), "must be finite"),
+        (1.5, SolveOptions(eps_schedule=[0.1, float("inf")]), "must be finite"),
+        (2.0, SolveOptions(eps_schedule=[float("nan")]), "must be finite"),
+        (3.0, SolveOptions(eps_schedule=[0.1, 0.0]), "must be positive"),
+        (3.0, SolveOptions(tol=0.0), "tol=0 must be positive"),
+        (1.5, SolveOptions(tol=-1.0), "tol=-1 must be positive"),
+        (2.0, SolveOptions(tol=float("nan")), "tol=nan must be positive"),
+        (3.0, SolveOptions(eps_factor=2.0), "must lie in"),
+        (1.5, SolveOptions(eps_factor=0.0), "must lie in"),
+        (3.0, SolveOptions(eps_floor_factor=0.0), "must lie in"),
+    ],
+)
+def test_bad_continuation_inputs_rejected(strip_small, p, options, message):
+    space = strip_small.space
+    ramp = {space.ids[i]: space.coords[space.ids[i]][0] for i in space.boundary_indices()}
+    with pytest.raises(SolverError, match=message):
+        solve_p_harmonic(DirichletProblem(space, p, ramp, options))
+
+
 def test_constant_data_short_circuits(strip_small):
     space = strip_small.space
     f = {space.ids[i]: 0.7 for i in space.boundary_indices()}
