@@ -268,11 +268,7 @@ def besov_norm(space: GraphSpace, nu: BoundaryMeasure, f, alpha: float, p: float
         vals = np.array([float(f[v]) for v in ids])
     else:
         vals = field_array(space, f)[idx]
-    from scipy.sparse.csgraph import dijkstra
-
-    # adjacency() is symmetric, so directed=True gives the undirected
-    # distances without scipy building its transpose
-    D = dijkstra(space.adjacency(), directed=True, indices=idx)[:, idx]
+    D = space.distance_rows(idx)[:, idx]
     total = 0.0
     for i in range(len(ids)):
         order = np.argsort(D[i], kind="stable")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -207,9 +206,7 @@ class GraphSpace:
         self.coords = coords
         self._edge_mass = edge_mass
         self._adjacency = None
-        self._adj_indptr = None
-        self._adj_nbr = None
-        self._adj_edge = None
+        self._slot_edge = None
         self._dist_cache = {}
         self._boundary_distance = None
         self._bands = None
@@ -278,23 +275,44 @@ class GraphSpace:
             self._adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return self._adjacency
 
-    def _adjacency_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR-style incidence: for vertex i, neighbors/edge ids in slice indptr[i]:indptr[i+1]."""
-        if self._adj_indptr is None:
-            n = self.n_vertices
-            ks = np.arange(self.n_edges, dtype=np.int64)
+    def _slot_edges(self) -> np.ndarray:
+        """Edge id behind each stored entry of adjacency(), in storage order.
+
+        The COO-to-CSR conversion leaves adjacency() canonical (rows in
+        order, columns increasing within a row), so its entries are the edge
+        ends sorted by row, then column.  Built on the first routing only.
+        """
+        if self._slot_edge is None:
             rows = np.concatenate([self.edge_u, self.edge_v])
-            nbrs = np.concatenate([self.edge_v, self.edge_u])
-            eids = np.concatenate([ks, ks])
-            order = np.argsort(rows, kind="stable")
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-            self._adj_indptr = indptr
-            self._adj_nbr = nbrs[order]
-            self._adj_edge = eids[order]
-        return self._adj_indptr, self._adj_nbr, self._adj_edge
+            cols = np.concatenate([self.edge_v, self.edge_u])
+            self._slot_edge = _frozen(np.tile(np.arange(self.n_edges), 2)[np.lexsort((cols, rows))])
+        return self._slot_edge
 
     # -- metric primitives --------------------------------------------------
+
+    def _search(self, sources, limit=None, min_only=False, edge_weights=None):
+        """The package's one Dijkstra run, on the cached adjacency.
+
+        adjacency() is symmetric, so directed=True gives the undirected
+        distances without scipy building its transpose on every call.
+        ``edge_weights`` (per edge) replace the lengths slot by slot; then
+        the predecessors come back too, as ``(dist, pred)``.  A zero weight
+        stays an edge and an infinite one is never relaxed.
+        """
+        graph = adj = self.adjacency()
+        if edge_weights is not None:
+            graph = sp.csr_matrix(
+                (edge_weights[self._slot_edges()], adj.indices, adj.indptr), shape=adj.shape
+            )
+        out = csgraph.dijkstra(
+            graph,
+            directed=True,
+            indices=sources,
+            min_only=min_only,
+            limit=np.inf if limit is None else float(limit),
+            return_predecessors=edge_weights is not None,
+        )
+        return out if edge_weights is None else out[:2]
 
     def distances_from(self, source: str | int, limit: float | None = None) -> np.ndarray:
         """Single-source path distances to every vertex (inf when unreached/over limit).
@@ -306,31 +324,22 @@ class GraphSpace:
         hit = self._dist_cache.get(key)
         if hit is not None:
             return hit
-        # adjacency() is symmetric, so directed=True gives the undirected
-        # distances without scipy building its transpose on every call
-        dist = csgraph.dijkstra(
-            self.adjacency(),
-            directed=True,
-            indices=int(idx),
-            limit=np.inf if limit is None else float(limit),
-        )
+        dist = self._search(int(idx), limit)
         if len(self._dist_cache) >= _DIST_CACHE_MAX:
             self._dist_cache.pop(next(iter(self._dist_cache)))
         self._dist_cache[key] = _frozen(dist)
         return dist
+
+    def distance_rows(self, sources: Sequence[int]) -> np.ndarray:
+        """Path distances from each source (rows, in the given order) to every vertex."""
+        return self._search(np.asarray(sources, dtype=np.int64))
 
     def multi_source_distances(self, sources: Iterable[int], limit: float | None = None) -> np.ndarray:
         """Distance to the nearest of several source vertices, for every vertex."""
         idx = np.asarray(sorted(int(s) for s in sources), dtype=np.int64)
         if idx.size == 0:
             raise ValueError("multi_source_distances: empty source set")
-        return csgraph.dijkstra(
-            self.adjacency(),
-            directed=True,
-            indices=idx,
-            min_only=True,
-            limit=np.inf if limit is None else float(limit),
-        )
+        return self._search(idx, limit, min_only=True)
 
     def boundary_distance_array(self) -> np.ndarray:
         if self._boundary_distance is None:
@@ -426,59 +435,37 @@ def shortest_route(
 ) -> tuple[float, list[int], list[int]]:
     """Cheapest path from a source set to a target set under per-edge weights.
 
-    Weights default to edge lengths and may be zero (Dijkstra still applies).
-    Ties are broken toward smaller vertex ids at every heap pop and every
-    equal-cost relaxation, so the returned route is deterministic.
+    Weights default to edge lengths and may be zero (Dijkstra still
+    applies); an infinite weight takes its edge out.  One multi-source
+    Dijkstra reaches every vertex; the route ends at the reachable target
+    of least cost, the smallest index among equal ones, and follows the
+    predecessor tree back to a source, so it is deterministic.
 
-    Returns (cost, vertex index path, edge index path); raises ValueError when
-    no target is reachable.
+    Returns (cost, vertex index path, edge index path); raises ValueError
+    on an empty source or target set, on negative weights, and when no
+    target is reachable.
     """
     w = space.edge_length if edge_weights is None else np.asarray(edge_weights, dtype=float)
     if (w < 0).any():
         raise ValueError("shortest_route: negative edge weights")
-    indptr, nbr, eid = space._adjacency_lists()
-    n = space.n_vertices
-    dist = np.full(n, np.inf)
-    pred_v = np.full(n, -1, dtype=np.int64)
-    pred_e = np.full(n, -1, dtype=np.int64)
-    target_set = set(int(t) for t in targets)
-    if not target_set:
+    src = np.unique(np.asarray(sources, dtype=np.int64))
+    tgt = np.unique(np.asarray(targets, dtype=np.int64))
+    if src.size == 0:
+        raise ValueError("shortest_route: empty source set")
+    if tgt.size == 0:
         raise ValueError("shortest_route: empty target set")
-    heap: list[tuple[float, str, int]] = []
-    for s in sorted(set(int(s) for s in sources)):
-        dist[s] = 0.0
-        heappush(heap, (0.0, space.ids[s], s))
-    done = np.zeros(n, dtype=bool)
-    reached = -1
-    while heap:
-        d, _, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u in target_set:
-            reached = u
-            break
-        for j in range(indptr[u], indptr[u + 1]):
-            v = int(nbr[j])
-            if done[v]:
-                continue
-            nd = d + w[eid[j]]
-            if nd < dist[v] or (
-                nd == dist[v] and pred_v[v] >= 0 and space.ids[u] < space.ids[pred_v[v]]
-            ):
-                dist[v] = nd
-                pred_v[v] = u
-                pred_e[v] = eid[j]
-                heappush(heap, (nd, space.ids[v], v))
-    if reached < 0:
+    dist, pred = space._search(src, min_only=True, edge_weights=w)
+    reached = int(tgt[np.argmin(dist[tgt])])
+    if not np.isfinite(dist[reached]):
         raise ValueError("shortest_route: targets unreachable from sources")
+    adj, slot_edge = space.adjacency(), space._slot_edges()
     vpath = [reached]
     epath: list[int] = []
-    cur = reached
-    while pred_v[cur] >= 0:
-        epath.append(int(pred_e[cur]))
-        cur = int(pred_v[cur])
-        vpath.append(cur)
+    while pred[vpath[-1]] >= 0:
+        v, u = vpath[-1], int(pred[vpath[-1]])
+        row = slice(adj.indptr[u], adj.indptr[u + 1])
+        epath.append(int(slot_edge[row][np.searchsorted(adj.indices[row], v)]))
+        vpath.append(u)
     vpath.reverse()
     epath.reverse()
     return float(dist[reached]), vpath, epath

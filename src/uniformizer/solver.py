@@ -66,7 +66,6 @@ class SolveOptions:
     eps_factor: float = 0.01
     eps_floor_factor: float = 1e-10
     init: str = "harmonic"
-    linear_residual: float = 1e-10
 
 
 @dataclass
@@ -144,18 +143,21 @@ def _psi_second(a, d, p, eps):
 # the LU factors far less than SuperLU's default COLAMD.
 ORDERING = "MMD_AT_PLUS_A"
 
+# relative residual above which a sparse solve gets one refinement step
+LINEAR_RESIDUAL = 1e-10
 
-def _linear_solve(H: sp.csr_matrix, b: np.ndarray, opts: SolveOptions, flags: list) -> np.ndarray:
+
+def _linear_solve(H: sp.csr_matrix, b: np.ndarray, flags: list) -> np.ndarray:
     if H.shape[0] == 0:
         return np.zeros(0)
     x = spsolve(H, b, permc_spec=ORDERING)
     bn = float(np.linalg.norm(b))
     if bn > 0:
         res = float(np.linalg.norm(H @ x - b)) / bn
-        if res > opts.linear_residual:
+        if res > LINEAR_RESIDUAL:
             x = x + spsolve(H, b - H @ x, permc_spec=ORDERING)
             res = float(np.linalg.norm(H @ x - b)) / bn
-            if res > opts.linear_residual:
+            if res > LINEAR_RESIDUAL:
                 flags.append(f"linear-residual {res:.2e}")
     return x
 
@@ -187,8 +189,8 @@ def _minimize(
     since an intermediate iterate only warm-starts the next level; the
     returned residual is the last level's drop.
     """
-    if p <= 1:
-        raise SolverError(f"p={p:g} must exceed 1 for the solver")
+    if not (1 < p < np.inf):
+        raise SolverError(f"p={p:g} must be finite and exceed 1 for the solver")
     if not opts.tol > 0:
         raise SolverError(f"tol={opts.tol:g} must be positive")
     nv = graph.n_vertices
@@ -314,7 +316,7 @@ def _minimize(
         # pins enter through the gradient since free entries start at zero
         w0 = 2.0 * aa
         u[free_idx] = _linear_solve(
-            newton_matrix(w0), -gradient(w0 * (u[au] - u[av])), opts, flags
+            newton_matrix(w0), -gradient(w0 * (u[au] - u[av])), flags
         )
     else:
         raise SolverError(f"unknown init {opts.init!r}")
@@ -333,7 +335,7 @@ def _minimize(
             F_old = _psi_sum(aa, d, p, eps) + F_fixed
             w1 = _psi_prime(aa, d, p, eps)
             grad = gradient(w1)
-            delta = _linear_solve(newton_matrix(_psi_second(aa, d, p, eps)), -grad, opts, flags)
+            delta = _linear_solve(newton_matrix(_psi_second(aa, d, p, eps)), -grad, flags)
             dx = np.append(delta, 0.0)  # slot -1 reads the 0 step of a fixed end
             dd = dx[su] - dx[sv]
 
@@ -580,8 +582,12 @@ def modulus(
     rho = 1/length at zero cost, so any path using one is satisfied a
     priori and the generation never returns it.
     """
-    if p <= 1:
-        raise SolverError(f"p={p:g} must exceed 1 for modulus")
+    if not (1 < p < np.inf):
+        raise SolverError(f"p={p:g} must be finite and exceed 1 for modulus")
+    if not (0 < tol < 1):
+        raise SolverError(f"tol={tol:g} must lie in (0, 1)")
+    if max_paths < 0:
+        raise SolverError(f"max_paths={max_paths} must be >= 0")
     masses = edge_mass(space)
     in_U = _condenser_mask(space, cond)
     nv, ne = space.n_vertices, space.n_edges

@@ -92,8 +92,8 @@ def transform(
     max_boundary_diameter: float = DEFAULT_BOUNDARY_DIAMETER_BOUND,
 ) -> TransformedSpace:
     """Dampened realization of a domain (without the point at infinity)."""
-    if p < 1:
-        raise TransformError("transform: p must be >= 1")
+    if not (1 <= p < np.inf):
+        raise TransformError(f"transform: p={p:g} must be finite and >= 1")
     if space.infinity_id is not None:
         raise TransformError("transform: space already carries an infinity vertex")
     diam = _approx_boundary_diameter(space)

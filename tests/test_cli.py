@@ -175,6 +175,40 @@ def test_solve_rejects_bad_continuation(dom_file, tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["capacity", "--p", "nan", "--E", "v4_0", "--F", "v4_8"], "p=nan"),
+        (["capacity", "--p", "inf", "--E", "v4_0", "--F", "v4_8"], "p=inf"),
+        (["modulus", "--p", "nan", "--E", "v4_0", "--F", "v4_8"], "p=nan"),
+        (["modulus", "--p", "inf", "--E", "v4_0", "--F", "v4_8"], "p=inf"),
+        (["modulus", "--p", "1", "--E", "v4_0", "--F", "v4_8"], "p=1"),
+        (["modulus", "--tol", "nan", "--E", "v4_0", "--F", "v4_8"], "tol=nan"),
+        (["modulus", "--tol", "-1", "--E", "v4_0", "--F", "v4_8"], "tol=-1"),
+        (["modulus", "--tol", "2", "--E", "v4_0", "--F", "v4_8"], "tol=2"),
+        (["modulus", "--max-paths", "-3", "--E", "v4_0", "--F", "v4_8"], "max_paths=-3"),
+        (["solve", "--p", "nan", "--data", "coord:x"], "p=nan"),
+        (["solve", "--p", "nan", "--data", "coord:x", "--phi", "power:2"], "p=nan"),
+        (["solve", "--p", "inf", "--data", "coord:x", "--phi", "power:2"], "p=inf"),
+        (["classify", "--p", "nan", "--phi", "power:2"], "p=nan"),
+        (["classify", "--p", "inf", "--phi", "power:2"], "p=inf"),
+        (["transform", "--p", "nan", "--phi", "power:2"], "p=nan"),
+    ],
+)
+def test_bad_p_tol_and_budget_exit_2(dom_file, tmp_path, capsys, argv, message):
+    """A non-finite p, p <= 1 where the solvers need p > 1, a modulus tol
+    outside (0, 1) and a negative path budget are each named in one line,
+    with exit code 2 and no output."""
+    out = tmp_path / "out.json"
+    code = run(argv[:1] + ["--domain", dom_file, "--out", str(out)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_classify_smoke(dom_file, tmp_path, capsys):
     out = tmp_path / "cls.json"
     code = run(

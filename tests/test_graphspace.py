@@ -121,8 +121,48 @@ def test_shortest_route_reports_cost_and_consistent_path():
 
 def test_shortest_route_unreachable_target_raises():
     space = cycle_space()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty target set"):
         shortest_route(space, [0], [])
+    with pytest.raises(ValueError, match="unreachable"):
+        shortest_route(space, [0], [2], edge_weights=np.array([1.0, np.inf, 1.0, np.inf]))
+
+
+def test_shortest_route_rejects_empty_sources():
+    space = cycle_space()
+    with pytest.raises(ValueError, match="empty source set"):
+        shortest_route(space, [], [2])
+
+
+def test_shortest_route_ties_go_to_smallest_target_index():
+    space = cycle_space()
+    cost, vpath, epath = shortest_route(space, [0], [3, 1], edge_weights=np.zeros(4))
+    assert (cost, vpath, epath) == (0.0, [0, 1], [0])
+    cost, vpath, epath = shortest_route(space, [2, 0], [2])
+    assert (cost, vpath, epath) == (0.0, [2], [])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_shortest_route_matches_floyd_warshall(seed):
+    """Routes from several sources to several targets under weights with
+    zeros (still edges) and infinities (no edge) cost the oracle's minimum,
+    and the returned paths are walks whose weights add up to that cost."""
+    space, _ = random_connected(seed, n=24)
+    rng = np.random.default_rng(100 + seed)
+    w = rng.uniform(0.5, 2.0, size=space.n_edges)
+    w[rng.random(space.n_edges) < 0.15] = 0.0
+    w[rng.random(space.n_edges) < 0.3] = np.inf
+    weighted = [(int(u), int(v), float(x)) for u, v, x in zip(space.edge_u, space.edge_v, w)]
+    oracle = floyd_warshall(space.n_vertices, weighted)
+    picks = rng.permutation(space.n_vertices)
+    sources, targets = picks[:2].tolist(), picks[2:5].tolist()
+    best = oracle[np.ix_(sources, targets)].min()
+    cost, vpath, epath = shortest_route(space, sources, targets, edge_weights=w)
+    assert cost == pytest.approx(best, rel=1e-12, abs=1e-15)
+    assert vpath[0] in sources and vpath[-1] in targets
+    assert len(epath) == len(vpath) - 1
+    for k, e in enumerate(epath):
+        assert {int(space.edge_u[e]), int(space.edge_v[e])} == {vpath[k], vpath[k + 1]}
+    assert sum(w[e] for e in epath) == cost
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,25 @@ def test_capacity_guards():
         capacity(space, Condenser(E=["g0_0"], F=["g2_2"], U=["g0_0", "g1_1"]), 2.0)
 
 
+@pytest.mark.parametrize(
+    "p, kwargs, message",
+    [
+        (float("nan"), {}, "p=nan must be finite and exceed 1"),
+        (float("inf"), {}, "p=inf must be finite and exceed 1"),
+        (1.0, {}, "p=1 must be finite and exceed 1"),
+        (2.0, {"tol": float("nan")}, "tol=nan must lie in"),
+        (2.0, {"tol": -1.0}, "tol=-1 must lie in"),
+        (2.0, {"tol": 0.0}, "tol=0 must lie in"),
+        (2.0, {"tol": 2.0}, "tol=2 must lie in"),
+        (2.0, {"max_paths": -3}, "max_paths=-3 must be >= 0"),
+    ],
+)
+def test_modulus_rejects_bad_arguments(p, kwargs, message):
+    space = grid_space(3, 3)
+    with pytest.raises(SolverError, match=message):
+        modulus(space, Condenser(E=["g0_0"], F=["g2_2"]), p, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # modulus
 
