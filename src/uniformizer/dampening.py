@@ -275,8 +275,8 @@ def validate(
     synthetic profile is used and flagged, which checks only the phi-decay part
     of that condition.
     """
-    if not (p >= 1):
-        raise DampeningError("validate: p must be >= 1")
+    if not (1 <= p < np.inf):
+        raise DampeningError(f"validate: p={p:g} must be finite and >= 1")
     if n_max < 2:
         raise DampeningError("validate: n_max must be >= 2")
     flags: list[str] = []

@@ -142,6 +142,8 @@ def poincare_check(
     inflated ball B(center, lam r).  Balls are open and weighted by the
     vertex measure; zero-measure balls are skipped and flagged.
     """
+    if not (1 <= p < np.inf):
+        raise EnergyError(f"p={p:g} must be finite and >= 1")
     if lam < 1:
         raise EnergyError(f"lambda={lam:g} must be >= 1")
     masses = edge_mass(space)
@@ -257,8 +259,8 @@ def besov_norm(space: GraphSpace, nu: BoundaryMeasure, f, alpha: float, p: float
     """
     if not (0 < alpha < 1):
         raise EnergyError(f"alpha={alpha:g} must lie in (0, 1)")
-    if p < 1:
-        raise EnergyError(f"p={p:g} must be >= 1")
+    if not (1 <= p < np.inf):
+        raise EnergyError(f"p={p:g} must be finite and >= 1")
     ids = [i for i in space.ids if i in nu.nu]
     if len(ids) < 2:
         return 0.0

@@ -7,8 +7,9 @@
   the last is only the next level's warm start and stops at a relative
   energy drop below sqrt(tol), and the last level stops below tol.  The
   Newton steps and the line search act only on the edges with a free end;
-  each sparse solve orders the symmetric Hessian by minimum degree on
-  A^T + A.
+  the first Hessian of a solve is ordered by minimum degree on A^T + A, the
+  later ones reuse that order and a planned CSC structure (_NewtonSystem),
+  and SuperLU factors them in symmetric mode, once in all at p = 2.
 * ``capacity``: condenser capacity as the energy of the equilibrium
   potential (pins 1 on E, 0 on F, restricted to U).
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
@@ -33,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-# minimize is not called here; bench/spans.py wraps solver.minimize by name
+# minimize and spsolve are not called here; bench/spans.py wraps them by name
 from scipy.optimize import brentq, minimize
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from .dampening import Dampening
 from .energy import edge_mass
@@ -139,27 +140,66 @@ def _psi_second(a, d, p, eps):
     return a * p * s ** ((p - 4) / 2) * ((p - 1) * d * d + eps * eps)
 
 
-# Newton Hessians are symmetric: a minimum-degree ordering of A^T + A fills
-# the LU factors far less than SuperLU's default COLAMD.
+# The first factorization of a solve orders the Hessian by minimum degree on
+# A^T + A, which fills the factors far less than SuperLU's default COLAMD.
 ORDERING = "MMD_AT_PLUS_A"
 
 # relative residual above which a sparse solve gets one refinement step
 LINEAR_RESIDUAL = 1e-10
 
 
-def _linear_solve(H: sp.csr_matrix, b: np.ndarray, flags: list) -> np.ndarray:
-    if H.shape[0] == 0:
-        return np.zeros(0)
-    x = spsolve(H, b, permc_spec=ORDERING)
-    bn = float(np.linalg.norm(b))
-    if bn > 0:
-        res = float(np.linalg.norm(H @ x - b)) / bn
-        if res > LINEAR_RESIDUAL:
-            x = x + spsolve(H, b - H @ x, permc_spec=ORDERING)
-            res = float(np.linalg.norm(H @ x - b)) / bn
+class _NewtonSystem:
+    """Newton Hessians sum_e w(e) (1_su - 1_sv)(1_su - 1_sv)^T, su/sv the
+    free slots of the moving edges' ends (-1 at a fixed end).  The first is
+    factored in the order ORDERING finds, which is then baked into a CSC
+    plan: each later one is one bincount, already permuted, factored in
+    natural order.  A factor is freed after its solve (held through a line
+    search, it fragments the heap) unless ``keep``: a constant Hessian.
+    """
+
+    def __init__(self, su: np.ndarray, sv: np.ndarray, n: int, keep: bool):
+        fu, fv = su >= 0, sv >= 0
+        ff, fx = self.ff, self.fx = fu & fv, fu ^ fv
+        sfx = np.where(fu[fx], su[fx], sv[fx])
+        self.rows = np.concatenate([su[ff], sv[ff], su[ff], sv[ff], sfx])
+        self.cols = np.concatenate([su[ff], sv[ff], sv[ff], su[ff], sfx])
+        self.n, self.keep, self.order, self.cell, self.lu = n, keep, None, None, None
+
+    def _assemble(self, w: np.ndarray) -> sp.csc_matrix:
+        n, o, wf = self.n, self.order, w[self.ff]
+        data = np.concatenate([wf, wf, -wf, -wf, w[self.fx]])
+        if o is None:
+            return sp.csc_matrix((data, (self.rows, self.cols)), shape=(n, n))
+        if self.cell is None:
+            cells, self.cell = np.unique(o[self.cols] * n + o[self.rows], return_inverse=True)
+            self.indices = (cells % n).astype(np.int32)
+            self.indptr = np.searchsorted(cells, np.arange(n + 1) * n).astype(np.int32)
+        vals = np.bincount(self.cell, weights=data, minlength=self.indices.size)
+        return sp.csc_matrix((vals, self.indices, self.indptr), shape=(n, n))
+
+    def solve(self, b: np.ndarray, flags: list, w: np.ndarray) -> np.ndarray:
+        """Solve with the Hessian of the edge weights w, refined once."""
+        if self.lu is None:
+            self.H = self._assemble(w)
+            self.lu = splu(self.H, permc_spec="NATURAL" if self.cell is not None else ORDERING,
+                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            if self.order is None:  # a copy: perm_c is a view that keeps the factor alive
+                self.order = self.lu.perm_c.copy()
+        frame = self.order if self.cell is not None else np.arange(self.n)
+        pb = np.empty(self.n)
+        pb[frame] = b
+        x = self.lu.solve(pb)
+        bn = float(np.linalg.norm(b))
+        if bn > 0:
+            res = float(np.linalg.norm(self.H @ x - pb)) / bn
             if res > LINEAR_RESIDUAL:
-                flags.append(f"linear-residual {res:.2e}")
-    return x
+                x = x + self.lu.solve(pb - self.H @ x)
+                res = float(np.linalg.norm(self.H @ x - pb)) / bn
+                if res > LINEAR_RESIDUAL:
+                    flags.append(f"linear-residual {res:.2e}")
+        if not self.keep:
+            self.lu = self.H = None
+        return x[frame]
 
 
 def _minimize(
@@ -187,7 +227,8 @@ def _minimize(
     below its stop test, or the Newton decrement reaches round-off level.
     The test is opts.tol at the last level and sqrt(opts.tol) before it,
     since an intermediate iterate only warm-starts the next level; the
-    returned residual is the last level's drop.
+    returned residual is the last level's drop.  All linear solves share one
+    _NewtonSystem, refactored per Newton step for p != 2 and once at p = 2.
     """
     if not (1 < p < np.inf):
         raise SolverError(f"p={p:g} must be finite and exceed 1 for the solver")
@@ -298,16 +339,7 @@ def _minimize(
             gv, weights=w[fv], minlength=nf
         )
 
-    # assembly index plan (pattern fixed; data changes per iteration)
-    ff, fx = fu & fv, fu ^ fv
-    sfx = np.where(fu[fx], su[fx], sv[fx])
-    rows = np.concatenate([su[ff], sv[ff], su[ff], sv[ff], sfx])
-    cols = np.concatenate([su[ff], sv[ff], sv[ff], su[ff], sfx])
-
-    def newton_matrix(w: np.ndarray) -> sp.csr_matrix:
-        wf = w[ff]
-        data = np.concatenate([wf, wf, -wf, -wf, w[fx]])
-        return sp.csr_matrix((data, (rows, cols)), shape=(nf, nf))
+    system = _NewtonSystem(su, sv, nf, keep=p == 2)  # the p = 2 Hessian is 2a
 
     # initial guess
     if opts.init == "flat" or p == 2:
@@ -315,9 +347,7 @@ def _minimize(
     elif opts.init == "harmonic":
         # pins enter through the gradient since free entries start at zero
         w0 = 2.0 * aa
-        u[free_idx] = _linear_solve(
-            newton_matrix(w0), -gradient(w0 * (u[au] - u[av])), flags
-        )
+        u[free_idx] = system.solve(-gradient(w0 * (u[au] - u[av])), flags, w0)
     else:
         raise SolverError(f"unknown init {opts.init!r}")
 
@@ -335,7 +365,7 @@ def _minimize(
             F_old = _psi_sum(aa, d, p, eps) + F_fixed
             w1 = _psi_prime(aa, d, p, eps)
             grad = gradient(w1)
-            delta = _linear_solve(newton_matrix(_psi_second(aa, d, p, eps)), -grad, flags)
+            delta = system.solve(-grad, flags, _psi_second(aa, d, p, eps))
             dx = np.append(delta, 0.0)  # slot -1 reads the 0 step of a fixed end
             dd = dx[su] - dx[sv]
 
@@ -344,11 +374,9 @@ def _minimize(
 
             # The level has converged when the Newton decrement -slope(0) is
             # at round-off level, where brentq would only bisect noise down
-            # to xtol.  At p = 2 the test is the plain sign test, which keeps
-            # the step sequence that the byte-pinned CLI outputs come from.
+            # to xtol.
             g0 = w1 * dd
-            floor = 0.0 if p == 2 else 1e-14 * float(np.sum(np.abs(g0)))
-            if float(np.sum(g0)) >= -floor:
+            if float(np.sum(g0)) >= -1e-14 * float(np.sum(np.abs(g0))):
                 residual = 0.0
                 break
             t_hi = 2.0
@@ -519,7 +547,7 @@ def _restricted_dual(
         H = (AF * np.maximum(c, 1e-12 * c.max())) @ AF.T
         # paths can be linearly dependent (two crossing paths and their
         # swapped halves); the ridge keeps H positive definite
-        H[np.diag_indices_from(H)] *= 1.0 + 1e-10
+        H.flat[:: H.shape[0] + 1] *= 1.0 + 1e-10
         # numpy's LAPACK, not scipy.linalg: scipy ships its own OpenBLAS,
         # whose idle threads then contend with numpy's on every iteration
         try:

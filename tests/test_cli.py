@@ -22,6 +22,18 @@ def dom_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def nu_file(tmp_path_factory):
+    """The boundary measure of the ``dom_file`` strip, written by the CLI."""
+    path = tmp_path_factory.mktemp("nu")
+    code = run(
+        ["example", "--name", "half_strip", "--h", "0.25", "--H", "16",
+         "--out", str(path / "strip.json"), "--nu", str(path / "nu.json")]
+    )
+    assert code == 0
+    return str(path / "nu.json")
+
+
 def test_example_output(dom_file, capsys, tmp_path):
     with open(dom_file) as fh:
         payload = json.load(fh)
@@ -209,6 +221,29 @@ def test_bad_p_tol_and_budget_exit_2(dom_file, tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--check", "besov", "--nu", "NU", "--p", "nan"], "p=nan"),
+        (["verify", "--check", "besov", "--nu", "NU", "--p", "inf"], "p=inf"),
+        (["verify", "--check", "poincare", "--p", "nan"], "p=nan"),
+        (["validate-phi", "--phi", "power:2", "--p", "inf"], "p=inf"),
+    ],
+)
+def test_non_finite_p_in_checks_exits_2(dom_file, nu_file, tmp_path, capsys, argv, message):
+    """The Besov and Poincare checks and the dampening validator take a
+    finite p >= 1; nan and inf are bad input, not a passed or failed check."""
+    out = tmp_path / "out.json"
+    argv = [nu_file if a == "NU" else a for a in argv]
+    code = run(argv[:1] + ["--domain", dom_file, "--out", str(out)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_classify_smoke(dom_file, tmp_path, capsys):
     out = tmp_path / "cls.json"
     code = run(
@@ -295,8 +330,8 @@ PIPELINE_DIGESTS = {
     "domain.json": "3a2536c979ef9ac39ff3b87f6c8129ba9a1939eae796c631d9263f9cfd63a3c7",
     "nu.json": "1d8dfacd2492a7a7d13dcd120d772de36ff7ca830485fe3116f964850e654769",
     "dampened.json": "006e96b51bd860f302c0ebe6099f028814698bbd4108d805e6ef6020b039c60b",
-    "sol.json": "7a4f9f6431768b2806c179684f12064466c5e21888c9686e2dbe1976f68e5ca1",
-    "sol_phi.json": "de297bdf6b23d64b7771451bbd03033b29b3d8402d5be61a25398c35c3dd65bc",
+    "sol.json": "2502c75a157c98c97617856bdd31d1d600c6451f6b795fda0dd9561e303fc992",
+    "sol_phi.json": "42fa728981d4bdaf1021a6522d655aee6b36990a389a7bfb3fc6af8a46440607",
 }
 
 

@@ -115,6 +115,66 @@ def test_p2_matches_dense_linear_solve(strip_small):
     np.testing.assert_allclose(res.u, oracle, atol=1e-10)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_newton_system_matches_dense_solve(strip_small, monkeypatch, p):
+    """The first solves, ordered by ORDERING (the first) and in natural
+    order on the baked plan (the later ones; at p = 2 the kept factor),
+    agree with a dense solve of the Hessian assembled here from the edge
+    list and the per-edge weights each solve was given."""
+    solves = []
+    solve = solver._NewtonSystem.solve
+
+    def recording(self, b, flags, w):
+        x = solve(self, b, flags, w)
+        solves.append((b.copy(), w.copy(), x.copy()))
+        return x
+
+    monkeypatch.setattr(solver._NewtonSystem, "solve", recording)
+    space = strip_small.space
+    f = {space.ids[i]: space.coords[space.ids[i]][0] for i in space.boundary_indices()}
+    solve_p_harmonic(DirichletProblem(space, p, f))
+
+    eu, ev = space.edge_u, space.edge_v
+    free = space.interior_mask
+    moving = (edge_mass(space) > 0) & (free[eu] | free[ev])
+    slot = np.cumsum(free) - 1
+    assert len(solves) >= 2
+    for b, weight, x in solves[:3]:
+        H = np.zeros((b.size, b.size))
+        for u, v, w in zip(eu[moving], ev[moving], weight, strict=True):
+            if free[u]:
+                H[slot[u], slot[u]] += w
+            if free[v]:
+                H[slot[v], slot[v]] += w
+            if free[u] and free[v]:
+                H[slot[u], slot[v]] -= w
+                H[slot[v], slot[u]] -= w
+        oracle = np.linalg.solve(H, b)
+        assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_newton_system_orders_and_factors_once(strip_small, monkeypatch):
+    """One solve at p = 3 runs the fill-reducing ordering once and factors
+    every later step in natural order; a p = 2 solve factors once."""
+    calls = []
+    splu = solver.splu
+
+    def counting(A, permc_spec, **kwargs):
+        calls.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", counting)
+    space = strip_small.space
+    f = {space.ids[i]: space.coords[space.ids[i]][0] for i in space.boundary_indices()}
+    res = solve_p_harmonic(DirichletProblem(space, 3.0, f))
+    assert res.iterations >= 2
+    assert calls[0] == solver.ORDERING and set(calls[1:]) == {"NATURAL"}
+    calls.clear()
+    res = solve_p_harmonic(DirichletProblem(space, 2.0, f))
+    assert calls == [solver.ORDERING]
+    assert res.iterations == 1
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_single_free_vertex_matches_scalar_minimization(p):
     space = GraphSpace(
