@@ -150,15 +150,15 @@ LINEAR_RESIDUAL = 1e-10
 
 class _NewtonSystem:
     """Newton Hessians sum_e w(e) (1_su - 1_sv)(1_su - 1_sv)^T, su/sv the
-    free slots of the moving edges' ends (-1 at a fixed end).  The first is
-    factored in the order ORDERING finds, which is then baked into a CSC
-    plan: each later one is one bincount, already permuted, factored in
-    natural order.  A factor is freed after its solve (held through a line
-    search, it fragments the heap) unless ``keep``: a constant Hessian.
+    free slots of the moving edges' ends (-1 at a fixed end, fu/fv False).
+    The first is factored in the order ORDERING finds, which is then baked
+    into a CSC plan: each later one is one bincount, already permuted,
+    factored in natural order.  A factor is freed after its solve (held
+    through a line search, it fragments the heap) unless ``keep``: then
+    the Hessian is constant and its one factor serves every solve.
     """
 
-    def __init__(self, su: np.ndarray, sv: np.ndarray, n: int, keep: bool):
-        fu, fv = su >= 0, sv >= 0
+    def __init__(self, su, sv, fu, fv, n: int, keep: bool):
         ff, fx = self.ff, self.fx = fu & fv, fu ^ fv
         sfx = np.where(fu[fx], su[fx], sv[fx])
         self.rows = np.concatenate([su[ff], sv[ff], su[ff], sv[ff], sfx])
@@ -178,14 +178,14 @@ class _NewtonSystem:
         return sp.csc_matrix((vals, self.indices, self.indptr), shape=(n, n))
 
     def solve(self, b: np.ndarray, flags: list, w: np.ndarray) -> np.ndarray:
-        """Solve with the Hessian of the edge weights w, refined once."""
+        """Solve with the Hessian of weights w (a kept factor ignores w), refined once."""
         if self.lu is None:
             self.H = self._assemble(w)
             self.lu = splu(self.H, permc_spec="NATURAL" if self.cell is not None else ORDERING,
                            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            if self.order is None:  # a copy: perm_c is a view that keeps the factor alive
-                self.order = self.lu.perm_c.copy()
-        frame = self.order if self.cell is not None else np.arange(self.n)
+            if self.order is None:  # int64 keys col * n + row; a view would pin the factor
+                self.order = self.lu.perm_c.astype(np.int64)
+        frame = self.order if self.cell is not None else slice(None)
         pb = np.empty(self.n)
         pb[frame] = b
         x = self.lu.solve(pb)
@@ -339,7 +339,7 @@ def _minimize(
             gv, weights=w[fv], minlength=nf
         )
 
-    system = _NewtonSystem(su, sv, nf, keep=p == 2)  # the p = 2 Hessian is 2a
+    system = _NewtonSystem(su, sv, fu, fv, nf, keep=p == 2)  # the p = 2 Hessian is 2a
 
     # initial guess
     if opts.init == "flat" or p == 2:

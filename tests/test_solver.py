@@ -175,6 +175,30 @@ def test_newton_system_orders_and_factors_once(strip_small, monkeypatch):
     assert res.iterations == 1
 
 
+def test_newton_system_plan_past_int32_keys():
+    """A chain of 50,000 free vertices: the planned CSC slots key each entry
+    as col * n + row, past 2**31 here, so the plan must not wrap.  Unit
+    masses and alternating lengths make the exact p = 3 drops proportional
+    to length**1.5."""
+    nf = 50_000
+    n = nf + 2
+    lengths = np.where(np.arange(n - 1) % 2 == 0, 1.0, 2.0)
+    space = GraphSpace.from_arrays(
+        [f"w{i}" for i in range(n)],
+        np.r_[0.0, np.ones(nf), 0.0],
+        np.r_[True, np.zeros(nf, dtype=bool), True],
+        np.arange(n - 1),
+        np.arange(1, n),
+        lengths,
+        edge_mass=np.ones(n - 1),
+    )
+    res = solve_p_harmonic(DirichletProblem(space, 3.0, {"w0": 0.0, f"w{n - 1}": 1.0}))
+    drops = lengths**1.5
+    expected = np.r_[0.0, np.cumsum(drops) / drops.sum()]
+    assert res.flags == []
+    np.testing.assert_allclose(res.u, expected, atol=1e-9)
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_single_free_vertex_matches_scalar_minimization(p):
     space = GraphSpace(
