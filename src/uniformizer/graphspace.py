@@ -206,7 +206,7 @@ class GraphSpace:
         self.coords = coords
         self._edge_mass = edge_mass
         self._adjacency = None
-        self._slot_edge = None
+        self._route = None
         self._dist_cache = {}
         self._boundary_distance = None
         self._bands = None
@@ -275,18 +275,26 @@ class GraphSpace:
             self._adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return self._adjacency
 
-    def _slot_edges(self) -> np.ndarray:
-        """Edge id behind each stored entry of adjacency(), in storage order.
+    def _route_plan(self) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+        """Routing state, built on the first weighted search and reused.
 
         The COO-to-CSR conversion leaves adjacency() canonical (rows in
         order, columns increasing within a row), so its entries are the edge
-        ends sorted by row, then column.  Built on the first routing only.
+        ends sorted by row, then column.  Returns, in that storage order, the
+        edge id behind each entry and its int64 key ``row * n + col``
+        (strictly increasing), and a CSR matrix that holds the adjacency's
+        own ``indices``/``indptr`` and a data array of its own, into which
+        ``_search`` writes the weights of each weighted run.
         """
-        if self._slot_edge is None:
+        if self._route is None:
+            adj, n = self.adjacency(), self.n_vertices
             rows = np.concatenate([self.edge_u, self.edge_v])
             cols = np.concatenate([self.edge_v, self.edge_u])
-            self._slot_edge = _frozen(np.tile(np.arange(self.n_edges), 2)[np.lexsort((cols, rows))])
-        return self._slot_edge
+            slot_edge = np.tile(np.arange(self.n_edges), 2)[np.lexsort((cols, rows))]
+            slot_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr)) * n + adj.indices
+            weighted = sp.csr_matrix((np.empty_like(adj.data), adj.indices, adj.indptr), shape=adj.shape)
+            self._route = (_frozen(slot_edge), _frozen(slot_key), weighted)
+        return self._route
 
     # -- metric primitives --------------------------------------------------
 
@@ -295,15 +303,17 @@ class GraphSpace:
 
         adjacency() is symmetric, so directed=True gives the undirected
         distances without scipy building its transpose on every call.
-        ``edge_weights`` (per edge) replace the lengths slot by slot; then
-        the predecessors come back too, as ``(dist, pred)``.  A zero weight
-        stays an edge and an infinite one is never relaxed.
+        ``edge_weights`` (float, one per edge) replace the lengths slot by
+        slot in the cached weighted matrix of ``_route_plan``; then the
+        predecessors come back too, as ``(dist, pred)``.  A zero weight stays
+        an edge and an infinite one is never relaxed.
         """
-        graph = adj = self.adjacency()
+        graph = self.adjacency()
         if edge_weights is not None:
-            graph = sp.csr_matrix(
-                (edge_weights[self._slot_edges()], adj.indices, adj.indptr), shape=adj.shape
-            )
+            slot_edge, _, graph = self._route_plan()
+            # mode="clip" writes straight into graph.data ("raise" buffers);
+            # every slot id is a valid edge id
+            np.take(edge_weights, slot_edge, out=graph.data, mode="clip")
         out = csgraph.dijkstra(
             graph,
             directed=True,
@@ -367,36 +377,44 @@ class GraphSpace:
     # -- serialization ------------------------------------------------------
 
     def to_payload(self) -> dict:
-        """Plain-dict form matching the on-disk schema (construction order kept)."""
-        verts = []
-        for i, vid in enumerate(self.ids):
-            if i == self.infinity_index:
-                continue
-            entry: dict = {
-                "id": vid,
-                "measure": float(self.measure[i]),
-                "boundary": bool(self.boundary_mask[i]),
-            }
-            if self.coords is not None and vid in self.coords:
-                entry["coords"] = [float(c) for c in self.coords[vid]]
-            verts.append(entry)
-        edges = []
-        inf_edges = []
-        for k in range(self.n_edges):
-            iu, iv = int(self.edge_u[k]), int(self.edge_v[k])
-            rec = {
-                "u": self.ids[iu],
-                "v": self.ids[iv],
-                "length": float(self.edge_length[k]),
-            }
-            if self.infinity_index in (iu, iv):
-                other = iv if iu == self.infinity_index else iu
-                inf_edges.append({"v": self.ids[other], "length": float(self.edge_length[k])})
-            else:
-                edges.append(rec)
+        """Plain-dict form matching the on-disk schema (construction order kept).
+
+        Built column by column: each array goes to Python once, via tolist().
+        """
+        ids, inf = self.ids, self.infinity_index
+        verts = [
+            {"id": vid, "measure": m, "boundary": b}
+            for vid, m, b in zip(ids, self.measure.tolist(), self.boundary_mask.tolist())
+        ]
+        if self.coords is not None:
+            for entry in verts:
+                c = self.coords.get(entry["id"])
+                if c is not None:
+                    entry["coords"] = list(map(float, c))
+        if inf >= 0:
+            del verts[inf]
+        at_inf = (self.edge_u == inf) | (self.edge_v == inf)
+        inner = ~at_inf
+        name = ids.__getitem__
+        edges = [
+            {"u": u, "v": v, "length": x}
+            for u, v, x in zip(
+                map(name, self.edge_u[inner].tolist()),
+                map(name, self.edge_v[inner].tolist()),
+                self.edge_length[inner].tolist(),
+            )
+        ]
         payload: dict = {"vertices": verts, "edges": edges}
-        if self.infinity_index >= 0:
-            payload["infinity"] = {"id": self.infinity_id, "edges": inf_edges}
+        if inf >= 0:
+            # the end of each edge at infinity that is not the infinity vertex
+            other = (self.edge_u + self.edge_v - inf)[at_inf]
+            payload["infinity"] = {
+                "id": self.infinity_id,
+                "edges": [
+                    {"v": v, "length": x}
+                    for v, x in zip(map(name, other.tolist()), self.edge_length[at_inf].tolist())
+                ],
+            }
         return payload
 
 
@@ -442,32 +460,35 @@ def shortest_route(
     predecessor tree back to a source, so it is deterministic.
 
     Returns (cost, vertex index path, edge index path); raises ValueError
-    on an empty source or target set, on negative weights, and when no
-    target is reachable.
+    on weights that are not one per edge, NaN or negative, on an empty
+    source or target set or one with an index outside the vertices, and
+    when no target is reachable.
     """
+    n = space.n_vertices
     w = space.edge_length if edge_weights is None else np.asarray(edge_weights, dtype=float)
-    if (w < 0).any():
-        raise ValueError("shortest_route: negative edge weights")
+    if w.shape != (space.n_edges,):
+        raise ValueError(f"shortest_route: {w.size} edge weights for {space.n_edges} edges")
+    if not (w >= 0).all():
+        what = "NaN" if np.isnan(w).any() else "negative"
+        raise ValueError(f"shortest_route: {what} edge weights")
     src = np.unique(np.asarray(sources, dtype=np.int64))
     tgt = np.unique(np.asarray(targets, dtype=np.int64))
-    if src.size == 0:
-        raise ValueError("shortest_route: empty source set")
-    if tgt.size == 0:
-        raise ValueError("shortest_route: empty target set")
+    for name, idx in (("source", src), ("target", tgt)):
+        if idx.size == 0:
+            raise ValueError(f"shortest_route: empty {name} set")
+        if idx[0] < 0 or idx[-1] >= n:
+            raise ValueError(f"shortest_route: {name} index outside [0, {n})")
     dist, pred = space._search(src, min_only=True, edge_weights=w)
     reached = int(tgt[np.argmin(dist[tgt])])
     if not np.isfinite(dist[reached]):
         raise ValueError("shortest_route: targets unreachable from sources")
-    adj, slot_edge = space.adjacency(), space._slot_edges()
     vpath = [reached]
-    epath: list[int] = []
     while pred[vpath[-1]] >= 0:
-        v, u = vpath[-1], int(pred[vpath[-1]])
-        row = slice(adj.indptr[u], adj.indptr[u + 1])
-        epath.append(int(slot_edge[row][np.searchsorted(adj.indices[row], v)]))
-        vpath.append(u)
+        vpath.append(int(pred[vpath[-1]]))
     vpath.reverse()
-    epath.reverse()
+    hops = np.asarray(vpath, dtype=np.int64)
+    slot_edge, slot_key, _ = space._route_plan()
+    epath = slot_edge[np.searchsorted(slot_key, hops[:-1] * n + hops[1:])].tolist()
     return float(dist[reached]), vpath, epath
 
 

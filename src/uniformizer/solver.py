@@ -15,8 +15,10 @@
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
   generation.  Each restricted program is solved through its smooth
   Lagrangian dual by projected Newton on a dense path matrix with one row
-  per generated path and one column per edge those paths use; the dual
-  value is returned as a lower bound.
+  per generated path and one column per edge those paths use.  A round
+  that only produces the next cut stops its dual at KKT 1e-3 times the
+  violation of the last admitted path; the loop ends after a solve to KKT
+  1e-11 and one more route, whose dual value is returned as a lower bound.
 * ``capacity_of_infinity``: shell condenser around the added point of a
   transformed space; the probe behind parabolicity classification.
 * ``solve_dirichlet_unbounded``: transform, attach infinity, pin boundary
@@ -500,10 +502,14 @@ def _capacity(
 
 
 _DUAL_KKT_TOL = 1e-11
+# An intermediate restricted solve only has to produce the next cut: it
+# stops at a KKT residual of this factor times the violation 1 - cost of
+# the route that admitted the newest path (never below _DUAL_KKT_TOL).
+_LOOSE_KKT_FACTOR = 1e-3
 
 
 def _restricted_dual(
-    A: np.ndarray, lam: np.ndarray, m: np.ndarray, p: float
+    A: np.ndarray, lam: np.ndarray, m: np.ndarray, p: float, kkt_tol: float
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Maximize the Lagrangian dual of the restricted modulus program,
 
@@ -516,10 +522,10 @@ def _restricted_dual(
     eps is the smaller of the projected-gradient (KKT) residual and 1e-8 of
     the largest multiplier, so multipliers on their way to 0 cannot zigzag.
     An Armijo search runs along the projection arc; the stop is a KKT
-    residual of 1e-11, 200 iterations, or a search that finds no increase.
-    Returns lam, r, D(lam), which by weak duality bounds from below the
-    modulus of any family holding the rows of A, and the KKT residual at lam
-    (above 1e-11 when the solve stopped early).
+    residual of ``kkt_tol``, 200 iterations, or a search that finds no
+    increase.  Returns lam, r, D(lam), which by weak duality bounds from
+    below the modulus of any family holding the rows of A, and the KKT
+    residual at lam (above ``kkt_tol`` when the solve stopped early).
     """
     q = 1.0 / (p - 1.0)
     pm = p * m
@@ -536,7 +542,7 @@ def _restricted_dual(
     g = 1.0 - A @ r
     for _ in range(200):
         kkt = kkt_residual(lam, g)
-        if kkt <= _DUAL_KKT_TOL:
+        if kkt <= kkt_tol:
             break
         free = (lam > min(kkt, 1e-8 * lam.max())) | (g > 0)
         AF, gF = A[free], g[free]
@@ -599,12 +605,19 @@ def modulus(
     The dual is maximized by projected Newton (``_restricted_dual``) over
     one multiplier per path, warm-started from the previous round: the first
     path starts at its one-path optimum, each new path at 1e-3 of the
-    largest multiplier.  ``value`` is the energy sum m rho^p of the returned
-    density; ``lower`` is the dual value, which by weak duality bounds the
-    modulus of the full family from below for any multipliers.  Both come
-    from the last restricted solve; the flag ``unconverged`` says that solve
-    stopped above its KKT residual of 1e-11 (iteration cap or a failed line
-    search), so ``lower`` is a dual value but not the restricted optimum.
+    largest multiplier.  A round's solve only has to yield the next cut, so
+    it stops at a KKT residual of max(1e-11, 1e-3 v), v = 1 - cost of the
+    route that admitted the newest path (1 before the first route).  When
+    a route meets the tolerance, returns a path already held, or the path
+    budget is spent, the dual is solved again from the current multipliers
+    to KKT 1e-11 and routed once more before the loop ends; so a stall is
+    a held path found after a tight solve.  ``value`` is the energy sum
+    m rho^p of the returned density; ``lower`` is the dual value, which by
+    weak duality bounds the modulus of the full family from below for any
+    multipliers.  Both come from that closing tight solve; the flag
+    ``unconverged`` says it stopped above KKT 1e-11 (iteration cap or a
+    failed line search), so ``lower`` is a dual value but not the
+    restricted optimum.
 
     Edges with zero mass are free for the minimization: they carry
     rho = 1/length at zero cost, so any path using one is satisfied a
@@ -656,13 +669,10 @@ def modulus(
     seen: set = set()
     n_paths = 0
 
-    def add_path(epath) -> bool:
+    def add_path(edges) -> None:
+        """Admit the path with these (sorted, distinct) edge ids."""
         nonlocal A, used, n_paths
-        edges = np.unique(epath)
-        key = edges.tobytes()
-        if key in seen:
-            return False
-        seen.add(key)
+        seen.add(edges.tobytes())
         fresh = edges[col_of[edges] < 0]
         col_of[fresh] = np.arange(used.size, used.size + fresh.size)
         used = np.concatenate([used, fresh])
@@ -673,32 +683,43 @@ def modulus(
             A = np.pad(A, ((0, more_rows), (0, more_cols)))
         A[n_paths, col_of[edges]] = ln[edges]
         n_paths += 1
-        return True
 
-    add_path(epath)
+    add_path(np.unique(epath))
     m_u = masses[used]
+    # routing weights rho * length, kept in place: every costed edge outside
+    # `used` has rho = 0, and a freebie's rho-length is 1
+    w = np.where(costed, 0.0, np.inf)
+    w[freebie] = 1.0
     # the one-path optimum: rho = (lam l / (p m))^(1/(p-1)) has rho-length 1
     a0 = A[0, : used.size]
     lam = np.array([float(a0 @ (a0 / (p * m_u)) ** (1.0 / (p - 1.0))) ** (1.0 - p)])
+    violation = 1.0
     while True:
-        lam, r_u, lower, kkt = _restricted_dual(A[:n_paths, : used.size], lam, m_u, p)
-        rho[used] = r_u
-
-        w = np.full(ne, np.inf)
-        w[costed] = rho[costed] * ln[costed]
-        w[freebie] = 1.0
+        kkt_tol = max(_DUAL_KKT_TOL, _LOOSE_KKT_FACTOR * violation)
+        lam, r_u, lower, kkt = _restricted_dual(A[:n_paths, : used.size], lam, m_u, p, kkt_tol)
+        w[used] = r_u * ln[used]
         cost, _, epath = shortest_route(space, E_idx, F_idx, w)
-        if cost >= 1.0 - tol:
+        edges = np.unique(epath)
+        converged = cost >= 1.0 - tol
+        held = not converged and edges.tobytes() in seen
+        if (converged or held or n_paths >= max_paths) and kkt_tol > _DUAL_KKT_TOL:
+            # the loop ends only after a tight solve: re-solve from lam, route again
+            violation = 0.0
+            continue
+        if converged:
             break
         if n_paths >= max_paths:
             flags.append("path-budget")
             break
-        if not add_path(epath):
+        if held:
             flags.append("stalled")
             break
+        add_path(edges)
         m_u = masses[used]
         lam = np.append(lam, 1e-3 * lam.max())
-    # value and lower come from the last restricted solve
+        violation = 1.0 - cost
+    # rho, value and lower come from the last restricted solve
+    rho[used] = r_u
     if kkt > _DUAL_KKT_TOL:
         flags.append("unconverged")
     value = float(np.sum(m_u * r_u**p))

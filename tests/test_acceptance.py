@@ -236,12 +236,16 @@ def test_criterion_03_capacity_equals_modulus(strip_small, cone_small):
     ]
     tolerances = {2.0: 1e-4, 1.5: 1e-3, 3.0: 1e-3}
     worst = {p: 0.0 for p in tolerances}
+    per_case = []
     for space, E, F, radius, p in cases:
         U = _window(space, E + F, radius) if radius is not None else None
         cond = Condenser(E=E, F=F, U=U)
         cap = capacity(space, cond, p).value
-        mod = modulus(space, cond, p, tol=1e-6, max_paths=400).value
-        worst[p] = max(worst[p], abs(cap - mod) / cap)
+        res = modulus(space, cond, p, tol=1e-6, max_paths=400)
+        gap = abs(cap - res.value) / cap
+        worst[p] = max(worst[p], gap)
+        flagged = f" {res.flags}" if res.flags else ""
+        per_case.append(f"{E[0]}-{F[0]} p={p:g} {res.paths_used} paths gap {gap:.1e}{flagged}")
 
     # exhaustive cross-check: a family small enough to enumerate outright
     chains = _three_chain_space()
@@ -262,7 +266,8 @@ def test_criterion_03_capacity_equals_modulus(strip_small, cone_small):
         and brute_gap <= 1e-5
     )
     _verdict(3, ok, f"rel gaps p=2 {worst[2.0]:.1e} (tol 1e-4), p=1.5 {worst[1.5]:.1e}, "
-                    f"p=3 {worst[3.0]:.1e} (tol 1e-3); exhaustive gap {brute_gap:.1e} (tol 1e-5)")
+                    f"p=3 {worst[3.0]:.1e} (tol 1e-3); exhaustive gap {brute_gap:.1e} (tol 1e-5); "
+                    f"cases: {', '.join(per_case)}")
     assert worst[2.0] <= tolerances[2.0]
     assert worst[1.5] <= tolerances[1.5]
     assert worst[3.0] <= tolerances[3.0]

@@ -133,6 +133,44 @@ def test_shortest_route_rejects_empty_sources():
         shortest_route(space, [], [2])
 
 
+@pytest.mark.parametrize(
+    "sources, targets, weights, message",
+    [
+        ([0], [2], np.ones(3), "3 edge weights for 4 edges"),
+        ([0], [2], np.ones(5), "5 edge weights for 4 edges"),
+        ([0], [2], np.array([1.0, np.nan, 1.0, 1.0]), "NaN edge weights"),
+        ([0], [2], np.array([1.0, -1.0, 1.0, 1.0]), "negative edge weights"),
+        ([-1], [2], None, r"source index outside \[0, 4\)"),
+        ([0, 4], [2], None, r"source index outside \[0, 4\)"),
+        ([0], [999], None, r"target index outside \[0, 4\)"),
+        ([0], [-2, 2], None, r"target index outside \[0, 4\)"),
+    ],
+)
+def test_shortest_route_rejects_bad_inputs(sources, targets, weights, message):
+    with pytest.raises(ValueError, match=message):
+        shortest_route(cycle_space(), sources, targets, edge_weights=weights)
+
+
+def test_weighted_routes_leave_the_metric_alone(strip_small):
+    """Weighted routes write into a cached matrix of their own: afterwards
+    the adjacency still holds the lengths, and distances and an unweighted
+    route are those of a fresh space."""
+    space = strip_small.space
+    fresh = domains.half_strip(0.25, 16.0).space
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        w = rng.uniform(0.0, 3.0, size=space.n_edges)
+        w[rng.random(space.n_edges) < 0.2] = np.inf
+        try:
+            shortest_route(space, [0], [space.n_vertices - 1], edge_weights=w)
+        except ValueError:  # the infinities may cut the target off
+            pass
+    np.testing.assert_array_equal(space.adjacency().data, fresh.adjacency().data)
+    np.testing.assert_array_equal(space.distances_from(7), fresh.distances_from(7))
+    last = space.n_vertices - 1
+    assert shortest_route(space, [0, 3], [last]) == shortest_route(fresh, [0, 3], [last])
+
+
 def test_shortest_route_ties_go_to_smallest_target_index():
     space = cycle_space()
     cost, vpath, epath = shortest_route(space, [0], [3, 1], edge_weights=np.zeros(4))

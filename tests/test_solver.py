@@ -592,6 +592,48 @@ def test_modulus_reports_inexact_restricted_dual(monkeypatch):
     assert modulus(grid_space(4, 3), cond, 2.0, tol=1e-9).flags == ["unconverged"]
 
 
+def test_modulus_closes_on_a_tight_restricted_solve(monkeypatch):
+    """Intermediate restricted solves stop early, yet every exit (converged,
+    path budget, stall) is decided on a solve to the full KKT tolerance."""
+    exact = solver._restricted_dual
+    tolerances: list = []
+
+    def recording(A, lam, m, p, kkt_tol):
+        tolerances.append(kkt_tol)
+        return exact(A, lam, m, p, kkt_tol)
+
+    monkeypatch.setattr(solver, "_restricted_dual", recording)
+    space = grid_space(4, 3)
+    cond = Condenser(E=["g0_0", "g0_1", "g0_2"], F=["g3_0", "g3_1", "g3_2"])
+
+    res = modulus(space, cond, 2.0, tol=1e-9)
+    assert res.flags == []
+    assert tolerances[0] > solver._DUAL_KKT_TOL
+    assert tolerances[-1] == solver._DUAL_KKT_TOL
+
+    tolerances.clear()
+    res = modulus(space, cond, 2.0, max_paths=2)
+    assert res.flags == ["path-budget"]
+    assert res.paths_used == 2
+    assert tolerances[-1] == solver._DUAL_KKT_TOL
+    assert res.value == pytest.approx(res.lower, rel=1e-12)
+
+    # a router that keeps returning the seed path, as a violated one
+    route = solver.shortest_route
+    seed: list = []
+
+    def replay_seed(*args):
+        if not seed:
+            seed.append(route(*args))
+        return (0.0,) + seed[0][1:]
+
+    monkeypatch.setattr(solver, "shortest_route", replay_seed)
+    tolerances.clear()
+    res = modulus(space, cond, 2.0)
+    assert res.flags == ["stalled"]
+    assert tolerances == [solver._LOOSE_KKT_FACTOR, solver._DUAL_KKT_TOL]
+
+
 # ---------------------------------------------------------------------------
 # unbounded solves and capacity at infinity
 
