@@ -17,7 +17,7 @@ import numpy as np
 
 from .dampening import evaluate
 from .graphspace import shortest_route
-from .solver import Condenser, SolveOptions, capacity, capacity_of_infinity
+from .solver import SolveOptions, _capacity, capacity_of_infinity
 from .transform import BoundaryMeasure, TransformedSpace, _approx_boundary_diameter
 
 
@@ -85,9 +85,9 @@ class DoublingReport:
 def doubling_constant(space, centers: list, radii: list, bound: float | None = None) -> DoublingReport:
     """Worst ratio measure(B(x, 2r)) / measure(B(x, r)) over samples.
 
-    Balls are open in the space's own metric (pass a transformed space for
-    the dampened metric/measure pair).  Zero-mass inner balls are skipped
-    and counted.
+    Centers are vertex ids or indices.  Balls are open in the space's own
+    metric (pass a transformed space for the dampened metric/measure pair).
+    Zero-mass inner balls are skipped and counted.
     """
     per_scale = []
     skipped = 0
@@ -95,7 +95,7 @@ def doubling_constant(space, centers: list, radii: list, bound: float | None = N
     for r in radii:
         worst = None
         for c in centers:
-            d = space.distances_from(space.index[c] if isinstance(c, str) else int(c))
+            d = space.distances_from(c)
             mu_r = float(space.measure[d < r].sum())
             if mu_r <= 0:
                 skipped += 1
@@ -143,15 +143,15 @@ class ExponentFit:
         }
 
 
-def mass_exponents(space, centers: list, radii: list, slack_fraction: float = 0.05) -> ExponentFit:
+def mass_exponents(space, centers: list, radii: list) -> ExponentFit:
     """Envelope exponents of ball mass across dyadic scales.
 
-    For every center and radius pair r < R the statistic
-    log(mass(B_R)/mass(B_r)) / log(R/r) is collected; Q_minus is the max
-    minus a slack, Q_plus the min plus the same slack (slack = the given
-    fraction of the observed spread, so Q_plus <= Q_minus always).  The
-    least-squares slope of log mass against log r (fit per center, pooled)
-    gives the point estimate and residual.
+    Centers are vertex ids or indices.  For every center and radius pair
+    r < R the statistic log(mass(B_R)/mass(B_r)) / log(R/r) is collected;
+    Q_minus is the max minus a slack, Q_plus the min plus the same slack
+    (slack = 5 percent of the observed spread, so Q_plus <= Q_minus
+    always).  The least-squares slope of log mass against log r (fit per
+    center, pooled) gives the point estimate and residual.
     """
     radii = sorted(float(r) for r in radii)
     if len(radii) < 3:
@@ -160,7 +160,7 @@ def mass_exponents(space, centers: list, radii: list, slack_fraction: float = 0.
     ls_slopes = []
     residuals = []
     for c in centers:
-        d = space.distances_from(space.index[c] if isinstance(c, str) else int(c))
+        d = space.distances_from(c)
         mus = np.array([float(space.measure[d < r].sum()) for r in radii])
         keep = mus > 0
         rs = np.array(radii)[keep]
@@ -180,7 +180,7 @@ def mass_exponents(space, centers: list, radii: list, slack_fraction: float = 0.
         raise AnalysisError("mass_exponents: all sampled balls empty")
     raw_max = max(slopes)
     raw_min = min(slopes)
-    slack = slack_fraction * (raw_max - raw_min)
+    slack = 0.05 * (raw_max - raw_min)
     slope = float(np.mean(ls_slopes)) if ls_slopes else 0.5 * (raw_max + raw_min)
     residual = float(np.sqrt(np.mean(np.array(residuals) ** 2))) if residuals else float("nan")
     return ExponentFit(
@@ -306,9 +306,6 @@ def classify_parabolicity(
     p: float,
     n_shells: int = 4,
     k_start: int = 2,
-    floor_fraction: float = 0.1,
-    residual_tol: float = 0.2,
-    slope_threshold: float = 0.5,
     options: SolveOptions | None = None,
     theory_fit=None,
 ) -> ParabolicityReport:
@@ -324,6 +321,8 @@ def classify_parabolicity(
     * Hyperbolic when the values stay above 10 percent of their maximum and
       show no such decay;
     * Indeterminate otherwise.
+
+    These thresholds are fixed constants.
 
     When a base-measure ExponentFit is supplied (power dampening only) the
     report carries the theory-side prediction: hyperbolic iff p < Q_plus.
@@ -362,12 +361,12 @@ def classify_parabolicity(
     )
     flags = []
     decays = monotone and (
-        (spread >= 4.0 and power_fit["residual"] < residual_tol and power_fit["slope"] >= slope_threshold)
-        or (spread >= 1.25 and log_fit["residual"] < residual_tol and log_fit["slope"] <= -slope_threshold)
+        (spread >= 4.0 and power_fit["residual"] < 0.2 and power_fit["slope"] >= 0.5)
+        or (spread >= 1.25 and log_fit["residual"] < 0.2 and log_fit["slope"] <= -0.5)
     )
     if decays:
         verdict = "Parabolic"
-    elif caps_arr.min() >= floor_fraction * caps_arr.max() and not (monotone and spread >= 4.0):
+    elif caps_arr.min() >= 0.1 * caps_arr.max() and not (monotone and spread >= 4.0):
         verdict = "Hyperbolic"
     else:
         verdict = "Indeterminate"
@@ -502,8 +501,7 @@ def boundary_fatness(
     rows = []
     skipped = []
     for c in centers:
-        ci = t.index[c]
-        d = t.distances_from(ci)
+        d = t.distances_from(c)
         for r in radii:
             in_ball = d <= r * (1 + 1e-9)
             if not (in_ball & t.interior_mask).any():
@@ -518,11 +516,7 @@ def boundary_fatness(
             if not F_sel.any():
                 skipped.append({"center": c, "r": r, "reason": "degenerate-shell"})
                 continue
-            cond = Condenser(
-                E=[t.ids[i] for i in np.nonzero(E_sel)[0]],
-                F=[t.ids[i] for i in np.nonzero(F_sel)[0]],
-            )
-            cap = capacity(t, cond, p, options).value
+            cap = _capacity(t, np.nonzero(E_sel)[0], np.nonzero(F_sel)[0], p, options).value
             ratio = cap * r ** (p - nu.theta) / nu_ball
             rows.append({"center": c, "r": r, "cap": cap, "nu_ball": nu_ball, "ratio": ratio})
     if not rows:

@@ -62,7 +62,7 @@ from .energy import (
     poincare_check,
     random_smooth_fields,
 )
-from .graphspace import DomainFormatError, GraphSpace, dump_domain, load_domain
+from .graphspace import DomainFormatError, GraphSpace, _numbers, dump_domain, load_domain
 from .solver import (
     Condenser,
     DirichletProblem,
@@ -103,7 +103,12 @@ def _parse_phi(spec: str) -> Dampening:
     if kind == "tabulated":
         with open(rest) as fh:
             samples = json.load(fh)
-        return tabulated([(float(t), float(v)) for t, v in samples])
+        if not isinstance(samples, list):
+            raise DampeningError(f"{rest}: tabulated samples must be a JSON list of [t, value] pairs")
+        for k, pair in enumerate(samples):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(_numbers(pair))):
+                raise DampeningError(f"{rest}: samples[{k}] must be a [number, number] pair")
+        return tabulated(samples)
     raise DampeningError(f"unknown dampening spec {spec!r} (power:B, log_power:B, tabulated:FILE)")
 
 
@@ -138,6 +143,9 @@ def _boundary_data(spec: str, space: GraphSpace) -> dict:
             raise DomainFormatError(f"bad data spec {spec!r}")
         if space.coords is None:
             raise DomainFormatError("domain carries no coordinates for coord: data")
+        for v in bids:
+            if len(space.coords.get(v, ())) <= axis:
+                raise DomainFormatError(f"boundary vertex {v!r} has no {spec[6:]} coordinate")
         return {v: float(space.coords[v][axis]) for v in bids}
     with open(spec) as fh:
         raw = json.load(fh)
@@ -145,6 +153,9 @@ def _boundary_data(spec: str, space: GraphSpace) -> dict:
         raw = raw["values"]
     if not isinstance(raw, dict):
         raise DomainFormatError(f"{spec}: boundary data must be a JSON object")
+    for k, num in zip(raw, _numbers(list(raw.values()))):
+        if not num:
+            raise DomainFormatError(f"{spec}: value of {k!r} must be a number")
     return {str(k): float(v) for k, v in raw.items()}
 
 
@@ -265,31 +276,17 @@ def cmd_solve(args) -> int:
         res = solve_dirichlet_unbounded(
             space, phi, args.p, data, at_infinity=args.at_infinity, options=opts
         )
-        values = {vid: res.u[i] for i, vid in enumerate(space.ids)}
-        body = {
-            "values": values,
-            "at_infinity": res.at_infinity_value,
-            "energy": res.solve.energy,
-            "iterations": res.solve.iterations,
-            "residual": res.solve.residual,
-            "flags": res.solve.flags,
-        }
-        flags = res.solve.flags
+        sres, body = res.solve, {"at_infinity": res.at_infinity_value}
     else:
         if args.at_infinity is not None:
             raise SolverError("--at-infinity requires --phi (the dampened pipeline)")
-        sres = solve_p_harmonic(DirichletProblem(space, args.p, data, opts))
-        values = {vid: sres.u[i] for i, vid in enumerate(space.ids)}
-        body = {
-            "values": values,
-            "energy": sres.energy,
-            "iterations": sres.iterations,
-            "residual": sres.residual,
-            "flags": sres.flags,
-        }
-        flags = sres.flags
+        sres, body = solve_p_harmonic(DirichletProblem(space, args.p, data, opts)), {}
+    body.update(
+        values={vid: sres.u[i] for i, vid in enumerate(space.ids)},
+        energy=sres.energy, iterations=sres.iterations, residual=sres.residual, flags=sres.flags,
+    )
     _write_json(args.out, _report_payload(args, body))
-    print(f"solved: energy={body['energy']:.8g} iterations={body['iterations']} flags={flags}")
+    print(f"solved: energy={sres.energy:.8g} iterations={sres.iterations} flags={sres.flags}")
     return 0
 
 
@@ -374,6 +371,8 @@ def cmd_report(args) -> int:
 
 
 def _verify_rows(args) -> list[dict]:
+    if args.at_infinity and not args.phi:
+        raise AnalysisError("--at-infinity requires --phi (the dampened pipeline)")
     space = load_domain(args.domain)
     nu = _load_nu(args.nu) if args.nu else None
     phi = _parse_phi(args.phi) if args.phi else None
@@ -394,6 +393,11 @@ def _verify_rows(args) -> list[dict]:
         ts = transform(space, phi, args.p)
         return attach_infinity(ts) if attach else ts
 
+    def infinity_sweep():
+        ts = need_ts(attach=True)
+        d = ts.distance_to_infinity()
+        return ts, [ts.infinity_id], d[np.isfinite(d) & (d > 0)]
+
     def default_radii(scale: float) -> list[float]:
         out = []
         r = 4 * scale
@@ -408,28 +412,24 @@ def _verify_rows(args) -> list[dict]:
         rep = verify_codimensionality(space, m, radii, spread_bound=args.bound or 16.0)
         add("codim", {"theta": m.theta, "radii": radii}, rep.spread, rep.passed)
     elif args.check == "doubling":
-        target = need_ts(attach=True) if (phi and args.at_infinity) else (need_ts() if phi else space)
-        if phi and args.at_infinity:
-            centers = [target.infinity_id]
-            d = target.distance_to_infinity()
-            fin = d[np.isfinite(d) & (d > 0)]
+        if args.at_infinity:
+            target, centers, fin = infinity_sweep()
             base_r = float(fin.min()) * 2
             radii = [base_r * 2**k for k in range(5)]
         else:
+            target = need_ts() if phi else space
             centers = sample_interior(target, args.samples, seed)
             radii = _parse_floats(args.radii) if args.radii else [0.5, 1.0, 2.0, 4.0]
         rep = doubling_constant(target, centers, radii, bound=args.bound)
         add("doubling", {"radii": radii, "at_infinity": bool(args.at_infinity)}, rep.max_ratio, rep.passed)
     elif args.check == "exponents":
-        target = need_ts(attach=True) if (phi and args.at_infinity) else (need_ts() if phi else space)
-        if phi and args.at_infinity:
-            centers = [target.infinity_id]
-            d = target.distance_to_infinity()
-            fin = d[np.isfinite(d) & (d > 0)]
+        if args.at_infinity:
+            target, centers, fin = infinity_sweep()
             lo = float(fin.min()) * 2
             hi = float(fin.max()) * 0.5
             radii = list(np.geomspace(lo, hi, 6)) if hi > lo else [lo, 2 * lo, 4 * lo]
         else:
+            target = need_ts() if phi else space
             centers = sample_interior(target, args.samples, seed)
             radii = _parse_floats(args.radii) if args.radii else [1.0, 2.0, 4.0, 8.0]
         fit = mass_exponents(target, centers, radii)

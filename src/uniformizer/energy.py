@@ -150,8 +150,7 @@ def poincare_check(
     report = PoincareReport(p=p, lam=lam)
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
     for center in centers:
-        ci = space.index[center] if isinstance(center, str) else int(center)
-        d = space.distances_from(ci)
+        d = space.distances_from(center)
         for r in radii:
             in_ball = d < r
             in_lam = d < lam * r
@@ -261,24 +260,24 @@ def besov_norm(space: GraphSpace, nu: BoundaryMeasure, f, alpha: float, p: float
         raise EnergyError(f"alpha={alpha:g} must lie in (0, 1)")
     if not (1 <= p < np.inf):
         raise EnergyError(f"p={p:g} must be finite and >= 1")
-    ids = [i for i in space.ids if i in nu.nu]
-    if len(ids) < 2:
+    nu_vec = nu.array(space)
+    idx = np.nonzero(nu_vec)[0]
+    if idx.size < 2:
         return 0.0
-    idx = np.array([space.index[v] for v in ids])
-    w = np.array([nu.nu[v] for v in ids])
+    w = nu_vec[idx]
     if isinstance(f, dict):
-        vals = np.array([float(f[v]) for v in ids])
+        vals = np.array([float(f[space.ids[i]]) for i in idx])
     else:
         vals = field_array(space, f)[idx]
     D = space.distance_rows(idx)[:, idx]
     total = 0.0
-    for i in range(len(ids)):
+    for i in range(idx.size):
         order = np.argsort(D[i], kind="stable")
         d_sorted = D[i][order]
         cum = np.concatenate([[0.0], np.cumsum(w[order])])
         pos = np.searchsorted(d_sorted, D[i], side="left")
         ball = cum[pos]
-        for j in range(len(ids)):
+        for j in range(idx.size):
             if j == i:
                 continue
             dij = D[i][j]
@@ -343,15 +342,15 @@ def trace(space: GraphSpace, u, nu: BoundaryMeasure, radii: list) -> TraceReport
             f"4h = {4 * nu.mesh_scale:g}"
         )
     vals = field_array(space, u)
-    ids = [i for i in space.ids if i in nu.nu]
-    n = len(ids)
-    out = np.full(n, np.nan)
-    osc = np.full(n, np.nan)
+    idx = np.nonzero(nu.array(space))[0]
+    ids = [space.ids[i] for i in idx]
+    out = np.full(idx.size, np.nan)
+    osc = np.full(idx.size, np.nan)
     unresolved = []
     rmax = radii[0] * (1 + 1e-9)
     interior_mass = np.where(space.boundary_mask, 0.0, space.measure)
-    for k, vid in enumerate(ids):
-        dist = space.distances_from(space.index[vid], limit=rmax)
+    for k, (i, vid) in enumerate(zip(idx, ids)):
+        dist = space.distances_from(i, limit=rmax)
         means = []
         ok = True
         for r in radii:
@@ -444,12 +443,9 @@ def adams_check(
     p = t.p
     vals = field_array(t, u)
     report = AdamsReport(q=q, theta=theta)
-    nu_arr = np.zeros(t.n_vertices)
-    for vid, wv in nu.nu.items():
-        nu_arr[t.index[vid]] = wv
+    nu_arr = nu.array(t)
     for center, r in balls:
-        ci = t.index[center] if isinstance(center, str) else int(center)
-        d = t.distances_from(ci)
+        d = t.distances_from(center)
         in_ball = d <= r * (1 + 1e-9)
         bsel = in_ball & (nu_arr > 0)
         mu_ball = float(t.measure[in_ball].sum())

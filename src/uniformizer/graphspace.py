@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -344,9 +344,9 @@ class GraphSpace:
         """Path distances from each source (rows, in the given order) to every vertex."""
         return self._search(np.asarray(sources, dtype=np.int64))
 
-    def multi_source_distances(self, sources: Iterable[int], limit: float | None = None) -> np.ndarray:
+    def multi_source_distances(self, sources: Sequence[int], limit: float | None = None) -> np.ndarray:
         """Distance to the nearest of several source vertices, for every vertex."""
-        idx = np.asarray(sorted(int(s) for s in sources), dtype=np.int64)
+        idx = np.unique(np.asarray(sources, dtype=np.int64))
         if idx.size == 0:
             raise ValueError("multi_source_distances: empty source set")
         return self._search(idx, limit, min_only=True)

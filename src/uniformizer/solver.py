@@ -213,14 +213,15 @@ def _minimize(
     opts: SolveOptions,
     vertex_mask: np.ndarray | None = None,
     isolated: str = "raise",
-    isolated_fill: float = 0.0,
 ) -> SolveResult:
     """Minimize the regularized p-energy over the masked vertex set.
 
-    Vertices outside the mask (and their edges) do not exist for the
-    problem; their result entries are NaN.  Free components with no
-    positive-conductance route to a pin are an error under
-    isolated="raise", or held at isolated_fill (zero energy) otherwise.
+    ``pins_idx`` are distinct vertex indices and ``pins_val`` their values;
+    both are checked (inside the mask, finite).  Vertices outside the mask
+    (and their edges) do not exist for the problem; their result entries
+    are NaN.  Free components with no positive-conductance route to a pin
+    are an error under isolated="raise", or held at 0 (zero energy)
+    otherwise.
     Gradient, Hessian and line search run over the positive-conductance
     edges with a free end; the energies F_old, F_new (and so the relative
     residual) and the returned energy still count every edge.
@@ -302,7 +303,6 @@ def _minimize(
                 raise SolverError(
                     f"free vertex {vid!r} has no positive-conductance route to a pin"
                 )
-            u[free_idx[orphan]] = isolated_fill
             flags.append("isolated-free-component")
             free_mask = free_mask.copy()
             free_mask[free_idx[orphan]] = False
@@ -427,24 +427,25 @@ def _pin_arrays(graph: GraphSpace, data: dict) -> tuple[np.ndarray, np.ndarray]:
     return idx, val
 
 
-def _condenser_mask(space: GraphSpace, cond: Condenser) -> np.ndarray | None:
-    """Validate a condenser against the space; returns the mask of U (None
-    when U is every vertex)."""
+def _condenser_indices(space: GraphSpace, cond: Condenser) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a condenser against the space; returns E and F as sorted
+    index arrays without repeats and the vertex mask of U (every vertex when
+    U is None)."""
     if not cond.E or not cond.F:
         raise SolverError("condenser plates must be non-empty")
     if set(cond.E) & set(cond.F):
         raise SolverError("condenser plates overlap")
-    for vid in [*cond.E, *cond.F, *(cond.U or [])]:
-        if vid not in space.index:
-            raise SolverError(f"condenser vertex {vid!r} is not in the space")
-    if cond.U is None:
-        return None
-    mask = np.zeros(space.n_vertices, dtype=bool)
-    mask[[space.index[v] for v in cond.U]] = True
-    outside = [v for v in [*cond.E, *cond.F] if not mask[space.index[v]]]
-    if outside:
-        raise SolverError(f"plate vertex {outside[0]!r} is outside U")
-    return mask
+    ids = [*cond.E, *cond.F, *(cond.U or [])]
+    idx = np.array([space.index.get(vid, -1) for vid in ids], dtype=np.int64)
+    if (idx < 0).any():
+        raise SolverError(f"condenser vertex {ids[int(np.argmax(idx < 0))]!r} is not in the space")
+    n_plates = len(cond.E) + len(cond.F)
+    mask = np.full(space.n_vertices, cond.U is None)
+    mask[idx[n_plates:]] = True
+    outside = ~mask[idx[:n_plates]]
+    if outside.any():
+        raise SolverError(f"plate vertex {ids[int(np.argmax(outside))]!r} is outside U")
+    return np.unique(idx[: len(cond.E)]), np.unique(idx[len(cond.E) : n_plates]), mask
 
 
 def solve_p_harmonic(problem: DirichletProblem) -> SolveResult:
@@ -475,9 +476,7 @@ def capacity(space, cond: Condenser, p: float, options: SolveOptions | None = No
     vertices); edge masses come from the ambient space.  Free components of
     U with no conductive route to E or F sit at 0 and contribute nothing.
     """
-    mask = _condenser_mask(space, cond)
-    E_idx = np.unique([space.index[v] for v in cond.E])
-    F_idx = np.unique([space.index[v] for v in cond.F])
+    E_idx, F_idx, mask = _condenser_indices(space, cond)
     return _capacity(space, E_idx, F_idx, p, options, mask)
 
 
@@ -496,7 +495,7 @@ def _capacity(
         np.concatenate([E_idx, F_idx]),
         np.concatenate([np.ones(E_idx.size), np.zeros(F_idx.size)]),
         options or SolveOptions(),
-        vertex_mask=mask, isolated="constant", isolated_fill=0.0,
+        vertex_mask=mask, isolated="constant",
     )
     return CapacityResult(value=res.energy, potential=res.u, solve=res)
 
@@ -630,12 +629,8 @@ def modulus(
     if max_paths < 0:
         raise SolverError(f"max_paths={max_paths} must be >= 0")
     masses = edge_mass(space)
-    in_U = _condenser_mask(space, cond)
-    nv, ne = space.n_vertices, space.n_edges
-    if in_U is None:
-        in_U = np.ones(nv, dtype=bool)
-    E_idx = [space.index[v] for v in cond.E]
-    F_idx = [space.index[v] for v in cond.F]
+    E_idx, F_idx, in_U = _condenser_indices(space, cond)
+    ne = space.n_edges
 
     eu, ev, ln = space.edge_u, space.edge_v, space.edge_length
     e_in_U = in_U[eu] & in_U[ev]

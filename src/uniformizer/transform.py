@@ -32,7 +32,7 @@ import numpy as np
 
 from .dampening import Dampening, edge_weight, tail_integral_many
 from .energy import edge_mass
-from .graphspace import DomainFormatError, GraphSpace
+from .graphspace import DomainFormatError, GraphSpace, _numbers
 
 
 class TransformError(ValueError):
@@ -181,10 +181,14 @@ class BoundaryMeasure:
         return float(sum(self.nu.values()))
 
     def array(self, space: GraphSpace) -> np.ndarray:
-        """Dense vector over the space's vertices (zero off the boundary)."""
+        """The weights in vertex order, zero where nu names no weight; raises
+        TransformError naming the first id that is not a vertex of the space."""
+        idx = [space.index.get(vid, -1) for vid in self.nu]
+        if -1 in idx:
+            vid = list(self.nu)[idx.index(-1)]
+            raise TransformError(f"boundary measure: id {vid!r} is not a vertex of the domain")
         out = np.zeros(space.n_vertices)
-        for vid, val in self.nu.items():
-            out[space.index[vid]] = val
+        out[idx] = list(self.nu.values())
         return out
 
     def to_payload(self) -> dict:
@@ -196,16 +200,25 @@ class BoundaryMeasure:
 
     @staticmethod
     def from_payload(payload: dict) -> "BoundaryMeasure":
+        """Read the file schema: theta, mesh_scale and the weights of the
+        nonempty object nu are positive finite JSON numbers (not booleans)."""
+        if not isinstance(payload, dict):
+            raise DomainFormatError("boundary measure: top level must be an object")
         for key in ("theta", "mesh_scale", "nu"):
             if key not in payload:
                 raise DomainFormatError(f"boundary measure: missing {key!r}")
-        nu = {str(k): float(v) for k, v in payload["nu"].items()}
-        if not nu or any(v <= 0 for v in nu.values()):
-            raise DomainFormatError("boundary measure: weights must be positive")
+        nu = payload["nu"]
+        if not isinstance(nu, dict) or not nu:
+            raise DomainFormatError("boundary measure: 'nu' must be a nonempty object")
+        entries = [("'theta'", payload["theta"]), ("'mesh_scale'", payload["mesh_scale"])]
+        entries += [(f"weight of {vid!r}", w) for vid, w in nu.items()]
+        for (what, x), num in zip(entries, _numbers([x for _, x in entries])):
+            if not (num and 0 < x < np.inf):
+                raise DomainFormatError(f"boundary measure: {what} must be a positive finite number")
         return BoundaryMeasure(
             theta=float(payload["theta"]),
             mesh_scale=float(payload["mesh_scale"]),
-            nu=nu,
+            nu={str(k): float(v) for k, v in nu.items()},
         )
 
 
@@ -278,21 +291,21 @@ def verify_codimensionality(
     radii: list[float],
     centers: list[str] | None = None,
     spread_bound: float = 16.0,
-    max_centers: int = 48,
 ) -> CodimReport:
     """Check nu(ball)*r^theta against interior mass mu(ball) across scales.
 
     ratio(center, r) = nu(B(c,r) on the boundary) * r^theta / mu(B(c,r) in the
     interior), balls inclusive of radius.  Passes when max/min ratio over the
-    sampled centers and radii stays within spread_bound.
+    sampled centers and radii stays within spread_bound.  The default centers
+    are the boundary vertices, thinned to a fixed 48 evenly spaced in index
+    order when there are more.
     """
     if centers is None:
-        bids = [space.ids[int(b)] for b in space.boundary_indices()]
-        if len(bids) > max_centers:
-            pick = np.linspace(0, len(bids) - 1, max_centers).astype(int)
-            centers = [bids[i] for i in pick]
-        else:
-            centers = bids
+        cidx = space.boundary_indices()
+        if cidx.size > 48:
+            cidx = cidx[np.linspace(0, cidx.size - 1, 48).astype(int)]
+    else:
+        cidx = [space.index[c] for c in centers]
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] <= 0:
         raise TransformError("verify_codimensionality: radii must be positive")
@@ -302,8 +315,7 @@ def verify_codimensionality(
     rows: list[dict] = []
     skipped = 0
     rmax = radii[-1] * (1 + 1e-9)
-    for cid in centers:
-        c = space.index[cid]
+    for c in cidx:
         idx, dist = local_distances(space, c, rmax)
         for r in radii:
             inside = idx[dist <= r * (1 + 1e-9)]
@@ -313,7 +325,7 @@ def verify_codimensionality(
                 skipped += 1
                 continue
             rows.append(
-                {"center": cid, "r": r, "ratio": nu_mass * r**nu.theta / mass}
+                {"center": space.ids[c], "r": r, "ratio": nu_mass * r**nu.theta / mass}
             )
     if not rows:
         raise TransformError("verify_codimensionality: all samples degenerate")

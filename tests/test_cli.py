@@ -368,3 +368,95 @@ def test_pipeline_outputs_are_byte_stable(tmp_path):
         for name, path in f.items()
     }
     assert digests == PIPELINE_DIGESTS
+
+
+def _assert_input_error(code, capsys, out, message):
+    """Exit 2, one ``error:`` line naming ``message``, no output file."""
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"nu": [1.0]}, "'nu' must be a nonempty object"),
+        ({"nu": {}}, "'nu' must be a nonempty object"),
+        ({"theta": None}, "'theta' must be a positive finite number"),
+        ({"theta": float("inf")}, "'theta' must be a positive finite number"),
+        ({"theta": 0}, "'theta' must be a positive finite number"),
+        ({"mesh_scale": None}, "'mesh_scale' must be a positive finite number"),
+        ({"mesh_scale": "0.25"}, "'mesh_scale' must be a positive finite number"),
+        ({"nu": {"v0_0": float("nan")}}, "weight of 'v0_0' must be a positive finite number"),
+        ({"nu": {"v0_0": 1.0, "v1_0": True}}, "weight of 'v1_0' must be a positive finite number"),
+    ],
+    ids=["nu-list", "nu-empty", "theta-null", "theta-inf", "theta-zero", "mesh-null", "mesh-string",
+         "weight-nan", "weight-bool"],
+)
+def test_bad_boundary_measure_file_exits_2(dom_file, nu_file, tmp_path, capsys, change, message):
+    with open(nu_file) as fh:
+        payload = json.load(fh)
+    payload.update(change)
+    bad = tmp_path / "nu.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    code = run(["verify", "--check", "codim", "--domain", dom_file, "--nu", str(bad), "--out", str(out)])
+    _assert_input_error(code, capsys, out, message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--check", "codim"],
+        ["--check", "fatness", "--phi", "power:2", "--samples", "2"],
+        ["--check", "besov", "--fields", "1"],
+    ],
+    ids=["codim", "fatness", "besov"],
+)
+def test_boundary_measure_id_outside_the_domain_exits_2(dom_file, nu_file, tmp_path, capsys, argv):
+    with open(nu_file) as fh:
+        payload = json.load(fh)
+    payload["nu"]["ghost"] = 1.0
+    bad = tmp_path / "nu.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    code = run(["verify", "--domain", dom_file, "--nu", str(bad), "--out", str(out)] + argv)
+    _assert_input_error(code, capsys, out, "id 'ghost' is not a vertex")
+
+
+@pytest.mark.parametrize(
+    "side, argv, message",
+    [
+        ({"v4_0": None}, ["solve", "--data", "SIDE"], "value of 'v4_0' must be a number"),
+        ({"v4_0": 0.0, "v4_1": True}, ["solve", "--data", "SIDE"], "value of 'v4_1' must be a number"),
+        ([[0.5, 1.0], [2.0, None]], ["solve", "--data", "const:1", "--phi", "tabulated:SIDE"],
+         "samples[1] must be a [number, number] pair"),
+        ({"a": 1}, ["solve", "--data", "const:1", "--phi", "tabulated:SIDE"],
+         "must be a JSON list of [t, value] pairs"),
+        (None, ["verify", "--check", "doubling", "--at-infinity"], "--at-infinity requires --phi"),
+        (None, ["verify", "--check", "exponents", "--at-infinity"], "--at-infinity requires --phi"),
+    ],
+    ids=["data-null", "data-bool", "tabulated-null", "tabulated-object", "doubling-at-infinity",
+         "exponents-at-infinity"],
+)
+def test_bad_side_inputs_exit_2(dom_file, tmp_path, capsys, side, argv, message):
+    side_file = tmp_path / "side.json"
+    side_file.write_text(json.dumps(side))
+    argv = [a.replace("SIDE", str(side_file)) for a in argv]
+    out = tmp_path / "out.json"
+    code = run(argv[:1] + ["--domain", dom_file, "--out", str(out)] + argv[1:])
+    _assert_input_error(code, capsys, out, message)
+
+
+def test_coord_data_needs_coords_on_every_boundary_vertex(dom_file, tmp_path, capsys):
+    with open(dom_file) as fh:
+        payload = json.load(fh)
+    vertex = next(v for v in payload["vertices"] if v["boundary"])
+    del vertex["coords"]
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    code = run(["solve", "--domain", str(domain), "--data", "coord:x", "--out", str(out)])
+    _assert_input_error(code, capsys, out, f"boundary vertex {vertex['id']!r} has no x coordinate")

@@ -32,7 +32,13 @@ from uniformizer.energy import (
 )
 from uniformizer.graphspace import GraphSpace
 from uniformizer.solver import DirichletProblem, solve_p_harmonic
-from uniformizer.transform import BoundaryMeasure, attach_infinity, codimensional_measure, transform
+from uniformizer.transform import (
+    BoundaryMeasure,
+    TransformError,
+    attach_infinity,
+    codimensional_measure,
+    transform,
+)
 
 
 def cycle_space() -> GraphSpace:
@@ -286,6 +292,23 @@ def test_trace_radius_guards(strip_small):
         trace(space, u, nu, radii=[1.0, 2.0])
     with pytest.raises(EnergyError, match="resolution floor"):
         trace(space, u, nu, radii=[2.0, 0.5])
+
+
+def test_nu_naming_a_missing_vertex_is_rejected():
+    """besov_norm, trace and adams_check read nu through nu.array, which
+    names the first id that is not a vertex of the space."""
+    space, _ = two_atom_boundary(1.0)
+    nu = BoundaryMeasure(theta=1.0, mesh_scale=0.25, nu={"zl": 1.0, "ghost": 1.0, "zr": 1.0})
+    f = {"zl": 0.0, "m": 0.5, "zr": 1.0}
+    calls = [
+        lambda: besov_norm(space, nu, f, 0.5, 2.0),
+        lambda: trace(space, f, nu, radii=[2.0, 1.0]),
+        lambda: adams_check(attach_infinity(transform(space, power(2.0), 2.0)), nu,
+                            np.zeros(4), 3.0, 1.0, [("zl", 0.5)]),
+    ]
+    for call in calls:
+        with pytest.raises(TransformError, match="id 'ghost' is not a vertex"):
+            call()
 
 
 def test_trace_flags_vertex_without_interior_mass():

@@ -423,6 +423,28 @@ def test_capacity_guards():
 
 
 @pytest.mark.parametrize(
+    "cond, message",
+    [
+        (Condenser(E=[], F=["g2_2"]), "condenser plates must be non-empty"),
+        (Condenser(E=["g0_0"], F=[]), "condenser plates must be non-empty"),
+        (Condenser(E=["g0_0", "g1_1"], F=["g1_1"]), "condenser plates overlap"),
+        (Condenser(E=["zz"], F=["g2_2"]), "condenser vertex 'zz' is not in the space"),
+        (Condenser(E=["g0_0"], F=["g2_2", "zz"]), "condenser vertex 'zz' is not in the space"),
+        # an unknown id in U is named before the plate vertex outside U
+        (Condenser(E=["g0_0"], F=["g2_2"], U=["g0_0", "zz"]), "condenser vertex 'zz' is not in the space"),
+        (Condenser(E=["g0_0"], F=["g2_2", "g2_1"], U=["g0_0", "g2_2"]), "plate vertex 'g2_1' is outside U"),
+    ],
+    ids=["empty-E", "empty-F", "overlap", "unknown-E", "unknown-F", "unknown-U", "outside-U"],
+)
+def test_capacity_and_modulus_reject_a_bad_condenser_alike(cond, message):
+    space = grid_space(3, 3)
+    for engine in (capacity, modulus):
+        with pytest.raises(SolverError) as err:
+            engine(space, cond, 2.0)
+        assert str(err.value) == message, engine.__name__
+
+
+@pytest.mark.parametrize(
     "p, kwargs, message",
     [
         (float("nan"), {}, "p=nan must be finite and exceed 1"),
