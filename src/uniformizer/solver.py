@@ -3,13 +3,15 @@
 * ``solve_p_harmonic``: Dirichlet energy minimizer with pinned values, by
   Newton iterations with exact line search under a geometric regularization
   schedule (p = 2 reduces to one exact sparse linear solve).  eps falls
-  from the data range to 1e-10 of it by factors of 0.01; every level but
-  the last is only the next level's warm start and stops at a relative
-  energy drop below sqrt(tol), and the last level stops below tol.  The
-  Newton steps and the line search act only on the edges with a free end;
-  the first Hessian of a solve is ordered by minimum degree on A^T + A, the
-  later ones reuse that order and a planned CSC structure (_NewtonSystem),
-  and SuperLU factors them in symmetric mode, once in all at p = 2.
+  by factors of 1e-3 to 1e-12 of the data range, from the first level
+  below the initial iterate's largest edge difference; every level but the
+  last is only the next level's warm start and stops at a relative energy
+  drop below sqrt(tol), and the last level stops at a drop below tol with
+  a step of at most 1e-10 of the range.  The Newton steps and the line
+  search act only on the edges with a free end; the first Hessian of a
+  solve is ordered by minimum degree on A^T + A, the later ones reuse that
+  order and a planned CSC structure (_NewtonSystem), and SuperLU factors
+  them in symmetric mode, once in all at p = 2.
 * ``capacity``: condenser capacity as the energy of the equilibrium
   potential (pins 1 on E, 0 on F, restricted to U).
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
@@ -56,17 +58,22 @@ class SolveOptions:
     """Newton continuation settings.
 
     ``tol`` is the stop test at the final eps level (relative energy drop
-    per Newton step); every earlier level stops below ``sqrt(tol)``.  The
-    default schedule is ``range * eps_factor**k`` down to
+    per Newton step); every earlier level stops below ``sqrt(tol)``.  For
+    p != 2 the final level also waits for a Newton step of at most
     ``eps_floor_factor * range``, where range is the spread of the pinned
-    values and both factors lie in (0, 1); a passed ``eps_schedule`` is
-    used verbatim (nonempty, finite, and positive for p != 2).
+    values.  The default schedule is ``range * eps_factor**k`` for
+    k = 0..K, K the smallest k with ``eps_factor**k <=
+    eps_floor_factor`` (both factors lie in (0, 1)), so its last eps is
+    1e-12 * range by default; its leading levels whose eps is at least
+    the initial iterate's largest edge difference are dropped (always
+    eps = range).  A passed ``eps_schedule`` is used verbatim (nonempty,
+    finite, and positive for p != 2).
     """
 
     tol: float = 1e-12
     max_iter: int = 500
     eps_schedule: list | None = None
-    eps_factor: float = 0.01
+    eps_factor: float = 1e-3
     eps_floor_factor: float = 1e-10
     init: str = "harmonic"
 
@@ -140,6 +147,14 @@ def _psi_second(a, d, p, eps):
         return 2.0 * a
     s = d * d + eps * eps
     return a * p * s ** ((p - 4) / 2) * ((p - 1) * d * d + eps * eps)
+
+
+def _slope_sum(g: np.ndarray) -> float:
+    """Line-search slope from its per-edge terms g; 0 when the sum is within
+    round-off of the terms, where its sign is noise and brentq would only
+    bisect it down to xtol, so such a t counts as the root."""
+    s = float(np.sum(g))
+    return 0.0 if abs(s) <= 1e-14 * float(np.sum(np.abs(g))) else s
 
 
 # The first factorization of a solve orders the Hessian by minimum degree on
@@ -230,7 +245,10 @@ def _minimize(
     below its stop test, or the Newton decrement reaches round-off level.
     The test is opts.tol at the last level and sqrt(opts.tol) before it,
     since an intermediate iterate only warm-starts the next level; the
-    returned residual is the last level's drop.  All linear solves share one
+    returned residual is the last level's drop.  The last level of a
+    p != 2 solve also needs a step t max|delta| of at most
+    eps_floor_factor * range.  The exact line search takes a slope within
+    round-off of its terms as the root.  All linear solves share one
     _NewtonSystem, refactored per Newton step for p != 2 and once at p = 2.
     """
     if not (1 < p < np.inf):
@@ -263,7 +281,10 @@ def _minimize(
                 f"eps_factor={opts.eps_factor:g} and eps_floor_factor="
                 f"{opts.eps_floor_factor:g} must lie in (0, 1)"
             )
-        n_steps = int(np.ceil(-np.log(opts.eps_floor_factor) / -np.log(opts.eps_factor)))
+        # the first power of eps_factor at or below eps_floor_factor; a log
+        # ratio that is an integer up to round-off adds no level
+        ratio = np.log(opts.eps_floor_factor) / np.log(opts.eps_factor)
+        n_steps = int(np.ceil(ratio - 1e-9))
         schedule = [rng * opts.eps_factor**k for k in range(n_steps + 1)]
 
     eu, ev, ln = graph.edge_u, graph.edge_v, graph.edge_length
@@ -352,12 +373,25 @@ def _minimize(
         u[free_idx] = system.solve(-gradient(w0 * (u[au] - u[av])), flags, w0)
     else:
         raise SolverError(f"unknown init {opts.init!r}")
+    if opts.eps_schedule is None and p != 2:
+        # a level whose eps is at least every edge difference of the initial
+        # iterate makes the energy there nearly the quadratic one that the
+        # harmonic init minimizes; eps = range is always one (maximum
+        # principle)
+        d_init = float(np.abs(u[au] - u[av]).max())
+        while len(schedule) > 1 and schedule[0] >= d_init:
+            schedule.pop(0)
 
     iterations = 0
     residual = 0.0
     for level, eps in enumerate(schedule):
-        # an intermediate level only warm-starts the next one
-        stop_tol = opts.tol if level == len(schedule) - 1 else opts.tol**0.5
+        # An intermediate level only warm-starts the next one.  The last one
+        # of a p != 2 solve also waits for a step below the eps floor: an
+        # energy drop below tol alone leaves u off on the edges whose
+        # difference is about 0, which the energy barely sees.
+        last = level == len(schedule) - 1
+        stop_tol = opts.tol if last else opts.tol**0.5
+        step_tol = opts.eps_floor_factor * rng if last and p != 2 else np.inf
         F_fixed = _psi_sum(a_fixed, d_fixed, p, eps)
         while True:
             if iterations >= opts.max_iter:
@@ -372,13 +406,11 @@ def _minimize(
             dd = dx[su] - dx[sv]
 
             def slope(t):
-                return float(np.sum(_psi_prime(aa, d + t * dd, p, eps) * dd))
+                return _slope_sum(_psi_prime(aa, d + t * dd, p, eps) * dd)
 
             # The level has converged when the Newton decrement -slope(0) is
-            # at round-off level, where brentq would only bisect noise down
-            # to xtol.
-            g0 = w1 * dd
-            if float(np.sum(g0)) >= -1e-14 * float(np.sum(np.abs(g0))):
+            # at round-off level (w1 is psi' at t = 0).
+            if _slope_sum(w1 * dd) >= 0.0:
                 residual = 0.0
                 break
             t_hi = 2.0
@@ -386,7 +418,7 @@ def _minimize(
             while s_hi < 0.0 and t_hi < 1024.0:
                 t_hi *= 2.0
                 s_hi = slope(t_hi)
-            t = t_hi if s_hi < 0.0 else brentq(slope, 0.0, t_hi, xtol=1e-13)
+            t = t_hi if s_hi <= 0.0 else brentq(slope, 0.0, t_hi, xtol=1e-13)
             u[free_idx] += t * delta
             iterations += 1
             F_new = _psi_sum(aa, u[au] - u[av], p, eps) + F_fixed
@@ -395,7 +427,7 @@ def _minimize(
                     f"energy increased during iteration ({F_old:g} -> {F_new:g})"
                 )
             residual = (F_old - F_new) / max(abs(F_old), 1e-300)
-            if residual < stop_tol:
+            if residual < stop_tol and t * float(np.abs(delta).max()) <= step_tol:
                 break
         if "unconverged" in flags:
             break

@@ -182,11 +182,16 @@ class BoundaryMeasure:
 
     def array(self, space: GraphSpace) -> np.ndarray:
         """The weights in vertex order, zero where nu names no weight; raises
-        TransformError naming the first id that is not a vertex of the space."""
+        TransformError naming the first id that is not a boundary vertex of
+        the space."""
         idx = [space.index.get(vid, -1) for vid in self.nu]
         if -1 in idx:
             vid = list(self.nu)[idx.index(-1)]
             raise TransformError(f"boundary measure: id {vid!r} is not a vertex of the domain")
+        inner = ~space.boundary_mask[idx]
+        if inner.any():
+            vid = list(self.nu)[int(np.argmax(inner))]
+            raise TransformError(f"boundary measure: id {vid!r} is not a boundary vertex of the domain")
         out = np.zeros(space.n_vertices)
         out[idx] = list(self.nu.values())
         return out

@@ -427,6 +427,28 @@ def test_boundary_measure_id_outside_the_domain_exits_2(dom_file, nu_file, tmp_p
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--check", "codim"],
+        ["--check", "fatness", "--phi", "power:2", "--samples", "2"],
+        ["--check", "besov", "--fields", "1"],
+    ],
+    ids=["codim", "fatness", "besov"],
+)
+def test_boundary_measure_interior_id_exits_2(dom_file, nu_file, tmp_path, capsys, argv):
+    """A weight on an interior vertex is an input error for every nu reader
+    (besov ended in a KeyError, codim ignored the weight)."""
+    with open(nu_file) as fh:
+        payload = json.load(fh)
+    payload["nu"]["v4_4"] = 1.0
+    bad = tmp_path / "nu.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    code = run(["verify", "--domain", dom_file, "--nu", str(bad), "--out", str(out)] + argv)
+    _assert_input_error(code, capsys, out, "id 'v4_4' is not a boundary vertex")
+
+
+@pytest.mark.parametrize(
     "side, argv, message",
     [
         ({"v4_0": None}, ["solve", "--data", "SIDE"], "value of 'v4_0' must be a number"),
