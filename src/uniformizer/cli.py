@@ -62,7 +62,7 @@ from .energy import (
     poincare_check,
     random_smooth_fields,
 )
-from .graphspace import DomainFormatError, GraphSpace, _numbers, dump_domain, load_domain
+from .graphspace import DomainFormatError, GraphSpace, _numbers, dump_domain, load_domain, read_json
 from .solver import (
     Condenser,
     DirichletProblem,
@@ -101,8 +101,7 @@ def _parse_phi(spec: str) -> Dampening:
     if kind == "log_power":
         return log_power(float(rest))
     if kind == "tabulated":
-        with open(rest) as fh:
-            samples = json.load(fh)
+        samples = read_json(rest)
         if not isinstance(samples, list):
             raise DampeningError(f"{rest}: tabulated samples must be a JSON list of [t, value] pairs")
         for k, pair in enumerate(samples):
@@ -118,8 +117,7 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_vertices(text: str) -> list[str]:
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            data = json.load(fh)
+        data = read_json(text[1:])
         if not isinstance(data, list):
             raise DomainFormatError(f"{text[1:]}: vertex list file must hold a JSON list")
         return [str(v) for v in data]
@@ -127,8 +125,7 @@ def _parse_vertices(text: str) -> list[str]:
 
 
 def _load_nu(path: str) -> BoundaryMeasure:
-    with open(path) as fh:
-        return BoundaryMeasure.from_payload(json.load(fh))
+    return BoundaryMeasure.from_payload(read_json(path))
 
 
 def _boundary_data(spec: str, space: GraphSpace) -> dict:
@@ -147,8 +144,7 @@ def _boundary_data(spec: str, space: GraphSpace) -> dict:
             if len(space.coords.get(v, ())) <= axis:
                 raise DomainFormatError(f"boundary vertex {v!r} has no {spec[6:]} coordinate")
         return {v: float(space.coords[v][axis]) for v in bids}
-    with open(spec) as fh:
-        raw = json.load(fh)
+    raw = read_json(spec)
     if isinstance(raw, dict) and "values" in raw:
         raw = raw["values"]
     if not isinstance(raw, dict):
@@ -346,10 +342,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    runs = []
-    for path in args.inputs:
-        with open(path) as fh:
-            runs.append(json.load(fh))
+    runs = list(map(read_json, args.inputs))
 
     def any_fail(node) -> bool:
         if isinstance(node, dict):

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
+
+from .util import Column, Table
 
 
 class DomainFormatError(ValueError):
@@ -70,7 +72,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _vertex_index(ids: list[str]) -> dict[str, int]:
     """Position of each vertex id; names the first repeated id."""
-    index = {vid: i for i, vid in enumerate(ids)}
+    index = dict(zip(ids, range(len(ids))))
     if len(index) != len(ids):
         first: dict[str, int] = {}
         k = next(k for k, vid in enumerate(ids) if first.setdefault(vid, k) != k)
@@ -90,8 +92,8 @@ def _edge_arrays(
     finite.  They run on whole arrays; the error names the first failing
     edge and, on it, the first failing check.
     """
-    eu = np.array([index.get(u, -1) for u in us], dtype=np.int64)
-    ev = np.array([index.get(v, -1) for v in vs], dtype=np.int64)
+    eu = np.fromiter(map(index.get, us, repeat(-1)), dtype=np.int64, count=len(us))
+    ev = np.fromiter(map(index.get, vs, repeat(-1)), dtype=np.int64, count=len(vs))
     el = np.array(lengths, dtype=float)
     unknown = (eu < 0) | (ev < 0)
     loop = eu == ev
@@ -376,45 +378,64 @@ class GraphSpace:
 
     # -- serialization ------------------------------------------------------
 
-    def to_payload(self) -> dict:
-        """Plain-dict form matching the on-disk schema (construction order kept).
+    def _tables(self) -> dict:
+        """The on-disk schema with its vertex, edge and ``infinity.edges``
+        lists held as ``util.Table`` columns, built once from the arrays.
 
-        Built column by column: each array goes to Python once, via tolist().
+        The id column and every edge end take their entries from one
+        ``util.Column`` of the ids, so a writer escapes each id once.  When
+        only some listed vertices carry coordinates, the vertex list is
+        plain dicts, the ones without coordinates lacking the key.
         """
-        ids, inf = self.ids, self.infinity_index
-        verts = [
-            {"id": vid, "measure": m, "boundary": b}
-            for vid, m, b in zip(ids, self.measure.tolist(), self.boundary_mask.tolist())
-        ]
-        if self.coords is not None:
-            for entry in verts:
-                c = self.coords.get(entry["id"])
-                if c is not None:
-                    entry["coords"] = list(map(float, c))
-        if inf >= 0:
-            del verts[inf]
+        inf = self.infinity_index
+        names = Column(self.ids)
+        shown = np.arange(self.n_vertices) != inf
+        listed = np.flatnonzero(shown).tolist()
+        keys = ["id", "measure", "boundary"]
+        cols = [names.take(listed), self.measure[shown].tolist(), self.boundary_mask[shown].tolist()]
+        coords = [] if self.coords is None else list(map(self.coords.get, map(self.ids.__getitem__, listed)))
+        present = [c for c in coords if c is not None]
+        if present:
+            keys.append("coords")
+            if len(present) == len(coords) and set(map(type, chain.from_iterable(coords))) == {float}:
+                cols.append(list(map(list, coords)))
+            else:
+                cols.append([None if c is None else list(map(float, c)) for c in coords])
+        vertices = Table(keys, cols)
+        if 0 < len(present) < len(coords):
+            vertices = vertices.rows()
+            for row in vertices:
+                if row["coords"] is None:
+                    del row["coords"]
         at_inf = (self.edge_u == inf) | (self.edge_v == inf)
         inner = ~at_inf
-        name = ids.__getitem__
-        edges = [
-            {"u": u, "v": v, "length": x}
-            for u, v, x in zip(
-                map(name, self.edge_u[inner].tolist()),
-                map(name, self.edge_v[inner].tolist()),
+        edges = Table(
+            ("u", "v", "length"),
+            (
+                names.take(self.edge_u[inner].tolist()),
+                names.take(self.edge_v[inner].tolist()),
                 self.edge_length[inner].tolist(),
-            )
-        ]
-        payload: dict = {"vertices": verts, "edges": edges}
+            ),
+        )
+        payload: dict = {"vertices": vertices, "edges": edges}
         if inf >= 0:
             # the end of each edge at infinity that is not the infinity vertex
             other = (self.edge_u + self.edge_v - inf)[at_inf]
             payload["infinity"] = {
                 "id": self.infinity_id,
-                "edges": [
-                    {"v": v, "length": x}
-                    for v, x in zip(map(name, other.tolist()), self.edge_length[at_inf].tolist())
-                ],
+                "edges": Table(("v", "length"), (names.take(other.tolist()), self.edge_length[at_inf].tolist())),
             }
+        return payload
+
+    def to_payload(self) -> dict:
+        """Plain-dict form matching the on-disk schema (construction order
+        kept): the tables of ``_tables``, each turned into its list of dicts.
+        ``dump_domain`` writes the same tables without building the dicts."""
+        payload = self._tables()
+        for part in (payload, payload.get("infinity", {})):
+            for key, value in part.items():
+                if isinstance(value, Table):
+                    part[key] = value.rows()
         return payload
 
 
@@ -530,6 +551,8 @@ _ABSENT = object()
 
 def _numbers(col: list) -> list[bool]:
     """Per entry, whether it is a JSON number (a boolean is not)."""
+    if set(map(type, col)) <= {int, float}:
+        return [True] * len(col)
     ok = list(map(isinstance, col, repeat(_NUMBER)))
     if any(map(isinstance, col, repeat(bool))):
         ok = [num and not isinstance(x, bool) for num, x in zip(ok, col)]
@@ -552,25 +575,37 @@ def from_payload(payload: dict) -> GraphSpace:
     _require(isinstance(elist, list), "edges", "must be a list")
     rows, checks, (ids, measures, flags) = _columns(vlist, ("id", "measure", "boundary"))
     coords_col = list(map(dict.get, rows, repeat("coords"), repeat(_ABSENT)))
+    present = [c for c in coords_col if c is not _ABSENT]
+    # one pass over the whole column: the types of the entries, then of
+    # their items (None when some entry is not a plain list)
+    coord_types = set(map(type, chain.from_iterable(present))) if set(map(type, present)) <= {list} else None
+    # a check that holds for the whole column at once adds no flags
+    if set(map(type, ids)) != {str} or "" in ids:
+        checks.append(([isinstance(x, str) and x != "" for x in ids], "'id' must be a nonempty string"))
     checks += [
-        ([isinstance(x, str) and x != "" for x in ids], "'id' must be a nonempty string"),
         (_numbers(measures), "'measure' must be a number"),
         (list(map(isinstance, flags, repeat(bool))), "'boundary' must be a boolean"),
-        (
-            [
-                c is _ABSENT
-                or (
-                    isinstance(c, list)
-                    and all(map(isinstance, c, repeat(_NUMBER)))
-                    and not any(map(isinstance, c, repeat(bool)))
-                )
-                for c in coords_col
-            ],
-            "'coords' must be a list of numbers",
-        ),
     ]
+    if coord_types is None or not coord_types <= {int, float}:
+        checks.append(
+            (
+                [
+                    c is _ABSENT
+                    or (
+                        isinstance(c, list)
+                        and all(map(isinstance, c, repeat(_NUMBER)))
+                        and not any(map(isinstance, c, repeat(bool)))
+                    )
+                    for c in coords_col
+                ],
+                "'coords' must be a list of numbers",
+            )
+        )
     _first_offender("vertices", checks)
-    coords = {vid: tuple(map(float, c)) for vid, c in zip(ids, coords_col) if c is not _ABSENT}
+    if len(present) == len(coords_col) and coord_types is not None and coord_types <= {float}:
+        coords = dict(zip(ids, map(tuple, coords_col)))
+    else:
+        coords = {vid: tuple(map(float, c)) for vid, c in zip(ids, coords_col) if c is not _ABSENT}
     _, checks, (us, vs, lengths) = _columns(elist, ("u", "v", "length"))
     checks.append((_numbers(lengths), "'length' must be a number"))
     _first_offender("edges", checks)
@@ -604,16 +639,24 @@ def from_payload(payload: dict) -> GraphSpace:
     )
 
 
-def load_domain(path: str) -> GraphSpace:
+def read_json(path: str):
+    """The value of the JSON file at `path`.  Text that is not UTF-8 or not
+    JSON raises DomainFormatError, naming the path."""
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return from_payload(payload)
+
+
+def load_domain(path: str) -> GraphSpace:
+    return from_payload(read_json(path))
 
 
 def dump_domain(space: GraphSpace, path: str) -> None:
+    """Write `space` to `path` as canonical JSON: the text of
+    ``canonical_json(space.to_payload())``, written from the space's column
+    tables without building a dict per vertex or edge."""
     from .util import atomic_write_text, canonical_json
 
-    atomic_write_text(path, canonical_json(space.to_payload()))
+    atomic_write_text(path, canonical_json(space._tables()))

@@ -67,7 +67,8 @@ class SolveOptions:
     1e-12 * range by default; its leading levels whose eps is at least
     the initial iterate's largest edge difference are dropped (always
     eps = range).  A passed ``eps_schedule`` is used verbatim (nonempty,
-    finite, and positive for p != 2).
+    finite, and positive for p != 2); ``eps_floor_factor`` is checked for
+    every p != 2 solve, as the final level's step stop reads it.
     """
 
     tol: float = 1e-12
@@ -265,6 +266,9 @@ def _minimize(
         raise SolverError("pinned values must be finite")
     lo, hi = float(pins_val.min()), float(pins_val.max())
     rng = hi - lo
+    # the last level's step stop reads it, whichever schedule is used
+    if p != 2 and not 0 < opts.eps_floor_factor < 1:
+        raise SolverError(f"eps_floor_factor={opts.eps_floor_factor:g} must lie in (0, 1)")
     if opts.eps_schedule is not None:
         schedule = [float(e) for e in opts.eps_schedule]
         if not schedule:
@@ -276,11 +280,8 @@ def _minimize(
     elif p == 2:
         schedule = [0.0]
     else:
-        if not (0 < opts.eps_factor < 1 and 0 < opts.eps_floor_factor < 1):
-            raise SolverError(
-                f"eps_factor={opts.eps_factor:g} and eps_floor_factor="
-                f"{opts.eps_floor_factor:g} must lie in (0, 1)"
-            )
+        if not 0 < opts.eps_factor < 1:
+            raise SolverError(f"eps_factor={opts.eps_factor:g} must lie in (0, 1)")
         # the first power of eps_factor at or below eps_floor_factor; a log
         # ratio that is an integer up to round-off adds no level
         ratio = np.log(opts.eps_floor_factor) / np.log(opts.eps_factor)

@@ -24,8 +24,21 @@ encoder).  The writer applies ``jsonable``'s value rules as it goes:
 Strings go through ``json``'s own C escaper (ASCII output) and finite floats
 through ``float.__repr__``, which is what ``json`` emits, so the bytes are
 the same.  A flat list of finite floats, strings or bools is joined in one
-call, and a list of dicts sharing one key sequence (the vertex and edge
-tables of a domain) is written column by column into one record template.
+call; finite floats that repeat a lot (a lattice's lengths, measures and
+coordinates) are written once per distinct value.
+
+Tables are written from columns.  A ``Table`` (keys plus one column per
+key, the form in which a domain hands over its vertex and edge lists) is
+written as its list of records, and a list of dicts that share one key
+sequence is turned into the same column form first.  Each column is
+rendered in one pass, and every record is filled into one template of its
+sorted keys.  A column is one of:
+
+- a flat column, as above;
+- the ``coords`` kind: lists of finite floats that all have one length,
+  whose items fill one nested template with no call per entry;
+- a ``Column.take`` view, which indexes texts rendered once (the vertex
+  ids that edge ends name).
 """
 
 from __future__ import annotations
@@ -35,13 +48,66 @@ import json
 import math
 import os
 import tempfile
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 _INDENT = "  "
+
+
+class Column:
+    """Values that several table columns take entries from, as edge ends
+    take vertex ids.  The writer renders the values once per indentation,
+    however many columns take from them."""
+
+    def __init__(self, values: Sequence):
+        self.values = values
+        self._texts: dict[str, list[str]] = {}
+
+    def take(self, index: Sequence[int]) -> "Take":
+        """The column ``[values[i] for i in index]``."""
+        return Take(self, index)
+
+    def texts(self, nl: str) -> list[str]:
+        """JSON text of each value, written at `nl`."""
+        texts = self._texts.get(nl)
+        if texts is None:
+            values = self.values
+            texts = self._texts[nl] = list(_column(values, set(map(type, values)), nl))
+        return texts
+
+
+class Take:
+    """Table column of the entries ``index`` of a ``Column``."""
+
+    def __init__(self, source: Column, index: Sequence[int]):
+        self.source = source
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+class Table:
+    """A list of records held column by column.
+
+    ``keys`` are strings, and ``columns`` holds one column per key, all of
+    one length: a sequence of values or a ``Column.take`` view.  Record i
+    is ``dict(zip(keys, (col[i] for col in columns)))``; ``canonical_json``
+    writes a table exactly as that list of dicts, which ``rows()`` builds.
+    """
+
+    def __init__(self, keys: Sequence[str], columns: Sequence):
+        self.keys = tuple(keys)
+        self.columns = tuple(columns)
+
+    def rows(self) -> list[dict]:
+        cols = [
+            map(c.source.values.__getitem__, c.index) if type(c) is Take else c for c in self.columns
+        ]
+        return [dict(zip(self.keys, vals)) for vals in zip(*cols)]
 
 
 def jsonable(obj: Any) -> Any:
@@ -52,6 +118,8 @@ def jsonable(obj: Any) -> Any:
     """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, Table):
+        return jsonable(obj.rows())
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
@@ -102,6 +170,8 @@ def _encode(obj: Any, nl: str) -> str:
         return int.__repr__(obj)
     if obj is None:
         return "null"
+    if t is Table:
+        return _table(obj.keys, obj.columns, nl)
     # subclasses and numpy types, in jsonable's order
     if isinstance(obj, dict):
         return _dict(obj, nl)
@@ -133,20 +203,26 @@ def _dict(obj: dict, nl: str) -> str:
 def _list(obj: list | tuple, nl: str) -> str:
     if not obj:
         return "[]"
-    inner = nl + _INDENT
     types = set(map(type, obj))
-    items = _records(obj, inner) if types == {dict} else _column(obj, types, inner)
+    if types == {dict}:
+        return _records(obj, nl)
+    return _lines(_column(obj, types, nl + _INDENT), nl)
+
+
+def _lines(items: Iterable[str], nl: str) -> str:
+    """A JSON array of the item texts, its closing line starting with `nl`."""
+    inner = nl + _INDENT
     return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
 _BOOL_TEXT = {True: "true", False: "false"}
 
 
-def _column(values: list | tuple, types: set, nl: str) -> Iterable[str]:
+def _column(values: Sequence, types: set, nl: str) -> Iterable[str]:
     """Texts of `values`, whose types are `types`, each written at `nl`.
     Values all of one plain type take one C call each."""
     if types == {float} and math.isfinite(sum(values)):  # no nan or +-inf
-        return map(float.__repr__, values)
+        return _finite_floats(values)
     if types == {str}:
         return map(encode_basestring_ascii, values)
     if types == {bool}:
@@ -154,25 +230,69 @@ def _column(values: list | tuple, types: set, nl: str) -> Iterable[str]:
     return [_encode(v, nl) for v in values]
 
 
-def _records(rows: list | tuple, nl: str) -> Iterable[str]:
-    """Texts of dicts, each written at `nl`.
+def _finite_floats(values: Sequence[float]) -> Iterable[str]:
+    """Texts of finite floats.  When fewer than a quarter of them are
+    distinct (the lengths, measures and coordinates of a lattice domain),
+    each distinct bit pattern is written once, so 0.0 and -0.0 stay apart."""
+    if 4 * len(set(values)) >= len(values):
+        return map(float.__repr__, values)
+    bits, which = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(float).tolist()))
+    return map(texts.__getitem__, which.tolist())
+
+
+def _cells(col: Sequence | Take, nl: str) -> tuple[str, list[Iterable[str]]]:
+    """One table column written at `nl`: the template of one cell and the
+    text streams that fill its ``%s`` slots, row after row.
+
+    A column of lists of finite floats that all have one length k > 0 is one
+    stream of float texts that fills k slots of a nested template.
+    """
+    if type(col) is Take:
+        return "%s", [map(col.source.texts(nl).__getitem__, col.index)]
+    types = set(map(type, col))
+    if types <= {list, tuple}:
+        k = len(col[0])
+        if k and set(map(len, col)) == {k}:
+            flat = list(chain.from_iterable(col))
+            if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
+                inner = nl + _INDENT
+                nested = "[" + inner + ("," + inner).join(["%s"] * k) + nl + "]"
+                return nested, [iter(_finite_floats(flat))] * k
+    return "%s", [_column(col, types, nl)]
+
+
+def _table(keys: Sequence[str], columns: Sequence, nl: str) -> str:
+    """Text of the records of a table given as string `keys` and one column
+    per key, the array's closing line starting with `nl`.
+
+    Each record is filled into one template of the sorted keys; the columns'
+    text streams stay lazy until that fill.
+    """
+    if not len(columns[0]):
+        return "[]"
+    inner = nl + _INDENT
+    field_nl = inner + _INDENT
+    fields, streams = [], []
+    for k in sorted(range(len(keys)), key=keys.__getitem__):
+        cell, texts = _cells(columns[k], field_nl)
+        fields.append(encode_basestring_ascii(keys[k]).replace("%", "%%") + ": " + cell)
+        streams += texts
+    template = "{" + field_nl + ("," + field_nl).join(fields) + inner + "}"
+    return _lines(map(template.__mod__, zip(*streams)), nl)
+
+
+def _records(rows: list | tuple, nl: str) -> str:
+    """Text of a list of dicts, its closing line starting with `nl`.
 
     Dicts that share one nonempty sequence of string keys (a table, like the
-    vertex and edge lists of a domain) are written column by column, and
-    each record is filled into one template of its sorted keys.
+    vertex and edge lists of a domain) are turned into columns and written
+    by ``_table``; other dicts one by one.
     """
     keys = tuple(rows[0])
-    if not (set(map(type, keys)) == {str} and all(map(keys.__eq__, map(tuple, rows)))):
-        return [_dict(r, nl) for r in rows]
-    inner = nl + _INDENT
-    order = sorted(keys)
-    fields = ("," + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in order)
-    template = "{" + inner + fields + nl + "}"
-    columns = []
-    for k in order:
-        values = list(map(dict.__getitem__, rows, repeat(k)))
-        columns.append(_column(values, set(map(type, values)), inner))
-    return map(template.__mod__, zip(*columns))
+    if set(map(type, keys)) == {str} and all(map(keys.__eq__, map(tuple, rows))):
+        return _table(keys, [list(map(dict.__getitem__, rows, repeat(k))) for k in keys], nl)
+    return _lines([_dict(r, nl + _INDENT) for r in rows], nl)
 
 
 def config_hash(config: dict) -> str:

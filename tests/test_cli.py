@@ -482,3 +482,34 @@ def test_coord_data_needs_coords_on_every_boundary_vertex(dom_file, tmp_path, ca
     out = tmp_path / "out.json"
     code = run(["solve", "--domain", str(domain), "--data", "coord:x", "--out", str(out)])
     _assert_input_error(code, capsys, out, f"boundary vertex {vertex['id']!r} has no x coordinate")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--check", "codim", "--domain", "DOM", "--nu", "BAD"],
+        ["solve", "--domain", "DOM", "--data", "BAD"],
+        ["solve", "--domain", "DOM", "--data", "const:1", "--phi", "tabulated:BAD"],
+        ["capacity", "--domain", "DOM", "--p", "2", "--E", "@BAD", "--F", "v4_8"],
+        ["report", "--inputs", "GOOD", "BAD"],
+        ["solve", "--domain", "BAD", "--data", "const:1"],
+    ],
+    ids=["nu", "data", "tabulated", "vertex-list", "report-inputs", "domain"],
+)
+@pytest.mark.parametrize(
+    "text, reason",
+    [(b'{"v4_0": 1.0, ', "Expecting"), (b"\xff[1.0]", "'utf-8' codec can't decode")],
+    ids=["truncated", "not-utf8"],
+)
+def test_unreadable_json_input_names_its_file(dom_file, tmp_path, capsys, argv, text, reason):
+    """Every JSON input file is read by one reader: exit 2 and one line
+    that names the file, for broken JSON and for text that is not UTF-8."""
+    good = tmp_path / "good.json"
+    good.write_text('{"pass": true}')
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    swap = {"DOM": dom_file, "GOOD": str(good), "BAD": str(bad)}
+    argv = [swap.get(a, a.replace("BAD", str(bad))) for a in argv]
+    out = tmp_path / "out.json"
+    code = run(argv + ["--out", str(out)])
+    _assert_input_error(code, capsys, out, f"{bad}: invalid JSON ({reason}")

@@ -14,6 +14,7 @@ import pytest
 from scipy.sparse import csgraph
 
 from uniformizer import domains
+from uniformizer.dampening import power
 from uniformizer.graphspace import (
     DomainFormatError,
     GraphSpace,
@@ -27,6 +28,8 @@ from uniformizer.graphspace import (
     path_distance,
     shortest_route,
 )
+from uniformizer.transform import attach_infinity, transform
+from uniformizer.util import jsonable
 
 
 def cycle_space() -> GraphSpace:
@@ -404,6 +407,14 @@ FIRST_OFFENDER_CASES = [
         "vertices[1]: 'coords' must be a list of numbers",
     ),
     (
+        "vertex-coords-bool",
+        lambda p: [
+            _set(v, coords=c)
+            for v, c in zip(p["vertices"], ([0.0, 0.0], [1.0, 0.0], [True, 1.0], [0, "x"]))
+        ],
+        "vertices[2]: 'coords' must be a list of numbers",
+    ),
+    (
         "edge-object",
         lambda p: (p["edges"].__setitem__(1, ["b", "c", 2.0]), p["edges"].__setitem__(2, None)),
         "edges[1]: must be an object",
@@ -556,3 +567,54 @@ def test_payload_survives_json_text_round_trip(strip_small):
     assert back.n_vertices == space.n_vertices
     assert back.n_edges == space.n_edges
     assert math.isclose(back.total_measure(), space.total_measure())
+
+
+def test_integer_coords_load_as_floats():
+    payload = cycle_space().to_payload()
+    for v, c in zip(payload["vertices"], ([0, 1], [1.5, 0], [2, 2], [0, 3.0])):
+        v["coords"] = c
+    space = from_payload(payload)
+    assert space.coords == {"a": (0.0, 1.0), "b": (1.5, 0.0), "c": (2.0, 2.0), "d": (0.0, 3.0)}
+    assert {type(x) for c in space.coords.values() for x in c} == {float}
+
+
+def _int_coords_from_file(tmp_path):
+    payload = cycle_space().to_payload()
+    for k, v in enumerate(payload["vertices"]):
+        v["coords"] = [k, -k]
+    path = tmp_path / "int_coords.json"
+    path.write_text(json.dumps(payload))
+    return load_domain(str(path))
+
+
+def _with_coords(coords, ids=("a", "b", "c", "d")):
+    return GraphSpace(
+        ids=list(ids),
+        measures=[0.0, 1.0, 2.0, 0.5],
+        boundary_flags=[True, False, False, False],
+        edges=[(ids[0], ids[1], 1.0), (ids[1], ids[2], 2.0), (ids[2], ids[3], 3.0), (ids[3], ids[0], 4.0)],
+        coords=coords,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp: cycle_space(),
+        lambda tmp: _with_coords({"b": (1.0, 2.0), "d": (0, 0.5)}),
+        lambda tmp: _with_coords({v: (1.0, -0.0, 2.5 * k) for k, v in enumerate("abcd")}),
+        _int_coords_from_file,
+        lambda tmp: attach_infinity(transform(domains.half_strip(0.25, 8).space, power(2.0), 2.0)),
+        lambda tmp: _with_coords(
+            {"\u00e9t\u00e9": (0.5, 1.0), "a%s": (1.0, 1.0), 'q"\\': (2.0, 0.0), "\U0001d4b3": (3.0, 0.0)},
+            ids=("\u00e9t\u00e9", "a%s", 'q"\\', "\U0001d4b3"),
+        ),
+    ],
+    ids=["no-coords", "some-coords", "3d-coords", "int-coords-file", "infinity", "non-ascii-id"],
+)
+def test_dump_domain_writes_json_dumps_bytes(tmp_path, make):
+    """The column writer gives the bytes of json.dumps on the plain payload."""
+    space = make(tmp_path)
+    path = tmp_path / "out.json"
+    dump_domain(space, str(path))
+    assert path.read_text() == json.dumps(jsonable(space.to_payload()), sort_keys=True, indent=2) + "\n"

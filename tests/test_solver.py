@@ -309,6 +309,13 @@ def test_condenser_capacity_newton_steps(cone_small):
         (3.0, SolveOptions(eps_factor=2.0), "must lie in"),
         (1.5, SolveOptions(eps_factor=0.0), "must lie in"),
         (3.0, SolveOptions(eps_floor_factor=0.0), "must lie in"),
+        # the last level's step stop reads eps_floor_factor with a passed schedule too
+        (3.0, SolveOptions(eps_schedule=[0.1, 1e-6, 1e-12], eps_floor_factor=0.0),
+         "eps_floor_factor=0 must lie in"),
+        (1.5, SolveOptions(eps_schedule=[0.1, 1e-6, 1e-12], eps_floor_factor=-1.0),
+         "eps_floor_factor=-1 must lie in"),
+        (3.0, SolveOptions(eps_schedule=[0.1, 1e-6, 1e-12], eps_floor_factor=float("nan")),
+         "eps_floor_factor=nan must lie in"),
     ],
 )
 def test_bad_continuation_inputs_rejected(strip_small, p, options, message):

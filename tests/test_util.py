@@ -1,13 +1,15 @@
-"""Atomic file writes."""
+"""Atomic file writes and the canonical JSON writer's tables."""
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import stat
 
 import pytest
 
-from uniformizer.util import atomic_write_text
+from uniformizer.util import Column, Table, atomic_write_text, canonical_json, jsonable
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
@@ -21,3 +23,39 @@ def test_atomic_write_text_respects_umask(tmp_path, umask, mode):
     assert stat.S_IMODE(os.stat(path).st_mode) == mode
     assert path.read_text() == "{}\n"
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+def _reference(obj):
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
+def test_table_writes_its_rows():
+    names = Column(["a", 'b"', "é"])
+    table = Table(
+        ("v", "u", "%s", "xy"),
+        (names.take([2, 0, 1, 2]), names.take([0, 0, 1, 1]), [1.5, -0.0, 0.0, 1e300], [[0.0, 1.0]] * 3 + [(2.0, 3.5)]),
+    )
+    rows = table.rows()
+    assert rows[0] == {"v": "é", "u": "a", "%s": 1.5, "xy": [0.0, 1.0]}
+    assert jsonable(table) == jsonable(rows)
+    assert canonical_json({"t": table, "empty": Table(("u",), ([],))}) == _reference({"t": rows, "empty": []})
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [0.0, -0.0] * 20,  # repeated floats: 0.0 and -0.0 keep their own text
+        [0.25] * 30 + [1e-320, 0.1 + 0.2],
+        [[1.0, -0.0]] * 12 + [[0.5, 2.0]],  # coords: one nested template
+        [[1.0, 2.0], [3.0]],  # lengths differ
+        [[1.0, 2], [3.0, 4.0]],  # an int among the items
+        [[1.0, math.nan], [3.0, 4.0]],
+        [[], []],
+    ],
+    ids=["signed-zeros", "repeats", "coords", "ragged", "int-item", "nan-item", "empty-lists"],
+)
+def test_column_kinds_write_json_dumps_bytes(column):
+    rows = [{"c": value, "k": k} for k, value in enumerate(column)]
+    table = Table(("c", "k"), (column, list(range(len(column)))))
+    assert canonical_json(table) == canonical_json(rows) == _reference(rows)
+    assert canonical_json(column) == _reference(column)
