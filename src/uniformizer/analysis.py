@@ -11,7 +11,7 @@ envelopes, maxima, and fits over deterministic samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,15 +72,6 @@ class DoublingReport:
     bound: float | None
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "per_scale": self.per_scale,
-            "skipped": self.skipped,
-            "bound": self.bound,
-            "pass": self.passed,
-        }
-
 
 def doubling_constant(space, centers: list, radii: list, bound: float | None = None) -> DoublingReport:
     """Worst ratio measure(B(x, 2r)) / measure(B(x, r)) over samples.
@@ -132,15 +123,6 @@ class ExponentFit:
     fit_residual: float
     scale_range: tuple
     slope: float
-
-    def to_dict(self) -> dict:
-        return {
-            "Q_minus": self.Q_minus,
-            "Q_plus": self.Q_plus,
-            "fit_residual": self.fit_residual,
-            "scale_range": list(self.scale_range),
-            "slope": self.slope,
-        }
 
 
 def mass_exponents(space, centers: list, radii: list) -> ExponentFit:
@@ -221,14 +203,6 @@ class DistInfinityReport:
     per_band: dict
     kappa_emp: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kappa_emp": self.kappa_emp,
-            "per_band": {
-                str(m): row for m, row in sorted(self.per_band.items())
-            },
-        }
-
 
 def dist_infinity_check(t: TransformedSpace) -> DistInfinityReport:
     """Compare d_phi(v, infinity) with the band scale 2^m phi(2^m).
@@ -272,17 +246,7 @@ class ParabolicityReport:
     flags: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "R": self.R,
-            "shells": self.shells,
-            "spread": self.spread,
-            "monotone": self.monotone,
-            "power_fit": self.power_fit,
-            "log_fit": self.log_fit,
-            "theory": self.theory,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> dict:
@@ -407,15 +371,12 @@ class UniformityReport:
     C_U: float
     flags: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"C_U": self.C_U, "rows": self.rows, "flags": self.flags}
 
-
-def uniformity_spot_check(space, pairs: list, exclude_infinity: bool = True) -> UniformityReport:
+def uniformity_spot_check(space, pairs: list) -> UniformityReport:
     """Witness uniformity constants along shortest interior paths.
 
     For each pair, the candidate curve is the shortest path avoiding
-    boundary vertices (and the infinity vertex when asked).  Reported per
+    boundary vertices and the infinity vertex, if attached.  Reported per
     pair: curve length over metric distance, and the cigar ratio
     max_z min(sublength to either end) / boundary distance of z.  The max
     over pairs upper-bounds what curves achieve; shortest paths need not be
@@ -428,7 +389,7 @@ def uniformity_spot_check(space, pairs: list, exclude_infinity: bool = True) -> 
     for x, y in pairs:
         xi, yi = space.index[x], space.index[y]
         excluded = space.boundary_mask.copy()
-        if exclude_infinity and space.infinity_index >= 0:
+        if space.infinity_index >= 0:
             excluded[space.infinity_index] = True
         excluded[xi] = excluded[yi] = False
         w = np.where(excluded[space.edge_u] | excluded[space.edge_v], np.inf, space.edge_length)
@@ -463,15 +424,6 @@ class FatnessReport:
     floor: float
     passed: bool
     skipped: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "min_ratio": self.min_ratio,
-            "floor": self.floor,
-            "pass": self.passed,
-            "rows": self.rows,
-            "skipped": self.skipped,
-        }
 
 
 def boundary_fatness(

@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -113,6 +114,23 @@ def _parse_phi(spec: str) -> Dampening:
 
 def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
+
+
+def _check_numbers(args) -> None:
+    """Reject a count flag below 1, a non-finite number flag and a
+    ``--radii`` entry that is not positive and finite, naming the flag.
+    ``--max-iter`` is checked by the solver, as ``--tol``'s sign is."""
+    for name in ("fields", "samples"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name}={value} must be at least 1")
+    for name in ("bound", "expect", "tol", "floor", "H"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name}={value:g} must be finite")
+    for r in _parse_floats(getattr(args, "radii", None) or ""):
+        if not 0 < r < math.inf:
+            raise ValueError(f"--radii entry {r:g} must be positive and finite")
 
 
 def _parse_vertices(text: str) -> list[str]:
@@ -638,6 +656,7 @@ def run(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,13 +81,13 @@ def p_energy(space: GraphSpace, u, p: float) -> float:
     return float(np.sum(edge_mass(space) * g**p))
 
 
-def random_smooth_fields(
-    space, count: int, seed: int, modes: int = 4, frequency: float = 1.0
-) -> np.ndarray:
+def random_smooth_fields(space, count: int, seed: int) -> np.ndarray:
     """Deterministic smooth test fields from low-frequency cosine products.
 
-    Vertices without coordinates (the added point at infinity) get value 0.
-    Returns an array of shape (count, n_vertices).
+    Each field sums 4 products cos(a x + c) cos(b y + d), with frequencies
+    a, b uniform in [-1, 1], phases uniform in [0, 2 pi) and normal
+    amplitudes divided by 4.  Vertices without coordinates (the added point
+    at infinity) get value 0.  Returns an array of shape (count, n_vertices).
     """
     if space.coords is None:
         raise EnergyError("space has no coordinates; cannot build smooth fields")
@@ -95,11 +95,11 @@ def random_smooth_fields(
     rng = np.random.default_rng(seed)
     out = np.zeros((count, space.n_vertices))
     for k in range(count):
-        amp = rng.normal(size=modes) / modes
-        wx = rng.uniform(-frequency, frequency, size=modes)
-        wy = rng.uniform(-frequency, frequency, size=modes)
-        ph = rng.uniform(0, 2 * np.pi, size=(2, modes))
-        for j in range(modes):
+        amp = rng.normal(size=4) / 4
+        wx = rng.uniform(-1.0, 1.0, size=4)
+        wy = rng.uniform(-1.0, 1.0, size=4)
+        ph = rng.uniform(0, 2 * np.pi, size=(2, 4))
+        for j in range(4):
             out[k] += amp[j] * np.cos(wx[j] * xy[:, 0] + ph[0, j]) * np.cos(
                 wy[j] * xy[:, 1] + ph[1, j]
             )
@@ -121,15 +121,6 @@ class PoincareReport:
     def C_P(self) -> float:
         ratios = [r["ratio"] for r in self.rows]
         return max(ratios) if ratios else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "lambda": self.lam,
-            "C_P": self.C_P,
-            "n_probes": len(self.rows),
-            "skipped": self.skipped,
-        }
 
 
 def poincare_check(
@@ -415,16 +406,6 @@ class AdamsReport:
     def max_ratio(self) -> float:
         ratios = [r["ratio"] for r in self.rows]
         return max(ratios) if ratios else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "theta": self.theta,
-            "max_ratio": self.max_ratio,
-            "n_balls": len(self.rows),
-            "skipped": self.skipped,
-            "violations": self.violations,
-        }
 
 
 def adams_check(

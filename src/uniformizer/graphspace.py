@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .util import Column, Table
+from .util import Table
 
 
 class DomainFormatError(ValueError):
@@ -382,18 +382,17 @@ class GraphSpace:
         """The on-disk schema with its vertex, edge and ``infinity.edges``
         lists held as ``util.Table`` columns, built once from the arrays.
 
-        The id column and every edge end take their entries from one
-        ``util.Column`` of the ids, so a writer escapes each id once.  When
-        only some listed vertices carry coordinates, the vertex list is
+        The id column and every edge end are plain lists of id strings.
+        When only some listed vertices carry coordinates, the vertex list is
         plain dicts, the ones without coordinates lacking the key.
         """
         inf = self.infinity_index
-        names = Column(self.ids)
+        name = self.ids.__getitem__
         shown = np.arange(self.n_vertices) != inf
-        listed = np.flatnonzero(shown).tolist()
+        listed = list(map(name, np.flatnonzero(shown).tolist()))
         keys = ["id", "measure", "boundary"]
-        cols = [names.take(listed), self.measure[shown].tolist(), self.boundary_mask[shown].tolist()]
-        coords = [] if self.coords is None else list(map(self.coords.get, map(self.ids.__getitem__, listed)))
+        cols = [listed, self.measure[shown].tolist(), self.boundary_mask[shown].tolist()]
+        coords = [] if self.coords is None else list(map(self.coords.get, listed))
         present = [c for c in coords if c is not None]
         if present:
             keys.append("coords")
@@ -412,8 +411,8 @@ class GraphSpace:
         edges = Table(
             ("u", "v", "length"),
             (
-                names.take(self.edge_u[inner].tolist()),
-                names.take(self.edge_v[inner].tolist()),
+                list(map(name, self.edge_u[inner].tolist())),
+                list(map(name, self.edge_v[inner].tolist())),
                 self.edge_length[inner].tolist(),
             ),
         )
@@ -423,14 +422,15 @@ class GraphSpace:
             other = (self.edge_u + self.edge_v - inf)[at_inf]
             payload["infinity"] = {
                 "id": self.infinity_id,
-                "edges": Table(("v", "length"), (names.take(other.tolist()), self.edge_length[at_inf].tolist())),
+                "edges": Table(("v", "length"), (list(map(name, other.tolist())), self.edge_length[at_inf].tolist())),
             }
         return payload
 
     def to_payload(self) -> dict:
         """Plain-dict form matching the on-disk schema (construction order
         kept): the tables of ``_tables``, each turned into its list of dicts.
-        ``dump_domain`` writes the same tables without building the dicts."""
+        ``canonical_json`` writes these lists dict by dict; ``dump_domain``
+        writes the same bytes from the tables, column by column."""
         payload = self._tables()
         for part in (payload, payload.get("infinity", {})):
             for key, value in part.items():
@@ -655,8 +655,8 @@ def load_domain(path: str) -> GraphSpace:
 
 def dump_domain(space: GraphSpace, path: str) -> None:
     """Write `space` to `path` as canonical JSON: the text of
-    ``canonical_json(space.to_payload())``, written from the space's column
-    tables without building a dict per vertex or edge."""
+    ``canonical_json(space.to_payload())``, written from the ``util.Table``
+    columns of ``_tables`` without building a dict per vertex or edge."""
     from .util import atomic_write_text, canonical_json
 
     atomic_write_text(path, canonical_json(space._tables()))

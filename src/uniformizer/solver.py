@@ -256,6 +256,8 @@ def _minimize(
         raise SolverError(f"p={p:g} must be finite and exceed 1 for the solver")
     if not opts.tol > 0:
         raise SolverError(f"tol={opts.tol:g} must be positive")
+    if opts.max_iter < 1:
+        raise SolverError(f"max_iter={opts.max_iter} must be at least 1")
     nv = graph.n_vertices
     mask = np.ones(nv, dtype=bool) if vertex_mask is None else vertex_mask
     if pins_idx.size == 0:
@@ -784,19 +786,16 @@ def solve_dirichlet_unbounded(
     f: dict,
     at_infinity: float | None = None,
     options: SolveOptions | None = None,
-    max_boundary_diameter: float | None = None,
 ) -> UnboundedSolveResult:
     """Dirichlet solve on a truncated unbounded domain via its dampened form.
 
     Pipeline: transform, attach the point at infinity, pin the boundary data
     (and optionally a value at infinity), minimize, then restrict back to the
     original vertices.  By the exact energy identity the result also
-    minimizes the untransformed truncation energy under the same pins.
+    minimizes the untransformed truncation energy under the same pins.  The
+    boundary diameter must stay within ``transform``'s fixed bound of 64.
     """
-    kwargs = {}
-    if max_boundary_diameter is not None:
-        kwargs["max_boundary_diameter"] = max_boundary_diameter
-    ts = attach_infinity(transform(space, phi, p, **kwargs))
+    ts = attach_infinity(transform(space, phi, p))
     pins = {str(k): float(v) for k, v in f.items()}
     bset = {space.ids[i] for i in space.boundary_indices()}
     extra = set(pins) - bset

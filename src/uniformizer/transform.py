@@ -85,21 +85,21 @@ def _approx_boundary_diameter(space: GraphSpace) -> float:
     return float(np.max(d1[bidx]))
 
 
-def transform(
-    space: GraphSpace,
-    phi: Dampening,
-    p: float,
-    max_boundary_diameter: float = DEFAULT_BOUNDARY_DIAMETER_BOUND,
-) -> TransformedSpace:
-    """Dampened realization of a domain (without the point at infinity)."""
+def transform(space: GraphSpace, phi: Dampening, p: float) -> TransformedSpace:
+    """Dampened realization of a domain (without the point at infinity).
+
+    Only bounded boundaries are supported: a boundary whose approximate
+    diameter exceeds ``DEFAULT_BOUNDARY_DIAMETER_BOUND`` (64) raises
+    TransformError.
+    """
     if not (1 <= p < np.inf):
         raise TransformError(f"transform: p={p:g} must be finite and >= 1")
     if space.infinity_id is not None:
         raise TransformError("transform: space already carries an infinity vertex")
     diam = _approx_boundary_diameter(space)
-    if diam > max_boundary_diameter:
+    if diam > DEFAULT_BOUNDARY_DIAMETER_BOUND:
         raise TransformError(
-            f"transform: boundary diameter ~{diam:g} exceeds bound {max_boundary_diameter:g}; "
+            f"transform: boundary diameter ~{diam:g} exceeds bound {DEFAULT_BOUNDARY_DIAMETER_BOUND:g}; "
             "only bounded boundaries are supported"
         )
     d = space.boundary_distance_array()
@@ -276,18 +276,6 @@ class CodimReport:
     bound: float
     skipped: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-            "spread": self.spread,
-            "bound": self.bound,
-            "skipped": self.skipped,
-            "pass": self.passed,
-            "n_samples": len(self.rows),
-        }
 
 
 def verify_codimensionality(

@@ -29,16 +29,11 @@ coordinates) are written once per distinct value.
 
 Tables are written from columns.  A ``Table`` (keys plus one column per
 key, the form in which a domain hands over its vertex and edge lists) is
-written as its list of records, and a list of dicts that share one key
-sequence is turned into the same column form first.  Each column is
-rendered in one pass, and every record is filled into one template of its
-sorted keys.  A column is one of:
-
-- a flat column, as above;
-- the ``coords`` kind: lists of finite floats that all have one length,
-  whose items fill one nested template with no call per entry;
-- a ``Column.take`` view, which indexes texts rendered once (the vertex
-  ids that edge ends name).
+written as its list of records: each column is rendered in one pass, and
+every record is filled into one template of its sorted keys.  A column is
+a flat column, as above, or the ``coords`` kind: lists of finite floats
+that all have one length, whose items fill one nested template with no
+call per entry.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ import json
 import math
 import os
 import tempfile
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Sequence
 
@@ -57,45 +52,12 @@ import numpy as np
 _INDENT = "  "
 
 
-class Column:
-    """Values that several table columns take entries from, as edge ends
-    take vertex ids.  The writer renders the values once per indentation,
-    however many columns take from them."""
-
-    def __init__(self, values: Sequence):
-        self.values = values
-        self._texts: dict[str, list[str]] = {}
-
-    def take(self, index: Sequence[int]) -> "Take":
-        """The column ``[values[i] for i in index]``."""
-        return Take(self, index)
-
-    def texts(self, nl: str) -> list[str]:
-        """JSON text of each value, written at `nl`."""
-        texts = self._texts.get(nl)
-        if texts is None:
-            values = self.values
-            texts = self._texts[nl] = list(_column(values, set(map(type, values)), nl))
-        return texts
-
-
-class Take:
-    """Table column of the entries ``index`` of a ``Column``."""
-
-    def __init__(self, source: Column, index: Sequence[int]):
-        self.source = source
-        self.index = index
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
 class Table:
     """A list of records held column by column.
 
-    ``keys`` are strings, and ``columns`` holds one column per key, all of
-    one length: a sequence of values or a ``Column.take`` view.  Record i
-    is ``dict(zip(keys, (col[i] for col in columns)))``; ``canonical_json``
+    ``keys`` are strings, and ``columns`` holds one sequence of values per
+    key, all of one length.  Record i is
+    ``dict(zip(keys, (col[i] for col in columns)))``; ``canonical_json``
     writes a table exactly as that list of dicts, which ``rows()`` builds.
     """
 
@@ -104,10 +66,7 @@ class Table:
         self.columns = tuple(columns)
 
     def rows(self) -> list[dict]:
-        cols = [
-            map(c.source.values.__getitem__, c.index) if type(c) is Take else c for c in self.columns
-        ]
-        return [dict(zip(self.keys, vals)) for vals in zip(*cols)]
+        return [dict(zip(self.keys, vals)) for vals in zip(*self.columns)]
 
 
 def jsonable(obj: Any) -> Any:
@@ -203,10 +162,7 @@ def _dict(obj: dict, nl: str) -> str:
 def _list(obj: list | tuple, nl: str) -> str:
     if not obj:
         return "[]"
-    types = set(map(type, obj))
-    if types == {dict}:
-        return _records(obj, nl)
-    return _lines(_column(obj, types, nl + _INDENT), nl)
+    return _lines(_column(obj, set(map(type, obj)), nl + _INDENT), nl)
 
 
 def _lines(items: Iterable[str], nl: str) -> str:
@@ -241,15 +197,13 @@ def _finite_floats(values: Sequence[float]) -> Iterable[str]:
     return map(texts.__getitem__, which.tolist())
 
 
-def _cells(col: Sequence | Take, nl: str) -> tuple[str, list[Iterable[str]]]:
+def _cells(col: Sequence, nl: str) -> tuple[str, list[Iterable[str]]]:
     """One table column written at `nl`: the template of one cell and the
     text streams that fill its ``%s`` slots, row after row.
 
     A column of lists of finite floats that all have one length k > 0 is one
     stream of float texts that fills k slots of a nested template.
     """
-    if type(col) is Take:
-        return "%s", [map(col.source.texts(nl).__getitem__, col.index)]
     types = set(map(type, col))
     if types <= {list, tuple}:
         k = len(col[0])
@@ -280,19 +234,6 @@ def _table(keys: Sequence[str], columns: Sequence, nl: str) -> str:
         streams += texts
     template = "{" + field_nl + ("," + field_nl).join(fields) + inner + "}"
     return _lines(map(template.__mod__, zip(*streams)), nl)
-
-
-def _records(rows: list | tuple, nl: str) -> str:
-    """Text of a list of dicts, its closing line starting with `nl`.
-
-    Dicts that share one nonempty sequence of string keys (a table, like the
-    vertex and edge lists of a domain) are turned into columns and written
-    by ``_table``; other dicts one by one.
-    """
-    keys = tuple(rows[0])
-    if set(map(type, keys)) == {str} and all(map(keys.__eq__, map(tuple, rows))):
-        return _table(keys, [list(map(dict.__getitem__, rows, repeat(k))) for k in keys], nl)
-    return _lines([_dict(r, nl + _INDENT) for r in rows], nl)
 
 
 def config_hash(config: dict) -> str:

@@ -75,7 +75,6 @@ def test_doubling_bound_fails(strip_small):
     rep = analysis.doubling_constant(strip_small.space, centers, [0.5, 1.0], bound=4.0)
     assert not rep.passed
     assert rep.bound == 4.0
-    assert rep.to_dict()["pass"] is False
 
 
 def test_doubling_all_empty_raises(strip_small):

@@ -9,6 +9,9 @@ import json
 import pytest
 
 from uniformizer.cli import run
+from uniformizer.dampening import power
+from uniformizer.graphspace import GraphSpace, dump_domain
+from uniformizer.transform import TransformError, transform
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,27 @@ def test_example_missing_level(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and "--level" in err
+
+
+def test_example_infinite_extent_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = run(["example", "--name", "half_strip", "--h", "0.5", "--H", "inf", "--out", str(out)])
+    _assert_input_error(code, capsys, out, "--H=inf")
+
+
+def test_unbounded_boundary_exits_2(tmp_path, capsys):
+    """A chain of 70 unit edges with both ends on the boundary exceeds the
+    transform's boundary-diameter bound of 64."""
+    ids = [f"x{i}" for i in range(71)]
+    flags = [True] + [False] * 69 + [True]
+    measures = [0.0] + [1.0] * 69 + [0.0]
+    space = GraphSpace(ids, measures, flags, [(a, b, 1.0) for a, b in zip(ids, ids[1:])])
+    with pytest.raises(TransformError, match="boundary diameter ~70 exceeds bound 64"):
+        transform(space, power(2.0), 2.0)
+    domain, out = tmp_path / "chain.json", tmp_path / "out.json"
+    dump_domain(space, str(domain))
+    code = run(["transform", "--domain", str(domain), "--phi", "power:2", "--out", str(out)])
+    _assert_input_error(code, capsys, out, "boundary diameter ~70 exceeds bound 64")
 
 
 def test_validate_phi_exit_codes(capsys):
@@ -205,12 +229,17 @@ def test_solve_rejects_bad_continuation(dom_file, tmp_path, capsys, extra):
         (["classify", "--p", "nan", "--phi", "power:2"], "p=nan"),
         (["classify", "--p", "inf", "--phi", "power:2"], "p=inf"),
         (["transform", "--p", "nan", "--phi", "power:2"], "p=nan"),
+        (["capacity", "--p", "3", "--max-iter", "-5", "--E", "v4_0", "--F", "v4_8"], "max_iter=-5"),
+        (["classify", "--p", "3", "--phi", "power:2", "--max-iter", "0"], "max_iter=0"),
+        (["solve", "--p", "3", "--data", "coord:x", "--max-iter", "0"], "max_iter=0"),
+        (["solve", "--data", "coord:x", "--tol", "inf"], "--tol=inf"),
     ],
 )
 def test_bad_p_tol_and_budget_exit_2(dom_file, tmp_path, capsys, argv, message):
     """A non-finite p, p <= 1 where the solvers need p > 1, a modulus tol
-    outside (0, 1) and a negative path budget are each named in one line,
-    with exit code 2 and no output."""
+    outside (0, 1), a negative path budget, a Newton budget below 1 and a
+    non-finite tol are each named in one line, with exit code 2 and no
+    output."""
     out = tmp_path / "out.json"
     code = run(argv[:1] + ["--domain", dom_file, "--out", str(out)] + argv[1:])
     captured = capsys.readouterr()
@@ -228,11 +257,25 @@ def test_bad_p_tol_and_budget_exit_2(dom_file, tmp_path, capsys, argv, message):
         (["verify", "--check", "besov", "--nu", "NU", "--p", "inf"], "p=inf"),
         (["verify", "--check", "poincare", "--p", "nan"], "p=nan"),
         (["validate-phi", "--phi", "power:2", "--p", "inf"], "p=inf"),
+        (["verify", "--check", "poincare", "--fields", "0"], "--fields=0"),
+        (["verify", "--check", "poincare", "--radii", "nan"], "--radii entry nan"),
+        (["verify", "--check", "doubling", "--radii", "0.5,-1"], "--radii entry -1"),
+        (["verify", "--check", "besov", "--nu", "NU", "--fields", "-1"], "--fields=-1"),
+        (["verify", "--check", "hardy", "--phi", "power:2", "--fields", "0"], "--fields=0"),
+        (["verify", "--check", "doubling", "--samples", "-1"], "--samples=-1"),
+        (["verify", "--check", "doubling", "--bound", "nan"], "--bound=nan"),
+        (["verify", "--check", "uniformity", "--bound", "nan"], "--bound=nan"),
+        (["verify", "--check", "codim", "--nu", "NU", "--bound", "nan"], "--bound=nan"),
+        (["verify", "--check", "exponents", "--expect", "nan"], "--expect=nan"),
+        (["verify", "--check", "exponents", "--expect", "2", "--tol", "inf"], "--tol=inf"),
+        (["verify", "--check", "fatness", "--nu", "NU", "--phi", "power:2", "--floor", "nan"], "--floor=nan"),
     ],
 )
 def test_non_finite_p_in_checks_exits_2(dom_file, nu_file, tmp_path, capsys, argv, message):
     """The Besov and Poincare checks and the dampening validator take a
-    finite p >= 1; nan and inf are bad input, not a passed or failed check."""
+    finite p >= 1; nan and inf are bad input, not a passed or failed check.
+    So are a field or sample count below 1, a radius that is not positive
+    and finite, and a non-finite bound, expected slope, tol or floor."""
     out = tmp_path / "out.json"
     argv = [nu_file if a == "NU" else a for a in argv]
     code = run(argv[:1] + ["--domain", dom_file, "--out", str(out)] + argv[1:])

@@ -9,7 +9,7 @@ import stat
 
 import pytest
 
-from uniformizer.util import Column, Table, atomic_write_text, canonical_json, jsonable
+from uniformizer.util import Table, atomic_write_text, canonical_json, jsonable
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
@@ -30,10 +30,9 @@ def _reference(obj):
 
 
 def test_table_writes_its_rows():
-    names = Column(["a", 'b"', "é"])
     table = Table(
         ("v", "u", "%s", "xy"),
-        (names.take([2, 0, 1, 2]), names.take([0, 0, 1, 1]), [1.5, -0.0, 0.0, 1e300], [[0.0, 1.0]] * 3 + [(2.0, 3.5)]),
+        (["é", "a", 'b"', "é"], ["a", "a", 'b"', 'b"'], [1.5, -0.0, 0.0, 1e300], [[0.0, 1.0]] * 3 + [(2.0, 3.5)]),
     )
     rows = table.rows()
     assert rows[0] == {"v": "é", "u": "a", "%s": 1.5, "xy": [0.0, 1.0]}
