@@ -420,7 +420,7 @@ def _verify_rows(args) -> list[dict]:
     if args.check == "codim":
         m = need_nu()
         radii = _parse_floats(args.radii) if args.radii else default_radii(m.mesh_scale)
-        rep = verify_codimensionality(space, m, radii, spread_bound=args.bound or 16.0)
+        rep = verify_codimensionality(space, m, radii, spread_bound=16.0 if args.bound is None else args.bound)
         add("codim", {"theta": m.theta, "radii": radii}, rep.spread, rep.passed)
     elif args.check == "doubling":
         if args.at_infinity:
@@ -446,7 +446,7 @@ def _verify_rows(args) -> list[dict]:
         fit = mass_exponents(target, centers, radii)
         ok = fit.Q_plus <= fit.Q_minus
         if args.expect is not None:
-            ok = ok and abs(fit.slope - args.expect) <= (args.tol or 0.3)
+            ok = ok and abs(fit.slope - args.expect) <= (0.3 if args.tol is None else args.tol)
         add(
             "exponents",
             {"radii": [float(r) for r in radii], "expect": args.expect},

@@ -10,6 +10,12 @@ here: point-to-point distance, distance to the boundary, and metric balls.
 Distance to the boundary induces the dyadic band decomposition used to grade
 the far field: band 0 is ``{d <= 1}`` and band ``n >= 1`` is
 ``{2^(n-1) < d <= 2^n}``.
+
+Domain files hold the column form of ``GraphSpace.to_payload``: one list per
+key of the vertex, edge and ``infinity.edges`` tables, under
+``"format": 2``.  ``dump_domain`` writes it as one line of compact JSON with
+the stdlib C encoder; ``from_payload`` reads it, and reads the row form (one
+object per vertex and per edge, no ``format`` key) too.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .util import Table
+from .util import atomic_write_text
 
 
 class DomainFormatError(ValueError):
@@ -82,6 +88,13 @@ def _vertex_index(ids: list[str]) -> dict[str, int]:
     return index
 
 
+def _end_indices(index: dict[str, int], ends: Sequence) -> np.ndarray:
+    """Vertex index of each edge end, -1 where it is not a vertex id."""
+    if not set(map(type, ends)).isdisjoint((list, dict)):  # unhashable, so never an id
+        ends = [None if isinstance(e, (list, dict)) else e for e in ends]
+    return np.fromiter(map(index.get, ends, repeat(-1)), dtype=np.int64, count=len(ends))
+
+
 def _edge_arrays(
     index: dict[str, int], us: Sequence, vs: Sequence, lengths: Sequence
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,8 +105,7 @@ def _edge_arrays(
     finite.  They run on whole arrays; the error names the first failing
     edge and, on it, the first failing check.
     """
-    eu = np.fromiter(map(index.get, us, repeat(-1)), dtype=np.int64, count=len(us))
-    ev = np.fromiter(map(index.get, vs, repeat(-1)), dtype=np.int64, count=len(vs))
+    eu, ev = _end_indices(index, us), _end_indices(index, vs)
     el = np.array(lengths, dtype=float)
     unknown = (eu < 0) | (ev < 0)
     loop = eu == ev
@@ -378,64 +390,39 @@ class GraphSpace:
 
     # -- serialization ------------------------------------------------------
 
-    def _tables(self) -> dict:
-        """The on-disk schema with its vertex, edge and ``infinity.edges``
-        lists held as ``util.Table`` columns, built once from the arrays.
-
-        The id column and every edge end are plain lists of id strings.
-        When only some listed vertices carry coordinates, the vertex list is
-        plain dicts, the ones without coordinates lacking the key.
-        """
+    def to_payload(self) -> dict:
+        """The on-disk schema in column form, built from the arrays with
+        construction order kept: one list per key of the vertex, edge and
+        ``infinity.edges`` tables.  A vertex without coordinates has null in
+        ``coords`` when some other vertex has them; the column is left out
+        when none has."""
         inf = self.infinity_index
         name = self.ids.__getitem__
         shown = np.arange(self.n_vertices) != inf
         listed = list(map(name, np.flatnonzero(shown).tolist()))
-        keys = ["id", "measure", "boundary"]
-        cols = [listed, self.measure[shown].tolist(), self.boundary_mask[shown].tolist()]
+        vertices = {
+            "id": listed,
+            "measure": self.measure[shown].tolist(),
+            "boundary": self.boundary_mask[shown].tolist(),
+        }
         coords = [] if self.coords is None else list(map(self.coords.get, listed))
-        present = [c for c in coords if c is not None]
-        if present:
-            keys.append("coords")
-            if len(present) == len(coords) and set(map(type, chain.from_iterable(coords))) == {float}:
-                cols.append(list(map(list, coords)))
-            else:
-                cols.append([None if c is None else list(map(float, c)) for c in coords])
-        vertices = Table(keys, cols)
-        if 0 < len(present) < len(coords):
-            vertices = vertices.rows()
-            for row in vertices:
-                if row["coords"] is None:
-                    del row["coords"]
+        if any(c is not None for c in coords):
+            vertices["coords"] = [None if c is None else list(map(float, c)) for c in coords]
         at_inf = (self.edge_u == inf) | (self.edge_v == inf)
         inner = ~at_inf
-        edges = Table(
-            ("u", "v", "length"),
-            (
-                list(map(name, self.edge_u[inner].tolist())),
-                list(map(name, self.edge_v[inner].tolist())),
-                self.edge_length[inner].tolist(),
-            ),
-        )
-        payload: dict = {"vertices": vertices, "edges": edges}
+        edges = {
+            "u": list(map(name, self.edge_u[inner].tolist())),
+            "v": list(map(name, self.edge_v[inner].tolist())),
+            "length": self.edge_length[inner].tolist(),
+        }
+        payload: dict = {"format": 2, "vertices": vertices, "edges": edges}
         if inf >= 0:
             # the end of each edge at infinity that is not the infinity vertex
             other = (self.edge_u + self.edge_v - inf)[at_inf]
             payload["infinity"] = {
                 "id": self.infinity_id,
-                "edges": Table(("v", "length"), (list(map(name, other.tolist())), self.edge_length[at_inf].tolist())),
+                "edges": {"v": list(map(name, other.tolist())), "length": self.edge_length[at_inf].tolist()},
             }
-        return payload
-
-    def to_payload(self) -> dict:
-        """Plain-dict form matching the on-disk schema (construction order
-        kept): the tables of ``_tables``, each turned into its list of dicts.
-        ``canonical_json`` writes these lists dict by dict; ``dump_domain``
-        writes the same bytes from the tables, column by column."""
-        payload = self._tables()
-        for part in (payload, payload.get("infinity", {})):
-            for key, value in part.items():
-                if isinstance(value, Table):
-                    part[key] = value.rows()
         return payload
 
 
@@ -534,19 +521,53 @@ def _first_offender(where: str, checks: list[tuple[list[bool], str]]) -> None:
         raise DomainFormatError(f"{where}[{k}]: {checks[i][1]}")
 
 
-def _columns(entries: list, keys: tuple[str, ...]) -> tuple[list[dict], list, list[list]]:
-    """Entries as dicts (a non-object as an empty one), the checks every entry
-    starts with (it is an object, it carries each of ``keys``) and the value
-    columns under ``keys`` (None where absent)."""
+_NUMBER = (int, float)
+_ABSENT = object()
+
+
+def _columns(entries: list, keys: tuple[str, ...]) -> tuple[list, list[list]]:
+    """A row-form table (one object per entry) turned into columns: the
+    checks every entry starts with (it is an object, it carries each of
+    ``keys``) and one value column per key, None where absent.
+
+    A ``coords`` key is optional.  Its column is None where an entry lacks
+    it; an explicit null becomes False, so that it still fails the column's
+    value check.
+    """
     is_obj = list(map(isinstance, entries, repeat(dict)))
     rows = entries if all(is_obj) else [e if ok else {} for e, ok in zip(entries, is_obj)]
     checks = [(is_obj, "must be an object")]
-    checks += [(list(map(dict.__contains__, rows, repeat(key))), f"missing '{key}'") for key in keys]
-    return rows, checks, [list(map(dict.get, rows, repeat(key))) for key in keys]
+    cols = []
+    for key in keys:
+        if key == "coords":
+            col = list(map(dict.get, rows, repeat(key), repeat(_ABSENT)))
+            cols.append([None if c is _ABSENT else False if c is None else c for c in col])
+        else:
+            checks.append((list(map(dict.__contains__, rows, repeat(key))), f"missing '{key}'"))
+            cols.append(list(map(dict.get, rows, repeat(key))))
+    return checks, cols
 
 
-_NUMBER = (int, float)
-_ABSENT = object()
+def _column_table(table, where: str, keys: tuple[str, ...]) -> list[list]:
+    """The columns under ``keys`` of a column-form table, checked to be lists
+    of one length.  A ``coords`` column is optional: absent, it is all None."""
+    _require(isinstance(table, dict), where, "must be an object")
+    cols: list[list] = []
+    for key in keys:
+        col = table.get(key, _ABSENT)
+        if col is _ABSENT and key == "coords":
+            col = [None] * len(cols[0])
+        _require(col is not _ABSENT, where, f"missing '{key}'")
+        _require(isinstance(col, list), f"{where}.{key}", "must be a list")
+        if cols and len(col) != len(cols[0]):
+            raise DomainFormatError(f"{where}: '{key}' has {len(col)} entries, '{keys[0]}' has {len(cols[0])}")
+        cols.append(col)
+    return cols
+
+
+def _table_columns(table, where: str, keys: tuple[str, ...], rows: bool) -> tuple[list, list[list]]:
+    """The per-entry checks and the columns of a table in either form."""
+    return _columns(table, keys) if rows else ([], _column_table(table, where, keys))
 
 
 def _numbers(col: list) -> list[bool]:
@@ -560,79 +581,66 @@ def _numbers(col: list) -> list[bool]:
 
 
 def from_payload(payload: dict) -> GraphSpace:
-    """Build a space from the plain-dict schema, with entry-level diagnostics.
+    """Build a space from a domain file's value, with entry-level diagnostics.
 
-    Each entry check runs over the whole list at once; a malformed entry is
-    reported as ``vertices[k]``, ``edges[k]`` or ``infinity.edges[k]`` (the
-    first offender), with the message of the first check it fails.
+    The file is in column form (``"format": 2``: one list per key of each
+    table) or, with no ``format`` key, in row form (one object per vertex and
+    per edge).  ``_columns`` turns a row-form table into columns, with the
+    checks every entry starts with; from there both forms share every check.
+    Each check runs over a whole column at once; a malformed entry is reported
+    as ``vertices[k]``, ``edges[k]`` or ``infinity.edges[k]`` (the first
+    offender), with the message of the first check it fails.
     """
     _require(isinstance(payload, dict), "domain", "top level must be an object")
     _require("vertices" in payload, "domain", "missing 'vertices'")
     _require("edges" in payload, "domain", "missing 'edges'")
-    vlist = payload["vertices"]
-    elist = payload["edges"]
-    _require(isinstance(vlist, list), "vertices", "must be a list")
-    _require(isinstance(elist, list), "edges", "must be a list")
-    rows, checks, (ids, measures, flags) = _columns(vlist, ("id", "measure", "boundary"))
-    coords_col = list(map(dict.get, rows, repeat("coords"), repeat(_ABSENT)))
-    present = [c for c in coords_col if c is not _ABSENT]
-    # one pass over the whole column: the types of the entries, then of
-    # their items (None when some entry is not a plain list)
-    coord_types = set(map(type, chain.from_iterable(present))) if set(map(type, present)) <= {list} else None
+    rows = "format" not in payload
+    if rows:
+        _require(isinstance(payload["vertices"], list), "vertices", "must be a list")
+        _require(isinstance(payload["edges"], list), "edges", "must be a list")
+    else:
+        fmt = payload["format"]
+        _require(type(fmt) is int and fmt == 2, "domain", f"unknown format {fmt!r}")
+    checks, (ids, measures, flags, coords_col) = _table_columns(
+        payload["vertices"], "vertices", ("id", "measure", "boundary", "coords"), rows
+    )
+    edge_checks, (us, vs, lengths) = _table_columns(payload["edges"], "edges", ("u", "v", "length"), rows)
     # a check that holds for the whole column at once adds no flags
     if set(map(type, ids)) != {str} or "" in ids:
         checks.append(([isinstance(x, str) and x != "" for x in ids], "'id' must be a nonempty string"))
-    checks += [
-        (_numbers(measures), "'measure' must be a number"),
-        (list(map(isinstance, flags, repeat(bool))), "'boundary' must be a boolean"),
-    ]
-    if coord_types is None or not coord_types <= {int, float}:
-        checks.append(
-            (
-                [
-                    c is _ABSENT
-                    or (
-                        isinstance(c, list)
-                        and all(map(isinstance, c, repeat(_NUMBER)))
-                        and not any(map(isinstance, c, repeat(bool)))
-                    )
-                    for c in coords_col
-                ],
-                "'coords' must be a list of numbers",
-            )
-        )
+    checks.append((_numbers(measures), "'measure' must be a number"))
+    if set(map(type, flags)) != {bool}:
+        checks.append((list(map(isinstance, flags, repeat(bool))), "'boundary' must be a boolean"))
+    present = [c for c in coords_col if c is not None]
+    if not (set(map(type, present)) <= {list} and set(map(type, chain.from_iterable(present))) <= {int, float}):
+        ok = [c is None or (isinstance(c, list) and all(_numbers(c))) for c in coords_col]
+        checks.append((ok, "'coords' must be a list of numbers"))
     _first_offender("vertices", checks)
-    if len(present) == len(coords_col) and coord_types is not None and coord_types <= {float}:
+    if len(present) == len(coords_col) and set(map(type, chain.from_iterable(present))) <= {float}:
         coords = dict(zip(ids, map(tuple, coords_col)))
     else:
-        coords = {vid: tuple(map(float, c)) for vid, c in zip(ids, coords_col) if c is not _ABSENT}
-    _, checks, (us, vs, lengths) = _columns(elist, ("u", "v", "length"))
-    checks.append((_numbers(lengths), "'length' must be a number"))
-    _first_offender("edges", checks)
+        coords = {vid: tuple(map(float, c)) for vid, c in zip(ids, coords_col) if c is not None}
+    _first_offender("edges", edge_checks + [(_numbers(lengths), "'length' must be a number")])
     infinity_id = None
     if "infinity" in payload:
         inf = payload["infinity"]
         _require(isinstance(inf, dict), "infinity", "must be an object")
         _require("id" in inf and isinstance(inf["id"], str), "infinity", "missing string 'id'")
-        _require("edges" in inf and isinstance(inf["edges"], list), "infinity", "missing 'edges' list")
+        kind = "list" if rows else "object"
+        _require(isinstance(inf.get("edges"), list if rows else dict), "infinity", f"missing 'edges' {kind}")
         infinity_id = inf["id"]
         _require(infinity_id not in set(ids), "infinity", f"id {infinity_id!r} collides with a vertex")
-        rows, checks, (inf_vs, inf_lengths) = _columns(inf["edges"], ("v", "length"))
-        # one message for either key
-        _first_offender(
-            "infinity.edges",
-            [
-                checks[0],
-                ([a and b for a, b in zip(checks[1][0], checks[2][0])], "needs 'v' and 'length'"),
-                (_numbers(inf_lengths), "'length' must be a number"),
-            ],
-        )
-        ids.append(infinity_id)
-        measures.append(0.0)
-        flags.append(False)
-        us += [infinity_id] * len(rows)
-        vs += inf_vs
-        lengths += map(float, inf_lengths)
+        checks, (inf_vs, inf_lengths) = _table_columns(inf["edges"], "infinity.edges", ("v", "length"), rows)
+        if rows:  # one message for either key
+            checks = [checks[0], ([a and b for a, b in zip(checks[1][0], checks[2][0])], "needs 'v' and 'length'")]
+        _first_offender("infinity.edges", checks + [(_numbers(inf_lengths), "'length' must be a number")])
+        # new lists: the payload's own columns stay as the caller gave them
+        ids = ids + [infinity_id]
+        measures = measures + [0.0]
+        flags = flags + [False]
+        us = us + [infinity_id] * len(inf_vs)
+        vs = vs + inf_vs
+        lengths = lengths + inf_lengths
     eu, ev, el = _edge_arrays(_vertex_index(ids), us, vs, lengths)
     return GraphSpace.from_arrays(
         ids, measures, flags, eu, ev, el, coords=coords or None, infinity_id=infinity_id
@@ -654,9 +662,6 @@ def load_domain(path: str) -> GraphSpace:
 
 
 def dump_domain(space: GraphSpace, path: str) -> None:
-    """Write `space` to `path` as canonical JSON: the text of
-    ``canonical_json(space.to_payload())``, written from the ``util.Table``
-    columns of ``_tables`` without building a dict per vertex or edge."""
-    from .util import atomic_write_text, canonical_json
-
-    atomic_write_text(path, canonical_json(space._tables()))
+    """Write `space` to `path` as one line of compact, ASCII, key-sorted JSON
+    in column form (``GraphSpace.to_payload``), by the stdlib C encoder."""
+    atomic_write_text(path, json.dumps(space.to_payload(), sort_keys=True, separators=(",", ":")) + "\n")

@@ -26,3 +26,22 @@ def strip_small():
 def cone_small():
     """Slit cone at h = 1/2 truncated at height 16 (1,221 vertices)."""
     return domains.slit_cone(0.5, 16.0)
+
+
+def row_payload(space) -> dict:
+    """The row form of a domain file: one object per vertex and per edge, a
+    vertex without coordinates lacking the ``coords`` key, and no ``format``
+    key.  Built from the column form that ``to_payload`` gives."""
+    columns = space.to_payload()
+
+    def rows(table: dict) -> list[dict]:
+        return [dict(zip(table, values)) for values in zip(*table.values())]
+
+    vertices = rows(columns["vertices"])
+    for vertex in vertices:
+        if "coords" in vertex and vertex["coords"] is None:
+            del vertex["coords"]
+    payload = {"vertices": vertices, "edges": rows(columns["edges"])}
+    if "infinity" in columns:
+        payload["infinity"] = {"id": columns["infinity"]["id"], "edges": rows(columns["infinity"]["edges"])}
+    return payload

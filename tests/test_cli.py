@@ -40,7 +40,8 @@ def nu_file(tmp_path_factory):
 def test_example_output(dom_file, capsys, tmp_path):
     with open(dom_file) as fh:
         payload = json.load(fh)
-    assert len(payload["vertices"]) == 585
+    assert payload["format"] == 2
+    assert len(payload["vertices"]["id"]) == 585
     nu_path = tmp_path / "nu.json"
     code = run(
         [
@@ -114,7 +115,7 @@ def test_transform_infinity_toggle(dom_file, tmp_path):
     body_without = json.loads(without.read_text())
     # the extra vertex rides in its own block; the base vertex list is shared
     assert body_with["infinity"]["id"] == "infinity"
-    assert all(e["length"] > 0 for e in body_with["infinity"]["edges"])
+    assert all(length > 0 for length in body_with["infinity"]["edges"]["length"])
     assert "infinity" not in body_without
     assert body_with["vertices"] == body_without["vertices"]
 
@@ -327,6 +328,34 @@ def test_verify_exit_codes_and_csv(dom_file, tmp_path, capsys):
     assert "pass=False" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def coarse_strip(tmp_path_factory):
+    """``half_strip --h 0.5 --H 8`` and its boundary measure, written by the CLI."""
+    path = tmp_path_factory.mktemp("coarse")
+    domain, nu = str(path / "strip.json"), str(path / "nu.json")
+    assert run(["example", "--name", "half_strip", "--h", "0.5", "--H", "8", "--out", domain, "--nu", nu]) == 0
+    return domain, nu
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--check", "codim", "--nu", "NU"], 0),
+        (["--check", "codim", "--nu", "NU", "--bound", "0"], 1),
+        (["--check", "exponents", "--expect", "1.4"], 0),
+        (["--check", "exponents", "--expect", "1.4", "--tol", "0"], 1),
+        (["--check", "exponents", "--expect", "2", "--tol", "0"], 1),
+    ],
+    ids=["codim-default", "codim-bound-0", "exponents-default", "exponents-tol-0", "exponents-expect-2-tol-0"],
+)
+def test_zero_bound_and_tol_are_honoured(coarse_strip, capsys, argv, code):
+    """A zero ``--bound`` (codim spread, 1.4 here) or ``--tol`` (slope
+    1.37 here) is a bound, not a request for the default (16 and 0.3)."""
+    domain, nu = coarse_strip
+    assert run(["verify", "--domain", domain] + [nu if a == "NU" else a for a in argv]) == code
+    assert f"pass={code == 0}" in capsys.readouterr().out
+
+
 def test_report_merge(dom_file, tmp_path):
     good = tmp_path / "good.json"
     bad = tmp_path / "bad.json"
@@ -370,9 +399,9 @@ def test_report_determinism_modulo_timestamp(dom_file, tmp_path):
 # Digests of the README pipeline's outputs on half_strip --h 0.5 --H 8.  A
 # change that moves a byte of a domain file or of a solve body fails here.
 PIPELINE_DIGESTS = {
-    "domain.json": "3a2536c979ef9ac39ff3b87f6c8129ba9a1939eae796c631d9263f9cfd63a3c7",
+    "domain.json": "16724edaf49493baae8fba5d3c0fdec969d71356ec972dc21877e7f64b3d453e",
     "nu.json": "1d8dfacd2492a7a7d13dcd120d772de36ff7ca830485fe3116f964850e654769",
-    "dampened.json": "006e96b51bd860f302c0ebe6099f028814698bbd4108d805e6ef6020b039c60b",
+    "dampened.json": "c52c00c7f7b0f53b8ef7c488bea4530adf1ba83751b23dc50a8ea6ff54d8ff75",
     "sol.json": "2502c75a157c98c97617856bdd31d1d600c6451f6b795fda0dd9561e303fc992",
     "sol_phi.json": "42fa728981d4bdaf1021a6522d655aee6b36990a389a7bfb3fc6af8a46440607",
 }
@@ -518,13 +547,64 @@ def test_bad_side_inputs_exit_2(dom_file, tmp_path, capsys, side, argv, message)
 def test_coord_data_needs_coords_on_every_boundary_vertex(dom_file, tmp_path, capsys):
     with open(dom_file) as fh:
         payload = json.load(fh)
-    vertex = next(v for v in payload["vertices"] if v["boundary"])
-    del vertex["coords"]
+    vertices = payload["vertices"]
+    k = vertices["boundary"].index(True)
+    vertices["coords"][k] = None
     domain = tmp_path / "domain.json"
     domain.write_text(json.dumps(payload))
     out = tmp_path / "out.json"
     code = run(["solve", "--domain", str(domain), "--data", "coord:x", "--out", str(out)])
-    _assert_input_error(code, capsys, out, f"boundary vertex {vertex['id']!r} has no x coordinate")
+    _assert_input_error(code, capsys, out, f"boundary vertex {vertices['id'][k]!r} has no x coordinate")
+
+
+def _shorten(table: str, key: str):
+    return lambda p: p[table][key].pop()
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda p: p.update(format=3), "domain: unknown format 3"),
+        (lambda p: p.update(format="2"), "domain: unknown format '2'"),
+        (lambda p: p.update(vertices=[]), "vertices: must be an object"),
+        (lambda p: p["edges"].pop("u"), "edges: missing 'u'"),
+        (lambda p: p["vertices"].update(measure={"v0_0": 0.0}), "vertices.measure: must be a list"),
+        (lambda p: p["vertices"].update(coords="xy"), "vertices.coords: must be a list"),
+        (lambda p: p["edges"].update(length=None), "edges.length: must be a list"),
+        (lambda p: p["edges"]["u"].__setitem__(3, ["x"]), "edges[3]: unknown endpoint ['x'] or"),
+        (lambda p: p["edges"]["v"].__setitem__(3, {}), "edges[3]: unknown endpoint"),
+        (_shorten("vertices", "boundary"), "vertices: 'boundary' has 584 entries, 'id' has 585"),
+        (_shorten("vertices", "coords"), "vertices: 'coords' has 584 entries, 'id' has 585"),
+        (_shorten("edges", "length"), "edges: 'length' has 1095 entries, 'u' has 1096"),
+        (
+            lambda p: p.update(infinity={"id": "inf", "edges": [{"v": "v0_0", "length": 1.0}]}),
+            "infinity: missing 'edges' object",
+        ),
+        (
+            lambda p: p.update(infinity={"id": "inf", "edges": {"v": ["v0_1"], "length": 1.0}}),
+            "infinity.edges.length: must be a list",
+        ),
+        (
+            lambda p: p.update(infinity={"id": "inf", "edges": {"v": ["v0_1", "v1_1"], "length": [1.0]}}),
+            "infinity.edges: 'length' has 1 entries, 'v' has 2",
+        ),
+    ],
+    ids=["format-3", "format-string", "vertices-list", "missing-column", "measure-object", "coords-string",
+         "length-null", "endpoint-list", "endpoint-object", "boundary-short", "coords-short", "length-short",
+         "infinity-edges-list", "infinity-length-number", "infinity-length-short"],
+)
+def test_bad_column_form_domain_exits_2(dom_file, tmp_path, capsys, mutate, message):
+    """A column-form domain file with an unknown format, a column that is
+    not a list, columns of unequal length or an edge end that is a JSON
+    array or object: exit 2 and one line naming the table and key."""
+    with open(dom_file) as fh:
+        payload = json.load(fh)
+    mutate(payload)
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    code = run(["solve", "--domain", str(domain), "--data", "const:1", "--out", str(out)])
+    _assert_input_error(code, capsys, out, message)
 
 
 @pytest.mark.parametrize(

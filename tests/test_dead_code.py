@@ -1,9 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private name is read somewhere in the package.
 
-``__init__.py`` is skipped: it imports only to re-export.  The one allowed
-exception is ``solver``'s ``minimize`` and ``spsolve``: nothing in the
-package calls them, but ``bench/spans.py`` wraps them by name as the
-solver module sees them, so they stay imported there.
+The import check skips ``__init__.py``: it imports only to re-export.
+The one allowed exception is ``solver``'s ``minimize`` and ``spsolve``:
+nothing in the package calls them, but ``bench/spans.py`` wraps them by
+name as the solver module sees them, so they stay imported there.
 """
 
 from __future__ import annotations
@@ -38,3 +39,38 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == UNUSED_ON_PURPOSE.get(path.stem, set())
+
+
+def unread_private_names(sources: dict[str, str]) -> set[str]:
+    """``module._name`` for each module-level private name (one leading
+    underscore, bound by an assignment, def or class) that no Name node and
+    no attribute of any of `sources` (module name -> text) reads."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined |= {(module, n) for n in names if n.startswith("_") and not n.startswith("__")}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return {f"{module}.{name}" for module, name in defined if name not in read}
+
+
+def test_unread_private_names_are_found():
+    sources = {"a": "_A = 1\n_B: int = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n", "b": "x = 1\n"}
+    assert unread_private_names(sources) == {"a._B", "a._f", "a._C"}
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == set()

@@ -29,7 +29,7 @@ from uniformizer.graphspace import (
     shortest_route,
 )
 from uniformizer.transform import attach_infinity, transform
-from uniformizer.util import jsonable
+from conftest import row_payload
 
 
 def cycle_space() -> GraphSpace:
@@ -351,7 +351,7 @@ def test_duplicate_vertex_id_rejected():
     ],
 )
 def test_payload_diagnostics_name_the_offender(mutate, fragment):
-    payload = cycle_space().to_payload()
+    payload = row_payload(cycle_space())
     mutate(payload)
     with pytest.raises(DomainFormatError, match=fragment):
         from_payload(payload)
@@ -538,7 +538,7 @@ FIRST_OFFENDER_CASES = [
     [pytest.param(mutate, message, id=name) for name, mutate, message in FIRST_OFFENDER_CASES],
 )
 def test_payload_diagnostics_name_the_first_offender(mutate, message):
-    payload = cycle_space().to_payload()
+    payload = row_payload(cycle_space())
     mutate(payload)
     with pytest.raises(DomainFormatError) as info:
         from_payload(payload)
@@ -570,7 +570,7 @@ def test_payload_survives_json_text_round_trip(strip_small):
 
 
 def test_integer_coords_load_as_floats():
-    payload = cycle_space().to_payload()
+    payload = row_payload(cycle_space())
     for v, c in zip(payload["vertices"], ([0, 1], [1.5, 0], [2, 2], [0, 3.0])):
         v["coords"] = c
     space = from_payload(payload)
@@ -579,7 +579,7 @@ def test_integer_coords_load_as_floats():
 
 
 def _int_coords_from_file(tmp_path):
-    payload = cycle_space().to_payload()
+    payload = row_payload(cycle_space())
     for k, v in enumerate(payload["vertices"]):
         v["coords"] = [k, -k]
     path = tmp_path / "int_coords.json"
@@ -597,24 +597,96 @@ def _with_coords(coords, ids=("a", "b", "c", "d")):
     )
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda tmp: cycle_space(),
-        lambda tmp: _with_coords({"b": (1.0, 2.0), "d": (0, 0.5)}),
-        lambda tmp: _with_coords({v: (1.0, -0.0, 2.5 * k) for k, v in enumerate("abcd")}),
-        _int_coords_from_file,
-        lambda tmp: attach_infinity(transform(domains.half_strip(0.25, 8).space, power(2.0), 2.0)),
+DUMP_INPUTS = [
+    pytest.param(lambda tmp: cycle_space(), id="no-coords"),
+    pytest.param(lambda tmp: _with_coords({"b": (1.0, 2.0), "d": (0, 0.5)}), id="some-coords"),
+    pytest.param(lambda tmp: _with_coords({v: (1.0, -0.0, 2.5 * k) for k, v in enumerate("abcd")}), id="3d-coords"),
+    pytest.param(_int_coords_from_file, id="int-coords-file"),
+    pytest.param(
+        lambda tmp: attach_infinity(transform(domains.half_strip(0.25, 8).space, power(2.0), 2.0)), id="infinity"
+    ),
+    pytest.param(
         lambda tmp: _with_coords(
             {"\u00e9t\u00e9": (0.5, 1.0), "a%s": (1.0, 1.0), 'q"\\': (2.0, 0.0), "\U0001d4b3": (3.0, 0.0)},
             ids=("\u00e9t\u00e9", "a%s", 'q"\\', "\U0001d4b3"),
         ),
-    ],
-    ids=["no-coords", "some-coords", "3d-coords", "int-coords-file", "infinity", "non-ascii-id"],
-)
+        id="non-ascii-id",
+    ),
+]
+
+
+@pytest.mark.parametrize("make", DUMP_INPUTS)
 def test_dump_domain_writes_json_dumps_bytes(tmp_path, make):
-    """The column writer gives the bytes of json.dumps on the plain payload."""
+    """A domain file is the compact json.dumps text of the column form."""
     space = make(tmp_path)
     path = tmp_path / "out.json"
     dump_domain(space, str(path))
-    assert path.read_text() == json.dumps(jsonable(space.to_payload()), sort_keys=True, indent=2) + "\n"
+    assert path.read_text() == json.dumps(space.to_payload(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_text().isascii()
+
+
+@pytest.mark.parametrize("make", DUMP_INPUTS)
+def test_row_form_loads_as_its_column_form(tmp_path, make):
+    space = make(tmp_path)
+    rows, columns = from_payload(row_payload(space)), from_payload(space.to_payload())
+    assert rows.ids == columns.ids == space.ids
+    assert rows.coords == columns.coords
+    assert rows.infinity_id == columns.infinity_id == space.infinity_id
+    for name in ("measure", "boundary_mask", "edge_u", "edge_v", "edge_length"):
+        np.testing.assert_array_equal(getattr(rows, name), getattr(columns, name))
+        np.testing.assert_array_equal(getattr(rows, name), getattr(space, name))
+
+
+def _columns_of(entries, keys: tuple[str, ...]) -> dict | None:
+    """A row-form table in column form, or None when some entry is not an
+    object holding every key of ``keys``."""
+    if not (isinstance(entries, list) and all(isinstance(e, dict) and set(keys) <= e.keys() for e in entries)):
+        return None
+    table = {k: [e[k] for e in entries] for k in keys}
+    if any("coords" in e for e in entries):
+        table["coords"] = [e.get("coords") for e in entries]
+    return table
+
+
+def _as_columns(payload: dict) -> dict | None:
+    """The column form of a row-form payload, or None when only the row
+    form can hold it."""
+    columns = dict(payload, format=2)
+    tables = [(columns, "vertices", ("id", "measure", "boundary")), (columns, "edges", ("u", "v", "length"))]
+    if isinstance(payload.get("infinity"), dict):
+        columns["infinity"] = dict(payload["infinity"])
+        tables.append((columns["infinity"], "edges", ("v", "length")))
+    for part, name, keys in tables:
+        part[name] = _columns_of(part.get(name), keys)
+        if part[name] is None:
+            return None
+    return columns
+
+
+def _value_level(mutate) -> bool:
+    payload = row_payload(cycle_space())
+    mutate(payload)
+    return _as_columns(payload) is not None
+
+
+VALUE_LEVEL_CASES = [case for case in FIRST_OFFENDER_CASES if _value_level(case[1])]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [pytest.param(mutate, message, id=name) for name, mutate, message in VALUE_LEVEL_CASES],
+)
+def test_column_form_names_the_same_first_offender(mutate, message):
+    """A value-level mutation of the rows, turned into columns, gives the
+    row form's message."""
+    payload = row_payload(cycle_space())
+    mutate(payload)
+    with pytest.raises(DomainFormatError) as info:
+        from_payload(_as_columns(payload))
+    assert str(info.value) == message
+
+
+def test_value_level_cases_cover_every_column_check():
+    names = {case[0] for case in VALUE_LEVEL_CASES}
+    assert {"vertex-id", "vertex-measure-bool", "vertex-boundary", "vertex-coords", "edge-length-type",
+            "duplicate-edge", "infinity-edge-length-bool", "infinity-collision"} <= names

@@ -1,4 +1,4 @@
-"""Atomic file writes and the canonical JSON writer's tables."""
+"""Atomic file writes and the canonical JSON writer."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import stat
 
 import pytest
 
-from uniformizer.util import Table, atomic_write_text, canonical_json, jsonable
+from uniformizer.util import atomic_write_text, canonical_json, jsonable
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
@@ -29,23 +29,12 @@ def _reference(obj):
     return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-def test_table_writes_its_rows():
-    table = Table(
-        ("v", "u", "%s", "xy"),
-        (["é", "a", 'b"', "é"], ["a", "a", 'b"', 'b"'], [1.5, -0.0, 0.0, 1e300], [[0.0, 1.0]] * 3 + [(2.0, 3.5)]),
-    )
-    rows = table.rows()
-    assert rows[0] == {"v": "é", "u": "a", "%s": 1.5, "xy": [0.0, 1.0]}
-    assert jsonable(table) == jsonable(rows)
-    assert canonical_json({"t": table, "empty": Table(("u",), ([],))}) == _reference({"t": rows, "empty": []})
-
-
 @pytest.mark.parametrize(
     "column",
     [
         [0.0, -0.0] * 20,  # repeated floats: 0.0 and -0.0 keep their own text
         [0.25] * 30 + [1e-320, 0.1 + 0.2],
-        [[1.0, -0.0]] * 12 + [[0.5, 2.0]],  # coords: one nested template
+        [[1.0, -0.0]] * 12 + [[0.5, 2.0]],  # coordinate pairs
         [[1.0, 2.0], [3.0]],  # lengths differ
         [[1.0, 2], [3.0, 4.0]],  # an int among the items
         [[1.0, math.nan], [3.0, 4.0]],
@@ -54,7 +43,4 @@ def test_table_writes_its_rows():
     ids=["signed-zeros", "repeats", "coords", "ragged", "int-item", "nan-item", "empty-lists"],
 )
 def test_column_kinds_write_json_dumps_bytes(column):
-    rows = [{"c": value, "k": k} for k, value in enumerate(column)]
-    table = Table(("c", "k"), (column, list(range(len(column)))))
-    assert canonical_json(table) == canonical_json(rows) == _reference(rows)
     assert canonical_json(column) == _reference(column)
