@@ -15,12 +15,14 @@
 * ``capacity``: condenser capacity as the energy of the equilibrium
   potential (pins 1 on E, 0 on F, restricted to U).
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
-  generation.  Each restricted program is solved through its smooth
+  generation, started from a greedy path decomposition of the capacity
+  flow (the optimal path multipliers through an edge sum to p times that
+  flow).  Each restricted program is solved through its smooth
   Lagrangian dual by projected Newton on a dense path matrix with one row
   per generated path and one column per edge those paths use.  A round
   that only produces the next cut stops its dual at KKT 1e-3 times the
   violation of the last admitted path; the loop ends after a solve to KKT
-  1e-11 and one more route, whose dual value is returned as a lower bound.
+  1e-12 and one more route, whose dual value is returned as a lower bound.
 * ``capacity_of_infinity``: shell condenser around the added point of a
   transformed space; the probe behind parabolicity classification.
 * ``solve_dirichlet_unbounded``: transform, attach infinity, pin boundary
@@ -535,11 +537,20 @@ def _capacity(
     return CapacityResult(value=res.energy, potential=res.u, solve=res)
 
 
-_DUAL_KKT_TOL = 1e-11
+# KKT tolerance of the closing restricted solve.  The ridge on H makes a
+# Newton step miss by about 1e-10 of its length, so a solve that starts a few
+# percent off the optimum (as flow-seeded multipliers do) can meet 1e-11
+# after one step at a KKT of a few 1e-12, leaving value and lower that far
+# apart; 1e-12 asks for the next step.
+_DUAL_KKT_TOL = 1e-12
 # An intermediate restricted solve only has to produce the next cut: it
 # stops at a KKT residual of this factor times the violation 1 - cost of
 # the route that admitted the newest path (never below _DUAL_KKT_TOL).
 _LOOSE_KKT_FACTOR = 1e-3
+# Paths the capacity-flow seed may admit beside the first route: with 60
+# the windowed criterion-3 cases lose 40-97% of their rounds, with 20 only
+# 15-33%.
+_SEED_PATHS = 60
 
 
 def _restricted_dual(
@@ -622,6 +633,57 @@ def _restricted_dual(
     return lam, r, D, kkt_residual(lam, g)
 
 
+def _flow_paths(
+    space: GraphSpace,
+    u: np.ndarray,
+    conductance: np.ndarray,
+    E_idx: np.ndarray,
+    F_idx: np.ndarray,
+    p: float,
+    k: int,
+) -> list:
+    """Greedy path decomposition of the capacity flow c |du|^(p-1), which
+    runs from high to low potential u: up to k walks, each from E along the
+    largest remaining outgoing flow until it reaches F, less its bottleneck.
+    Returns (sorted edge ids, amount) per walk.  An edge with a NaN end
+    (outside U) carries no flow, and a walk that meets a dead end ends the
+    decomposition.  Every step lowers u, so no walk can cycle."""
+    n = space.n_vertices
+    eu, ev = space.edge_u, space.edge_v
+    du = u[eu] - u[ev]
+    flow = conductance * np.abs(du) ** (p - 1.0)
+    # one slot per edge with flow, directed downhill and grouped by its tail
+    edge = np.nonzero(flow > 0)[0]
+    down = du[edge] > 0
+    tail = np.where(down, eu[edge], ev[edge])
+    order = np.argsort(tail, kind="stable")
+    edge, tail, down = edge[order], tail[order], down[order]
+    head = np.where(down, ev[edge], eu[edge])
+    start = np.searchsorted(tail, np.arange(n + 1))
+    left = flow[edge]
+    at_E = np.zeros(n, dtype=bool)
+    at_E[E_idx] = True
+    at_F = np.zeros(n, dtype=bool)
+    at_F[F_idx] = True
+    from_E = np.nonzero(at_E[tail])[0]
+    paths: list = []
+    slots, trail = from_E, []
+    while len(paths) < k:
+        if slots.size == 0 or left[slots].max() <= 0:
+            break
+        slot = slots[np.argmax(left[slots])]
+        trail.append(slot)
+        v = head[slot]
+        if at_F[v]:
+            amount = float(left[trail].min())
+            left[trail] -= amount
+            paths.append((np.sort(edge[trail]), amount))
+            slots, trail = from_E, []
+        else:
+            slots = np.arange(start[v], start[v + 1])
+    return paths
+
+
 def modulus(
     space,
     cond: Condenser,
@@ -631,27 +693,37 @@ def modulus(
 ) -> ModulusResult:
     """p-modulus of the family of E-F paths inside U by constraint generation.
 
-    Maintains an active path set (seeded with the shortest E-F path by
-    length), solves the restricted program through its Lagrangian dual, then
-    adds the most rho-violated path found by Dijkstra under rho*length
-    weights, until the shortest path carries rho-length >= 1 - tol.
+    Maintains an active path set, solves the restricted program through
+    its Lagrangian dual, then adds the most rho-violated path found by
+    Dijkstra under rho*length weights, until the shortest path carries
+    rho-length >= 1 - tol.
+
+    The set starts with the shortest E-F path by length, at its one-path
+    optimum multiplier, and with a greedy decomposition of the capacity
+    flow c |du|^(p-1) into at most min(60, max_paths - 1) further E-F
+    paths, each at p times its share of the flow (``_flow_paths``; at the
+    optimum the multipliers of the paths through an edge sum to p times its
+    flow).  This costs one capacity solve, made only when the budget leaves
+    room for a second path and after the checks that no costed E-F path
+    exists (flags ``zero-cost-connection`` and ``no-path``); the flags of
+    that solve are not reported.  The seed only moves the start: a wrong
+    seed costs rounds, not accuracy.
 
     The dual is maximized by projected Newton (``_restricted_dual``) over
-    one multiplier per path, warm-started from the previous round: the first
-    path starts at its one-path optimum, each new path at 1e-3 of the
-    largest multiplier.  A round's solve only has to yield the next cut, so
-    it stops at a KKT residual of max(1e-11, 1e-3 v), v = 1 - cost of the
-    route that admitted the newest path (1 before the first route).  When
-    a route meets the tolerance, returns a path already held, or the path
-    budget is spent, the dual is solved again from the current multipliers
-    to KKT 1e-11 and routed once more before the loop ends; so a stall is
-    a held path found after a tight solve.  ``value`` is the energy sum
-    m rho^p of the returned density; ``lower`` is the dual value, which by
-    weak duality bounds the modulus of the full family from below for any
-    multipliers.  Both come from that closing tight solve; the flag
-    ``unconverged`` says it stopped above KKT 1e-11 (iteration cap or a
-    failed line search), so ``lower`` is a dual value but not the
-    restricted optimum.
+    one multiplier per path, warm-started from the previous round; each new
+    path starts at 1e-3 of the largest multiplier.  A round's solve only has
+    to yield the next cut, so it stops at a KKT residual of max(1e-12,
+    1e-3 v), v = 1 - cost of the route that admitted the newest path (1
+    before the first route).  When a route meets the tolerance, returns a
+    path already held, or the path budget is spent, the dual is solved again
+    from the current multipliers to KKT 1e-12 and routed once more before
+    the loop ends; so a stall is a held path found after a tight solve.
+    ``value`` is the energy sum m rho^p of the returned density; ``lower``
+    is the dual value, which by weak duality bounds the modulus of the full
+    family from below for any multipliers.  Both come from that closing
+    tight solve; the flag ``unconverged`` says it stopped above KKT 1e-12
+    (iteration cap or a failed line search), so ``lower`` is a dual value
+    but not the restricted optimum.
 
     Edges with zero mass are free for the minimization: they carry
     rho = 1/length at zero cost, so any path using one is satisfied a
@@ -715,14 +787,26 @@ def modulus(
         n_paths += 1
 
     add_path(np.unique(epath))
+    # the one-path optimum: rho = (lam l / (p m))^(1/(p-1)) has rho-length 1
+    a0 = A[0, : used.size]
+    lam = [float(a0 @ (a0 / (p * masses[used])) ** (1.0 / (p - 1.0))) ** (1.0 - p)]
+    # the flow seed: at the optimum the multipliers of the paths through an
+    # edge sum to p times its capacity flow, so a decomposition of that flow
+    # starts the loop near its end
+    k = min(_SEED_PATHS, max_paths - 1)
+    if k > 0:
+        u = _capacity(space, E_idx, F_idx, p, None, in_U).potential
+        conductance = np.where(costed, masses / ln**p, 0.0)
+        for edges, amount in _flow_paths(space, u, conductance, E_idx, F_idx, p, k):
+            if edges.tobytes() not in seen:
+                add_path(edges)
+                lam.append(p * amount)
+    lam = np.array(lam)
     m_u = masses[used]
     # routing weights rho * length, kept in place: every costed edge outside
     # `used` has rho = 0, and a freebie's rho-length is 1
     w = np.where(costed, 0.0, np.inf)
     w[freebie] = 1.0
-    # the one-path optimum: rho = (lam l / (p m))^(1/(p-1)) has rho-length 1
-    a0 = A[0, : used.size]
-    lam = np.array([float(a0 @ (a0 / (p * m_u)) ** (1.0 / (p - 1.0))) ** (1.0 - p)])
     violation = 1.0
     while True:
         kkt_tol = max(_DUAL_KKT_TOL, _LOOSE_KKT_FACTOR * violation)

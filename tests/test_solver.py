@@ -680,6 +680,185 @@ def test_modulus_closes_on_a_tight_restricted_solve(monkeypatch):
     assert tolerances == [solver._LOOSE_KKT_FACTOR, solver._DUAL_KKT_TOL]
 
 
+def cone_condenser(space) -> Condenser:
+    """Criterion 3's slit-cone condenser: v0_2 to v0_6 inside window 2.5."""
+    E, F = ["v0_2"], ["v0_6"]
+    d = space.multi_source_distances([space.index[v] for v in E + F])
+    return Condenser(E=E, F=F, U=[space.ids[i] for i in np.nonzero(d <= 2.5)[0]])
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_condenser_modulus_rounds(cone_small, monkeypatch, p):
+    """The flow seed starts the cutting planes near their end: criterion 3's
+    slit-cone condenser takes at most 10 restricted dual solves (3 and 2
+    measured; 90 and 76 when the loop starts from one path)."""
+    exact = solver._restricted_dual
+    rounds: list = []
+
+    def counting(*args):
+        rounds.append(args[-1])
+        return exact(*args)
+
+    monkeypatch.setattr(solver, "_restricted_dual", counting)
+    res = modulus(cone_small.space, cone_condenser(cone_small.space), p, tol=1e-6, max_paths=400)
+    assert res.flags == []
+    assert len(rounds) <= 10
+
+
+@pytest.mark.parametrize("wrong", ["permuted", "distance", "shuffled"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_modulus_does_not_trust_its_seed(cone_small, monkeypatch, p, wrong):
+    """The seed only picks the starting paths: ``value`` and ``lower`` come
+    from the loop's own routing stop and closing tight solve.  Seeded from a
+    wrong potential (a permutation of the capacity potential, whose walks
+    die at once, or the distance ratio d_F / (d_E + d_F), whose walks reach
+    F by other paths) or with the right paths at wrong multipliers, the
+    modulus still returns the unseeded value, so it stays an independent
+    check of the capacity."""
+    space = cone_small.space
+    cond = cone_condenser(space)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_flow_paths", lambda *args: [])
+        unseeded = modulus(space, cond, p, tol=1e-6, max_paths=400)
+    rng = np.random.default_rng(7)
+    capacity_solve, decompose = solver._capacity, solver._flow_paths
+    seeded: list = []
+
+    def wrong_potential(graph, E_idx, F_idx, *args):
+        res = capacity_solve(graph, E_idx, F_idx, *args)
+        u = res.potential
+        if wrong == "permuted":
+            u = rng.permutation(u)
+        else:
+            d_E = graph.multi_source_distances(E_idx)
+            d_F = graph.multi_source_distances(F_idx)
+            u = np.where(np.isnan(u), np.nan, d_F / (d_E + d_F))
+        return solver.CapacityResult(value=res.value, potential=u, solve=res.solve)
+
+    def recording(*args):
+        paths = decompose(*args)
+        if wrong == "shuffled":
+            amounts = rng.permutation([a for _, a in paths]) * 10.0 ** rng.uniform(-3, 3, len(paths))
+            paths = [(edges, a) for (edges, _), a in zip(paths, amounts)]
+        seeded.extend(paths)
+        return paths
+
+    if wrong != "shuffled":
+        monkeypatch.setattr(solver, "_capacity", wrong_potential)
+    monkeypatch.setattr(solver, "_flow_paths", recording)
+    res = modulus(space, cond, p, tol=1e-6, max_paths=400)
+    assert (len(seeded) == 0) == (wrong == "permuted")
+    assert unseeded.flags == []
+    assert res.flags == []
+    assert res.value == pytest.approx(unseeded.value, rel=1e-9)
+    assert res.lower == pytest.approx(unseeded.lower, rel=1e-9)
+
+
+@pytest.mark.parametrize("max_paths", [0, 1, 2, 5])
+def test_modulus_seed_keeps_the_path_budget(monkeypatch, max_paths):
+    """The seed admits at most max_paths - 1 paths beside the first route,
+    and below two paths it solves no capacity at all."""
+    exact = solver._capacity
+    solves: list = []
+
+    def counting(*args):
+        solves.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(solver, "_capacity", counting)
+    cond = Condenser(E=["g0_0", "g0_1", "g0_2"], F=["g3_0", "g3_1", "g3_2"])
+    res = modulus(grid_space(4, 3), cond, 2.0, max_paths=max_paths)
+    assert res.paths_used <= max(max_paths, 1)
+    assert "path-budget" in res.flags
+    assert len(solves) == (1 if max_paths >= 2 else 0)
+
+
+def massless_bridge() -> GraphSpace:
+    """Boundary vertices a - b - c, joined by edges of zero mass, and an
+    interior vertex d hanging off b."""
+    return GraphSpace(
+        ["a", "b", "c", "d"], [0.0, 0.0, 0.0, 1.0], [True, True, True, False],
+        [("a", "b", 1.0), ("b", "c", 1.0), ("b", "d", 1.0)],
+    )
+
+
+@pytest.mark.parametrize(
+    "make_space, cond, flag",
+    [
+        # U holds only the plates, so no edge joins them
+        (lambda: grid_space(3, 3), Condenser(E=["g0_0"], F=["g2_2"], U=["g0_0", "g2_2"]), "no-path"),
+        (massless_bridge, Condenser(E=["a"], F=["c"]), "zero-cost-connection"),
+    ],
+    ids=["no-path", "zero-cost-connection"],
+)
+def test_modulus_early_returns_solve_no_capacity(monkeypatch, make_space, cond, flag):
+    def refuse(*args):
+        raise AssertionError("capacity solved before an early return")
+
+    monkeypatch.setattr(solver, "_capacity", refuse)
+    res = modulus(make_space(), cond, 2.0)
+    assert res.flags == [flag]
+    assert res.paths_used == 0
+
+
+def test_modulus_seed_flags_do_not_leak(monkeypatch):
+    """Flags of the seed's capacity solve say nothing about the modulus."""
+    exact = solver._capacity
+
+    def flagged(*args):
+        res = exact(*args)
+        res.solve.flags.append("unconverged")
+        return res
+
+    monkeypatch.setattr(solver, "_capacity", flagged)
+    cond = Condenser(E=["g0_0", "g0_1", "g0_2"], F=["g3_0", "g3_1", "g3_2"])
+    assert modulus(grid_space(4, 3), cond, 2.0, tol=1e-9).flags == []
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_flow_paths_decompose_the_capacity_flow(cone_small, p):
+    """Each walk is a simple path from E to F inside U, and on criterion 3's
+    slit-cone condenser 55 walks take up the whole flow out of E."""
+    space = cone_small.space
+    E_idx, F_idx, in_U = solver._condenser_indices(space, cone_condenser(space))
+    u = solver._capacity(space, E_idx, F_idx, p, None, in_U).potential
+    c = edge_mass(space) / space.edge_length**p
+    paths = solver._flow_paths(space, u, c, E_idx, F_idx, p, 60)
+    assert len(paths) == 55
+    eu, ev = space.edge_u, space.edge_v
+    for edges, amount in paths:
+        assert amount > 0
+        assert in_U[eu[edges]].all() and in_U[ev[edges]].all()
+        # a simple path: interior vertices meet two of its edges, its ends one
+        degree = np.bincount(np.concatenate([eu[edges], ev[edges]]), minlength=space.n_vertices)
+        ends = np.nonzero(degree == 1)[0]
+        assert degree.max() <= 2
+        assert ends.size == 2 and np.isin(ends, E_idx).sum() == 1 and np.isin(ends, F_idx).sum() == 1
+    inside = in_U[eu] & in_U[ev]
+    at_E = np.isin(eu, E_idx) | np.isin(ev, E_idx)
+    out_E = float((c * np.abs(u[eu] - u[ev]) ** (p - 1))[inside & at_E].sum())
+    assert sum(amount for _, amount in paths) == pytest.approx(out_E, rel=1e-12)
+
+
+def test_flow_paths_end_quietly_at_a_dead_end():
+    """A walk that meets a vertex without outgoing flow (the field is no
+    capacity potential) ends the decomposition, and the walks completed
+    before it are kept; an edge with a NaN end (outside U) carries no flow."""
+    space = grid_space(3, 2)  # g0_0 - g1_0 - g2_0 below g0_1 - g1_1 - g2_1
+    E_idx, F_idx = np.array([0]), np.array([2])
+    c = np.ones(space.n_edges)
+    # g0_0 -> g1_0 -> g2_0 carries 0.5; the next walk enters g0_1, a sink
+    u = np.array([1.0, 0.5, 0.0, 0.8, 0.9, 0.9])
+    assert [a for _, a in solver._flow_paths(space, u, c, E_idx, F_idx, 2.0, 5)] == [0.5]
+    # g1_0 outside U: its edges carry no flow, so the one walk goes round it
+    u = np.array([1.0, np.nan, 0.0, 0.75, 0.5, 0.25])
+    [(edges, amount)] = solver._flow_paths(space, u, c, E_idx, F_idx, 2.0, 5)
+    assert amount == 0.25
+    assert 1 not in np.concatenate([space.edge_u[edges], space.edge_v[edges]])
+    u[3] = np.nan  # g0_1 too: no flow leaves E
+    assert solver._flow_paths(space, u, c, E_idx, F_idx, 2.0, 5) == []
+
+
 # ---------------------------------------------------------------------------
 # unbounded solves and capacity at infinity
 
