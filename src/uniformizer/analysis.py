@@ -174,17 +174,14 @@ def mass_exponents(space, centers: list, radii: list) -> ExponentFit:
     )
 
 
-def q_beta(p: float, beta: float, q_mu) -> tuple[float, float]:
+def q_beta(p: float, beta: float, q_mu: tuple[float, float]) -> tuple[float, float]:
     """Induced far-field exponents of the dampened measure.
 
     Q_beta_minus = (beta p - Q_plus) / (beta - 1) and
     Q_beta_plus = (beta p - Q_minus) / (beta - 1); requires beta > 1 and
-    beta p > Q_minus.  Accepts an ExponentFit or a (Q_minus, Q_plus) pair.
+    beta p > Q_minus.  ``q_mu`` is the base measure's (Q_minus, Q_plus) pair.
     """
-    if hasattr(q_mu, "Q_minus"):
-        qm, qp = float(q_mu.Q_minus), float(q_mu.Q_plus)
-    else:
-        qm, qp = float(q_mu[0]), float(q_mu[1])
+    qm, qp = float(q_mu[0]), float(q_mu[1])
     if beta <= 1:
         raise AnalysisError(f"beta={beta:g} must exceed 1")
     if beta * p <= qm:
@@ -255,23 +252,13 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> dict:
     return {"slope": float(coef[0]), "residual": res}
 
 
-def _log_law_fit(L: np.ndarray, y: np.ndarray) -> dict:
-    """Fit y against log L for the borderline law cap ~ [log(R/r)]^s.
-
-    The asymptotic exponent emerges only once log(R/r) dominates the O(1)
-    effective-scale transient, so callers probing the borderline case should
-    start the shell sweep deep enough (k_start) that L = log(R/r) is a few
-    units; the slope then stabilizes near the true exponent."""
-    return _line_fit(np.log(L), y)
-
-
 def classify_parabolicity(
     t: TransformedSpace,
     p: float,
     n_shells: int = 4,
     k_start: int = 2,
     options: SolveOptions | None = None,
-    theory_fit=None,
+    theory_fit: ExponentFit | None = None,
 ) -> ParabolicityReport:
     """Classify the far end by the decay of shell capacities around infinity.
 
@@ -318,8 +305,13 @@ def classify_parabolicity(
     with np.errstate(divide="ignore"):
         y = np.log(caps_arr)
     power_fit = _line_fit(np.log(rs), y) if np.isfinite(y).all() else {"slope": math.inf, "residual": 0.0}
+    # The borderline law cap ~ [log(R/r)]^s: y against log L, L = log(R/r).
+    # The asymptotic exponent emerges only once log(R/r) dominates the O(1)
+    # effective-scale transient, so a sweep probing the borderline case
+    # should start deep enough (k_start) that L is a few units; the slope
+    # then stabilizes near the true exponent.
     log_fit = (
-        _log_law_fit(np.log(R / rs), y)
+        _line_fit(np.log(np.log(R / rs)), y)
         if np.isfinite(y).all()
         else {"slope": -math.inf, "residual": 0.0}
     )
@@ -340,8 +332,8 @@ def classify_parabolicity(
     if theory_fit is not None:
         if t.phi.kind != "power":
             raise AnalysisError("theory prediction requires power dampening")
-        qbm, qbp = q_beta(p, t.phi.beta, theory_fit)
-        qp = theory_fit.Q_plus if hasattr(theory_fit, "Q_plus") else theory_fit[1]
+        qp = theory_fit.Q_plus
+        qbm, qbp = q_beta(p, t.phi.beta, (theory_fit.Q_minus, qp))
         theory = {
             "Q_beta_minus": qbm,
             "Q_beta_plus": qbp,
@@ -433,7 +425,6 @@ def boundary_fatness(
     centers: list,
     radii: list,
     floor: float = 1e-6,
-    options: SolveOptions | None = None,
 ) -> FatnessReport:
     """Relative capacity density of boundary balls in the dampened metric.
 
@@ -468,7 +459,7 @@ def boundary_fatness(
             if not F_sel.any():
                 skipped.append({"center": c, "r": r, "reason": "degenerate-shell"})
                 continue
-            cap = _capacity(t, np.nonzero(E_sel)[0], np.nonzero(F_sel)[0], p, options).value
+            cap = _capacity(t, np.nonzero(E_sel)[0], np.nonzero(F_sel)[0], p, None).value
             ratio = cap * r ** (p - nu.theta) / nu_ball
             rows.append({"center": c, "r": r, "cap": cap, "nu_ball": nu_ball, "ratio": ratio})
     if not rows:

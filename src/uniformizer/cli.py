@@ -163,8 +163,6 @@ def _boundary_data(spec: str, space: GraphSpace) -> dict:
                 raise DomainFormatError(f"boundary vertex {v!r} has no {spec[6:]} coordinate")
         return {v: float(space.coords[v][axis]) for v in bids}
     raw = read_json(spec)
-    if isinstance(raw, dict) and "values" in raw:
-        raw = raw["values"]
     if not isinstance(raw, dict):
         raise DomainFormatError(f"{spec}: boundary data must be a JSON object")
     for k, num in zip(raw, _numbers(list(raw.values()))):
@@ -463,9 +461,9 @@ def _verify_rows(args) -> list[dict]:
         fields = random_smooth_fields(target, args.fields, seed)
         centers = sample_interior(target, args.samples, seed + 1)
         radii = _parse_floats(args.radii) if args.radii else [1.0, 2.0]
-        rep = poincare_check(target, args.p, centers, radii, fields, lam=2.0)
+        rep = poincare_check(target, args.p, centers, radii, fields)
         ok = np.isfinite(rep.C_P) and (args.bound is None or rep.C_P <= args.bound)
-        add("poincare", {"lambda": 2.0, "n_fields": args.fields}, rep.C_P, ok)
+        add("poincare", {"lambda": rep.lam, "n_fields": args.fields}, rep.C_P, ok)
     elif args.check == "hardy":
         ts = need_ts()
         fields = random_smooth_fields(space, args.fields, seed)
@@ -597,10 +595,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--E", required=True, help="comma list of vertex ids or @file.json")
         p.add_argument("--F", required=True)
         p.add_argument("--U", default=None)
-        p.add_argument("--tol", type=float, default=1e-6)
         if name == "modulus":
+            p.add_argument("--tol", type=float, default=1e-6)
             p.add_argument("--max-paths", type=int, default=200)
         else:
+            # None keeps SolveOptions' tol, so the value is capacity()'s
+            p.add_argument("--tol", type=float, default=None)
             p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(func=fn)

@@ -251,8 +251,9 @@ class PhiValidationReport:
         }
 
 
-def _dyadic_range(phi: Dampening, j_lo: int, j_hi: int) -> tuple[int, int, bool]:
-    """Clamp a dyadic exponent range to the tabulated sample range if needed."""
+def _dyadic_range(phi: Dampening, j_hi: int) -> tuple[int, bool]:
+    """Clamp the top of a dyadic exponent range to the tabulated sample
+    range if needed; returns the top and whether it was clamped."""
     limited = False
     if phi.kind == "tabulated":
         hi_t = phi.samples[-1][0]
@@ -260,7 +261,7 @@ def _dyadic_range(phi: Dampening, j_lo: int, j_hi: int) -> tuple[int, int, bool]
         if j_max - 1 < j_hi:
             j_hi = j_max - 1
             limited = True
-    return j_lo, j_hi, limited
+    return j_hi, limited
 
 
 def validate(
@@ -298,12 +299,12 @@ def validate(
         flags.append("tail-divergent")
 
     # conditions (3) and (4): dyadic halving ratios
-    j_lo, j_hi, limited = _dyadic_range(phi, -2, n_max - 1)
+    j_hi, limited = _dyadic_range(phi, n_max - 1)
     if limited:
         flags.append("range-limited")
     ratios = []
     ratios_ge1 = []
-    for j in range(j_lo, j_hi + 1):
+    for j in range(-2, j_hi + 1):
         t = 2.0**j
         a = float(edge_weight(phi, t))
         b = float(edge_weight(phi, 2.0 * t))
@@ -319,7 +320,7 @@ def validate(
     passes["4"] = tau_emp > 2.0
 
     # condition (5): sum_{n >= m} 2^n phi(2^n) comparable to the first term
-    _, n_hi, _ = _dyadic_range(phi, 1, n_max)
+    n_hi, _ = _dyadic_range(phi, n_max)
     terms = np.array([2.0**n * float(edge_weight(phi, 2.0**n)) for n in range(1, n_hi + 1)])
     tail5 = 0.0
     if phi.kind == "power" and phi.beta > 1:

@@ -123,20 +123,22 @@ class PoincareReport:
         return max(ratios) if ratios else 0.0
 
 
-def poincare_check(
-    space, p: float, centers: list, radii: list, fields, lam: float = 2.0
-) -> PoincareReport:
+# the inflation factor of the Poincare check's gradient ball
+POINCARE_LAMBDA = 2.0
+
+
+def poincare_check(space, p: float, centers: list, radii: list, fields) -> PoincareReport:
     """Empirical constant for the ball Poincare inequality.
 
     For each (center, r, field): compare the mean oscillation of u over
     B(center, r) against r times the p-mean of the gradient over the
-    inflated ball B(center, lam r).  Balls are open and weighted by the
-    vertex measure; zero-measure balls are skipped and flagged.
+    inflated ball B(center, lam r), lam = ``POINCARE_LAMBDA``.  Balls are
+    open and weighted by the vertex measure; zero-measure balls are skipped
+    and flagged.
     """
     if not (1 <= p < np.inf):
         raise EnergyError(f"p={p:g} must be finite and >= 1")
-    if lam < 1:
-        raise EnergyError(f"lambda={lam:g} must be >= 1")
+    lam = POINCARE_LAMBDA
     masses = edge_mass(space)
     report = PoincareReport(p=p, lam=lam)
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
@@ -239,13 +241,14 @@ def riesz_potential(space: GraphSpace, u, domain: list) -> tuple[dict, list]:
 # Besov boundary norm
 
 
-def besov_norm(space: GraphSpace, nu: BoundaryMeasure, f, alpha: float, p: float) -> float:
+def besov_norm(space: GraphSpace, nu: BoundaryMeasure, f: dict, alpha: float, p: float) -> float:
     """Boundary smoothness norm from a weighted double sum of differences.
 
     norm^p = sum over ordered boundary pairs x != y of
     |f(y)-f(x)|^p / (d(x,y)^{alpha p} nu(B(x, d(x,y)))) nu(x) nu(y),
-    with d the path metric of the ambient space and open balls.  Returns the
-    p-th root (homogeneous of degree 1 in f).
+    with d the path metric of the ambient space and open balls.  ``f`` maps
+    vertex ids to values and must hold every id that nu weights.  Returns
+    the p-th root (homogeneous of degree 1 in f).
     """
     if not (0 < alpha < 1):
         raise EnergyError(f"alpha={alpha:g} must lie in (0, 1)")
@@ -256,10 +259,7 @@ def besov_norm(space: GraphSpace, nu: BoundaryMeasure, f, alpha: float, p: float
     if idx.size < 2:
         return 0.0
     w = nu_vec[idx]
-    if isinstance(f, dict):
-        vals = np.array([float(f[space.ids[i]]) for i in idx])
-    else:
-        vals = field_array(space, f)[idx]
+    vals = np.array([float(f[space.ids[i]]) for i in idx])
     D = space.distance_rows(idx)[:, idx]
     total = 0.0
     for i in range(idx.size):
@@ -293,16 +293,15 @@ class TraceReport:
     def as_dict(self) -> dict:
         return dict(zip(self.ids, self.values))
 
-    def nu_weighted_error(self, nu: BoundaryMeasure, f) -> float:
-        """nu-weighted mean of |Tu - f| over resolved boundary vertices."""
+    def nu_weighted_error(self, nu: BoundaryMeasure, f: dict) -> float:
+        """nu-weighted mean of |Tu - f| over resolved boundary vertices;
+        ``f`` maps vertex ids to values."""
         num = 0.0
         den = 0.0
-        fmap = f if isinstance(f, dict) else None
         for vid, val in zip(self.ids, self.values):
             if not np.isfinite(val) or vid not in nu.nu:
                 continue
-            target = fmap[vid] if fmap is not None else f(vid)
-            num += nu.nu[vid] * abs(val - target)
+            num += nu.nu[vid] * abs(val - f[vid])
             den += nu.nu[vid]
         if den == 0:
             raise EnergyError("no resolved boundary vertices carry weight")

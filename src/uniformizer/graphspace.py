@@ -134,9 +134,9 @@ class GraphSpace:
 
     Vertices and edges keep their construction order throughout; all arrays
     are aligned with that order, which is what makes serialized output
-    byte-stable.  ``infinity_id`` marks the single added point used by
-    dampened (transformed) spaces; it is exempt from the measure-positivity
-    rule but from nothing else.
+    byte-stable.  ``infinity_id`` (set through ``from_arrays``) marks the
+    single added point used by dampened (transformed) spaces; it is exempt
+    from the measure-positivity rule but from nothing else.
 
     The edge-mass slot holds one mass per edge.  ``from_arrays(edge_mass=...)``
     fills it with explicit masses (the dampened ones of a transform);
@@ -151,9 +151,8 @@ class GraphSpace:
         boundary_flags: Sequence[bool],
         edges: Sequence[tuple[str, str, float]],
         coords: dict[str, tuple[float, ...]] | None = None,
-        infinity_id: str | None = None,
     ):
-        self._set_vertices(ids, measures, boundary_flags, infinity_id)
+        self._set_vertices(ids, measures, boundary_flags, None)
         us, vs, lengths = zip(*[(u, v, ln) for u, v, ln in edges]) if len(edges) else ((), (), ())
         self.edge_u, self.edge_v, self.edge_length = _edge_arrays(self.index, us, vs, lengths)
         self._finish_init(coords)
@@ -358,12 +357,12 @@ class GraphSpace:
         """Path distances from each source (rows, in the given order) to every vertex."""
         return self._search(np.asarray(sources, dtype=np.int64))
 
-    def multi_source_distances(self, sources: Sequence[int], limit: float | None = None) -> np.ndarray:
+    def multi_source_distances(self, sources: Sequence[int]) -> np.ndarray:
         """Distance to the nearest of several source vertices, for every vertex."""
         idx = np.unique(np.asarray(sources, dtype=np.int64))
         if idx.size == 0:
             raise ValueError("multi_source_distances: empty source set")
-        return self._search(idx, limit, min_only=True)
+        return self._search(idx, min_only=True)
 
     def boundary_distance_array(self) -> np.ndarray:
         if self._boundary_distance is None:

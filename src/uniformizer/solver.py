@@ -55,6 +55,11 @@ class SolverError(ValueError):
     pass
 
 
+# the default eps ladder's factor, and its floor (see SolveOptions)
+EPS_FACTOR = 1e-3
+EPS_FLOOR = 1e-10
+
+
 @dataclass
 class SolveOptions:
     """Newton continuation settings.
@@ -62,22 +67,18 @@ class SolveOptions:
     ``tol`` is the stop test at the final eps level (relative energy drop
     per Newton step); every earlier level stops below ``sqrt(tol)``.  For
     p != 2 the final level also waits for a Newton step of at most
-    ``eps_floor_factor * range``, where range is the spread of the pinned
-    values.  The default schedule is ``range * eps_factor**k`` for
-    k = 0..K, K the smallest k with ``eps_factor**k <=
-    eps_floor_factor`` (both factors lie in (0, 1)), so its last eps is
-    1e-12 * range by default; its leading levels whose eps is at least
-    the initial iterate's largest edge difference are dropped (always
-    eps = range).  A passed ``eps_schedule`` is used verbatim (nonempty,
-    finite, and positive for p != 2); ``eps_floor_factor`` is checked for
-    every p != 2 solve, as the final level's step stop reads it.
+    ``EPS_FLOOR * range`` (1e-10 of the spread of the pinned values).  The
+    default schedule is ``range * EPS_FACTOR**k`` for k = 0..4, down to
+    the first power at or below EPS_FLOOR, so its last eps is 1e-12 * range;
+    its leading levels whose eps is at least the initial iterate's largest
+    edge difference are dropped (always eps = range).  A passed
+    ``eps_schedule`` is used verbatim (nonempty, finite, and positive for
+    p != 2).
     """
 
     tol: float = 1e-12
     max_iter: int = 500
     eps_schedule: list | None = None
-    eps_factor: float = 1e-3
-    eps_floor_factor: float = 1e-10
     init: str = "harmonic"
 
 
@@ -250,7 +251,7 @@ def _minimize(
     since an intermediate iterate only warm-starts the next level; the
     returned residual is the last level's drop.  The last level of a
     p != 2 solve also needs a step t max|delta| of at most
-    eps_floor_factor * range.  The exact line search takes a slope within
+    EPS_FLOOR * range.  The exact line search takes a slope within
     round-off of its terms as the root.  All linear solves share one
     _NewtonSystem, refactored per Newton step for p != 2 and once at p = 2.
     """
@@ -270,9 +271,6 @@ def _minimize(
         raise SolverError("pinned values must be finite")
     lo, hi = float(pins_val.min()), float(pins_val.max())
     rng = hi - lo
-    # the last level's step stop reads it, whichever schedule is used
-    if p != 2 and not 0 < opts.eps_floor_factor < 1:
-        raise SolverError(f"eps_floor_factor={opts.eps_floor_factor:g} must lie in (0, 1)")
     if opts.eps_schedule is not None:
         schedule = [float(e) for e in opts.eps_schedule]
         if not schedule:
@@ -284,13 +282,7 @@ def _minimize(
     elif p == 2:
         schedule = [0.0]
     else:
-        if not 0 < opts.eps_factor < 1:
-            raise SolverError(f"eps_factor={opts.eps_factor:g} must lie in (0, 1)")
-        # the first power of eps_factor at or below eps_floor_factor; a log
-        # ratio that is an integer up to round-off adds no level
-        ratio = np.log(opts.eps_floor_factor) / np.log(opts.eps_factor)
-        n_steps = int(np.ceil(ratio - 1e-9))
-        schedule = [rng * opts.eps_factor**k for k in range(n_steps + 1)]
+        schedule = [rng * EPS_FACTOR**k for k in range(5)]
 
     eu, ev, ln = graph.edge_u, graph.edge_v, graph.edge_length
     e_active = mask[eu] & mask[ev]
@@ -396,7 +388,7 @@ def _minimize(
         # difference is about 0, which the energy barely sees.
         last = level == len(schedule) - 1
         stop_tol = opts.tol if last else opts.tol**0.5
-        step_tol = opts.eps_floor_factor * rng if last and p != 2 else np.inf
+        step_tol = EPS_FLOOR * rng if last and p != 2 else np.inf
         F_fixed = _psi_sum(a_fixed, d_fixed, p, eps)
         while True:
             if iterations >= opts.max_iter:

@@ -120,8 +120,9 @@ def transform(space: GraphSpace, phi: Dampening, p: float) -> TransformedSpace:
     return ts
 
 
-def attach_infinity(ts: TransformedSpace, infinity_id: str = INFINITY_ID) -> TransformedSpace:
-    """Add the point at infinity, joined to the outermost distance band.
+def attach_infinity(ts: TransformedSpace) -> TransformedSpace:
+    """Add the point at infinity (id ``INFINITY_ID``), joined to the
+    outermost distance band.
 
     Each outer-band vertex v gets an edge of length ``integral of phi over
     (d(v), infinity)`` -- the dampened length of the remaining radial ray.
@@ -129,8 +130,8 @@ def attach_infinity(ts: TransformedSpace, infinity_id: str = INFINITY_ID) -> Tra
     """
     if ts.infinity_attached:
         raise TransformError("attach_infinity: already attached")
-    if infinity_id in ts.base.index:
-        raise TransformError(f"attach_infinity: id {infinity_id!r} collides with a vertex")
+    if INFINITY_ID in ts.base.index:
+        raise TransformError(f"attach_infinity: id {INFINITY_ID!r} collides with a vertex")
     space = ts.base
     bands = space.bands()
     outer = np.nonzero((bands.band_index == bands.n_max) & space.interior_mask)[0]
@@ -152,14 +153,14 @@ def attach_infinity(ts: TransformedSpace, infinity_id: str = INFINITY_ID) -> Tra
     np.add.at(S, edge_v, edge_length)
     inf_masses = tail * measures[outer] / S[outer]
     out = TransformedSpace.from_arrays(
-        list(space.ids) + [infinity_id],
+        list(space.ids) + [INFINITY_ID],
         measures,
         np.append(space.boundary_mask, False),
         edge_u,
         edge_v,
         edge_length,
         coords=space.coords,
-        infinity_id=infinity_id,
+        infinity_id=INFINITY_ID,
         edge_mass=np.concatenate([edge_mass(ts), inf_masses]),
     )
     out.base, out.phi, out.p, out.edge_rep_dist = space, ts.phi, ts.p, ts.edge_rep_dist
@@ -282,23 +283,19 @@ def verify_codimensionality(
     space: GraphSpace,
     nu: BoundaryMeasure,
     radii: list[float],
-    centers: list[str] | None = None,
     spread_bound: float = 16.0,
 ) -> CodimReport:
     """Check nu(ball)*r^theta against interior mass mu(ball) across scales.
 
     ratio(center, r) = nu(B(c,r) on the boundary) * r^theta / mu(B(c,r) in the
     interior), balls inclusive of radius.  Passes when max/min ratio over the
-    sampled centers and radii stays within spread_bound.  The default centers
-    are the boundary vertices, thinned to a fixed 48 evenly spaced in index
+    sampled centers and radii stays within spread_bound.  The centers are
+    the boundary vertices, thinned to a fixed 48 evenly spaced in index
     order when there are more.
     """
-    if centers is None:
-        cidx = space.boundary_indices()
-        if cidx.size > 48:
-            cidx = cidx[np.linspace(0, cidx.size - 1, 48).astype(int)]
-    else:
-        cidx = [space.index[c] for c in centers]
+    cidx = space.boundary_indices()
+    if cidx.size > 48:
+        cidx = cidx[np.linspace(0, cidx.size - 1, 48).astype(int)]
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] <= 0:
         raise TransformError("verify_codimensionality: radii must be positive")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from typing import Any
@@ -35,17 +36,10 @@ def jsonable(obj: Any) -> Any:
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if np.isnan(f):
-            return "nan"
-        if np.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 

@@ -28,6 +28,14 @@ def cone_small():
     return domains.slit_cone(0.5, 16.0)
 
 
+def fine_ladder(data: dict) -> list[float]:
+    """A fine reference eps ladder for boundary data ``data``: the data
+    range times 0.3**k for k = 0..20, down to about 3.5e-11 of the range."""
+    values = [float(v) for v in data.values()]
+    rng = max(values) - min(values)
+    return [rng * 0.3**k for k in range(21)]
+
+
 def row_payload(space) -> dict:
     """The row form of a domain file: one object per vertex and per edge, a
     vertex without coordinates lacking the ``coords`` key, and no ``format``

@@ -546,9 +546,8 @@ def test_criterion_12_dirichlet_at_infinity(cone128):
     g = domains.half_strip(0.25, 64.0).space
     f = _bottom_data(g)
     first = solve_dirichlet_unbounded(g, power(2.0), 3.0, f)
-    second = solve_dirichlet_unbounded(
-        g, power(2.0), 3.0, f, options=SolveOptions(init="flat", eps_factor=0.3)
-    )
+    fine = SolveOptions(init="flat", eps_schedule=conftest.fine_ladder(f))
+    second = solve_dirichlet_unbounded(g, power(2.0), 3.0, f, options=fine)
     unique_gap = float(np.max(np.abs(first.u - second.u)))
 
     # hyperbolic side: the value at infinity is a genuine extra degree of

@@ -10,7 +10,8 @@ import pytest
 
 from uniformizer.cli import run
 from uniformizer.dampening import power
-from uniformizer.graphspace import GraphSpace, dump_domain
+from uniformizer.graphspace import GraphSpace, dump_domain, load_domain
+from uniformizer.solver import Condenser, capacity
 from uniformizer.transform import TransformError, transform
 
 
@@ -144,6 +145,20 @@ def test_capacity_value(dom_file, capsys):
     assert code == 0
     assert out.startswith("capacity: ")
     assert float(out.split()[1]) == pytest.approx(0.35333532999822276, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_capacity_report_equals_the_api_value(dom_file, tmp_path, p):
+    """Without --tol, ``capacity`` solves with SolveOptions' defaults, so its
+    report holds exactly what ``capacity()`` returns."""
+    out = tmp_path / "cap.json"
+    argv = [
+        "capacity", "--domain", dom_file, "--p", str(p),
+        "--E", "v4_0,v4_1", "--F", "v4_8,v4_9", "--out", str(out),
+    ]
+    assert run(argv) == 0
+    cond = Condenser(E=["v4_0", "v4_1"], F=["v4_8", "v4_9"])
+    assert json.loads(out.read_text())["value"] == capacity(load_domain(dom_file), cond, p).value
 
 
 def test_modulus_value_and_budget(dom_file, tmp_path):
@@ -525,6 +540,8 @@ def test_boundary_measure_interior_id_exits_2(dom_file, nu_file, tmp_path, capsy
     [
         ({"v4_0": None}, ["solve", "--data", "SIDE"], "value of 'v4_0' must be a number"),
         ({"v4_0": 0.0, "v4_1": True}, ["solve", "--data", "SIDE"], "value of 'v4_1' must be a number"),
+        # a solve report is not a data file
+        ({"values": {"v4_0": 0.0}}, ["solve", "--data", "SIDE"], "value of 'values' must be a number"),
         ([[0.5, 1.0], [2.0, None]], ["solve", "--data", "const:1", "--phi", "tabulated:SIDE"],
          "samples[1] must be a [number, number] pair"),
         ({"a": 1}, ["solve", "--data", "const:1", "--phi", "tabulated:SIDE"],
@@ -532,8 +549,8 @@ def test_boundary_measure_interior_id_exits_2(dom_file, nu_file, tmp_path, capsy
         (None, ["verify", "--check", "doubling", "--at-infinity"], "--at-infinity requires --phi"),
         (None, ["verify", "--check", "exponents", "--at-infinity"], "--at-infinity requires --phi"),
     ],
-    ids=["data-null", "data-bool", "tabulated-null", "tabulated-object", "doubling-at-infinity",
-         "exponents-at-infinity"],
+    ids=["data-null", "data-bool", "data-report", "tabulated-null", "tabulated-object",
+         "doubling-at-infinity", "exponents-at-infinity"],
 )
 def test_bad_side_inputs_exit_2(dom_file, tmp_path, capsys, side, argv, message):
     side_file = tmp_path / "side.json"

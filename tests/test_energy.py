@@ -229,7 +229,7 @@ def test_poincare_check_bounded_on_strip(strip_small):
     space = strip_small.space
     fields = random_smooth_fields(space, count=3, seed=2)
     centers = ["v4_8", "v2_24", "v6_40"]
-    rep = poincare_check(space, 2.0, centers, [0.5, 1.0], fields, lam=2.0)
+    rep = poincare_check(space, 2.0, centers, [0.5, 1.0], fields)
     assert rep.rows
     ratios = [row["ratio"] for row in rep.rows]
     assert all(np.isfinite(r) for r in ratios)

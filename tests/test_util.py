@@ -7,6 +7,7 @@ import math
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from uniformizer.util import atomic_write_text, canonical_json, jsonable
@@ -44,3 +45,62 @@ def _reference(obj):
 )
 def test_column_kinds_write_json_dumps_bytes(column):
     assert canonical_json(column) == _reference(column)
+
+
+def test_canonical_json_edge_cases_exact_text():
+    """numpy scalars become plain values, non-finite floats (numpy or
+    Python, in arrays too) become strings, -0.0 keeps its sign, tuples
+    become lists and dict keys become strings."""
+    obj = {
+        "f32": np.float32(0.1),
+        "i64": np.int64(-7),
+        "b": np.bool_(True),
+        "pyb": False,
+        "nan": math.nan,
+        "f64nan": np.float64("nan"),
+        "inf": np.float64("inf"),
+        "ninf": -math.inf,
+        "nz": -0.0,
+        "arr": np.array([[1.5, np.nan], [-np.inf, -0.0]]),
+        "empty": np.array([]),
+        "nested": [(), [[]], {}],
+        "tup": (1, np.float32(2.5), "s"),
+        3: "int key",
+    }
+    expected = """{
+  "3": "int key",
+  "arr": [
+    [
+      1.5,
+      "nan"
+    ],
+    [
+      "-inf",
+      -0.0
+    ]
+  ],
+  "b": true,
+  "empty": [],
+  "f32": 0.10000000149011612,
+  "f64nan": "nan",
+  "i64": -7,
+  "inf": "inf",
+  "nan": "nan",
+  "nested": [
+    [],
+    [
+      []
+    ],
+    {}
+  ],
+  "ninf": "-inf",
+  "nz": -0.0,
+  "pyb": false,
+  "tup": [
+    1,
+    2.5,
+    "s"
+  ]
+}
+"""
+    assert canonical_json(obj) == expected
