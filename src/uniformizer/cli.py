@@ -303,6 +303,8 @@ def cmd_solve(args) -> int:
 
 
 def _condenser_setup(args):
+    if args.with_infinity and not args.phi:
+        raise SolverError("--with-infinity requires --phi (the dampened pipeline)")
     space = load_domain(args.domain)
     target = space
     if args.phi:

@@ -2,8 +2,8 @@
 
 Edge upper gradients, length-share edge masses, p-energies, and the
 inequality checkers built on them: Poincare, weighted-integrability (Hardy
-type), Riesz potentials, Besov boundary norms, ball-average traces, and the
-boundary oscillation (Adams type) estimate.
+type), Besov boundary norms, ball-average traces, and the boundary
+oscillation (Adams type) estimate.
 
 Every space carries one edge-mass slot.  A dampened realization fills it
 with the transform's masses, ``m(e) * phi(dbar_e)^p``, so that the chain rule
@@ -31,12 +31,7 @@ class EnergyError(ValueError):
 
 
 def field_array(space: GraphSpace, u) -> np.ndarray:
-    """Coerce a field given as dict (id -> value) or array to index order."""
-    if isinstance(u, dict):
-        try:
-            return np.array([float(u[i]) for i in space.ids])
-        except KeyError as missing:
-            raise EnergyError(f"field missing vertex {missing.args[0]!r}") from None
+    """A field as a float array with one value per vertex, in index order."""
     arr = np.asarray(u, dtype=float)
     if arr.shape != (space.n_vertices,):
         raise EnergyError(
@@ -198,46 +193,6 @@ def hardy_check(t: TransformedSpace, u) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Riesz potential
-
-
-def riesz_potential(space: GraphSpace, u, domain: list) -> tuple[dict, list]:
-    """Discrete Riesz potential I(x) over a vertex subset.
-
-    I(x) = sum over y in the subset, y != x, of u(y) d(x,y) mu(y) divided by
-    the subset measure of the open ball B(x, d(x,y)).  Terms whose ball has
-    zero measure are skipped and flagged.  Returns ({id: value}, flags).
-    """
-    vals = field_array(space, u)
-    if (vals < -1e-12).any():
-        raise EnergyError("riesz potential requires a non-negative field")
-    if not domain:
-        raise EnergyError("riesz potential requires a non-empty vertex subset")
-    idx = np.array([space.index[v] for v in domain])
-    out = {}
-    flags = []
-    for xi in idx:
-        d_all = space.distances_from(int(xi))
-        d = d_all[idx]
-        order = np.argsort(d, kind="stable")
-        d_sorted = d[order]
-        mu_sorted = space.measure[idx[order]]
-        cum = np.concatenate([[0.0], np.cumsum(mu_sorted)])
-        total = 0.0
-        for j, yi in enumerate(idx):
-            if yi == xi or vals[yi] == 0.0:
-                continue
-            dist = d[j]
-            ball_mass = cum[np.searchsorted(d_sorted, dist, side="left")]
-            if ball_mass <= 0:
-                flags.append({"x": space.ids[int(xi)], "y": space.ids[int(yi)], "reason": "zero-mass ball"})
-                continue
-            total += vals[yi] * dist * space.measure[yi] / ball_mass
-        out[space.ids[int(xi)]] = total
-    return out, flags
-
-
-# ---------------------------------------------------------------------------
 # Besov boundary norm
 
 
@@ -367,11 +322,14 @@ def adams_exponent(theta: float, p: float, q_minus: float, p_tilde: float | None
 
     Solves theta = -Q^- q / p + Q^- + q / p_tilde for q.  The auxiliary
     exponent p_tilde defaults to max(1, p - 1/4) (a slightly better exponent
-    is always available on these spaces; the exact value is configuration).
-    Requires the resulting q to exceed p.
+    is always available on these spaces; the exact value is configuration);
+    a given p_tilde must be finite and at least 1.  Requires the resulting q
+    to exceed p.
     """
     if p_tilde is None:
         p_tilde = max(1.0, p - 0.25)
+    elif not 1.0 <= p_tilde < np.inf:
+        raise EnergyError(f"p_tilde = {p_tilde:g} must be finite and at least 1")
     denom = q_minus / p - 1.0 / p_tilde
     if denom <= 0:
         raise EnergyError(
@@ -417,8 +375,10 @@ def adams_check(
     the ball; RHS is r^{1 - theta/q} / mu_phi(B)^{1/p - 1/q} times the
     p-energy of u over edges inside the doubled ball, to the power 1/p.
     Balls are inclusive.  A ball with zero RHS but positive LHS is recorded
-    as a violation.
+    as a violation.  q must be positive and finite.
     """
+    if not 0.0 < q < np.inf:
+        raise EnergyError(f"q = {q:g} must be positive and finite")
     masses = edge_mass(t)
     p = t.p
     vals = field_array(t, u)

@@ -4,8 +4,10 @@ A domain is a connected graph whose edges carry positive lengths and whose
 vertices carry a measure that vanishes exactly on a nonempty set of boundary
 vertices.  Path distance (sum of edge lengths along a path) makes it a length
 space; the vertex measure makes it a measure space.  Everything downstream
-(dampened metrics, energies, capacities) is built on three primitives defined
-here: point-to-point distance, distance to the boundary, and metric balls.
+(dampened metrics, energies, capacities) is built on the ``GraphSpace``
+distance methods: ``distances_from`` one vertex, ``distance_rows`` and
+``multi_source_distances`` from several, and ``boundary_distance_array``.
+A metric ball about x of radius r is ``distances_from(x) < r``.
 
 Distance to the boundary induces the dyadic band decomposition used to grade
 the far field: band 0 is ``{d <= 1}`` and band ``n >= 1`` is
@@ -14,8 +16,7 @@ the far field: band 0 is ``{d <= 1}`` and band ``n >= 1`` is
 Domain files hold the column form of ``GraphSpace.to_payload``: one list per
 key of the vertex, edge and ``infinity.edges`` tables, under
 ``"format": 2``.  ``dump_domain`` writes it as one line of compact JSON with
-the stdlib C encoder; ``from_payload`` reads it, and reads the row form (one
-object per vertex and per edge, no ``format`` key) too.
+the stdlib C encoder; ``from_payload`` reads it.
 """
 
 from __future__ import annotations
@@ -276,9 +277,6 @@ class GraphSpace:
     def boundary_indices(self) -> np.ndarray:
         return np.nonzero(self.boundary_mask)[0]
 
-    def total_measure(self) -> float:
-        return float(self.measure.sum())
-
     def adjacency(self) -> sp.csr_matrix:
         if self._adjacency is None:
             n = self.n_vertices
@@ -382,11 +380,6 @@ class GraphSpace:
             )
         return self._bands
 
-    def ball_indices(self, center: str | int, r: float) -> np.ndarray:
-        """Open metric ball: indices of vertices with distance < r from center."""
-        dist = self.distances_from(center, limit=r * 1.0000001 if np.isfinite(r) else None)
-        return np.nonzero(dist < r)[0]
-
     # -- serialization ------------------------------------------------------
 
     def to_payload(self) -> dict:
@@ -423,30 +416,6 @@ class GraphSpace:
                 "edges": {"v": list(map(name, other.tolist())), "length": self.edge_length[at_inf].tolist()},
             }
         return payload
-
-
-# -- spec-facing operation wrappers ----------------------------------------
-
-
-def path_distance(space: GraphSpace, x: str, y: str) -> float:
-    """Length of the shortest edge path between two vertices."""
-    if x not in space.index or y not in space.index:
-        raise KeyError(f"unknown vertex {x!r} or {y!r}")
-    return float(space.distances_from(x)[space.index[y]])
-
-
-def boundary_distance(space: GraphSpace, x: str) -> float:
-    """Shortest path distance from x to the boundary vertex set."""
-    return float(space.boundary_distance_array()[space.index[x]])
-
-
-def bands(space: GraphSpace) -> BandDecomposition:
-    return space.bands()
-
-
-def metric_ball(space: GraphSpace, center: str, r: float) -> list[str]:
-    """Ids of vertices at distance < r from center (open ball)."""
-    return [space.ids[i] for i in space.ball_indices(center, r)]
 
 
 # -- deterministic route extraction -----------------------------------------
@@ -524,29 +493,6 @@ _NUMBER = (int, float)
 _ABSENT = object()
 
 
-def _columns(entries: list, keys: tuple[str, ...]) -> tuple[list, list[list]]:
-    """A row-form table (one object per entry) turned into columns: the
-    checks every entry starts with (it is an object, it carries each of
-    ``keys``) and one value column per key, None where absent.
-
-    A ``coords`` key is optional.  Its column is None where an entry lacks
-    it; an explicit null becomes False, so that it still fails the column's
-    value check.
-    """
-    is_obj = list(map(isinstance, entries, repeat(dict)))
-    rows = entries if all(is_obj) else [e if ok else {} for e, ok in zip(entries, is_obj)]
-    checks = [(is_obj, "must be an object")]
-    cols = []
-    for key in keys:
-        if key == "coords":
-            col = list(map(dict.get, rows, repeat(key), repeat(_ABSENT)))
-            cols.append([None if c is _ABSENT else False if c is None else c for c in col])
-        else:
-            checks.append((list(map(dict.__contains__, rows, repeat(key))), f"missing '{key}'"))
-            cols.append(list(map(dict.get, rows, repeat(key))))
-    return checks, cols
-
-
 def _column_table(table, where: str, keys: tuple[str, ...]) -> list[list]:
     """The columns under ``keys`` of a column-form table, checked to be lists
     of one length.  A ``coords`` column is optional: absent, it is all None."""
@@ -564,11 +510,6 @@ def _column_table(table, where: str, keys: tuple[str, ...]) -> list[list]:
     return cols
 
 
-def _table_columns(table, where: str, keys: tuple[str, ...], rows: bool) -> tuple[list, list[list]]:
-    """The per-entry checks and the columns of a table in either form."""
-    return _columns(table, keys) if rows else ([], _column_table(table, where, keys))
-
-
 def _numbers(col: list) -> list[bool]:
     """Per entry, whether it is a JSON number (a boolean is not)."""
     if set(map(type, col)) <= {int, float}:
@@ -582,28 +523,24 @@ def _numbers(col: list) -> list[bool]:
 def from_payload(payload: dict) -> GraphSpace:
     """Build a space from a domain file's value, with entry-level diagnostics.
 
-    The file is in column form (``"format": 2``: one list per key of each
-    table) or, with no ``format`` key, in row form (one object per vertex and
-    per edge).  ``_columns`` turns a row-form table into columns, with the
-    checks every entry starts with; from there both forms share every check.
-    Each check runs over a whole column at once; a malformed entry is reported
-    as ``vertices[k]``, ``edges[k]`` or ``infinity.edges[k]`` (the first
-    offender), with the message of the first check it fails.
+    The file is in column form: ``"format": 2`` and one list per key of each
+    table.  A value without ``format`` is refused with one message that names
+    the form read.  Each check runs over a whole column at once; a malformed
+    entry is reported as ``vertices[k]``, ``edges[k]`` or
+    ``infinity.edges[k]`` (the first offender), with the message of the first
+    check it fails.
     """
     _require(isinstance(payload, dict), "domain", "top level must be an object")
     _require("vertices" in payload, "domain", "missing 'vertices'")
     _require("edges" in payload, "domain", "missing 'edges'")
-    rows = "format" not in payload
-    if rows:
-        _require(isinstance(payload["vertices"], list), "vertices", "must be a list")
-        _require(isinstance(payload["edges"], list), "edges", "must be a list")
-    else:
-        fmt = payload["format"]
-        _require(type(fmt) is int and fmt == 2, "domain", f"unknown format {fmt!r}")
-    checks, (ids, measures, flags, coords_col) = _table_columns(
-        payload["vertices"], "vertices", ("id", "measure", "boundary", "coords"), rows
+    _require("format" in payload, "domain", "missing 'format' (only the column form, \"format\": 2, is read)")
+    fmt = payload["format"]
+    _require(type(fmt) is int and fmt == 2, "domain", f"unknown format {fmt!r}")
+    ids, measures, flags, coords_col = _column_table(
+        payload["vertices"], "vertices", ("id", "measure", "boundary", "coords")
     )
-    edge_checks, (us, vs, lengths) = _table_columns(payload["edges"], "edges", ("u", "v", "length"), rows)
+    us, vs, lengths = _column_table(payload["edges"], "edges", ("u", "v", "length"))
+    checks = []
     # a check that holds for the whole column at once adds no flags
     if set(map(type, ids)) != {str} or "" in ids:
         checks.append(([isinstance(x, str) and x != "" for x in ids], "'id' must be a nonempty string"))
@@ -619,20 +556,17 @@ def from_payload(payload: dict) -> GraphSpace:
         coords = dict(zip(ids, map(tuple, coords_col)))
     else:
         coords = {vid: tuple(map(float, c)) for vid, c in zip(ids, coords_col) if c is not None}
-    _first_offender("edges", edge_checks + [(_numbers(lengths), "'length' must be a number")])
+    _first_offender("edges", [(_numbers(lengths), "'length' must be a number")])
     infinity_id = None
     if "infinity" in payload:
         inf = payload["infinity"]
         _require(isinstance(inf, dict), "infinity", "must be an object")
         _require("id" in inf and isinstance(inf["id"], str), "infinity", "missing string 'id'")
-        kind = "list" if rows else "object"
-        _require(isinstance(inf.get("edges"), list if rows else dict), "infinity", f"missing 'edges' {kind}")
+        _require(isinstance(inf.get("edges"), dict), "infinity", "missing 'edges' object")
         infinity_id = inf["id"]
         _require(infinity_id not in set(ids), "infinity", f"id {infinity_id!r} collides with a vertex")
-        checks, (inf_vs, inf_lengths) = _table_columns(inf["edges"], "infinity.edges", ("v", "length"), rows)
-        if rows:  # one message for either key
-            checks = [checks[0], ([a and b for a, b in zip(checks[1][0], checks[2][0])], "needs 'v' and 'length'")]
-        _first_offender("infinity.edges", checks + [(_numbers(inf_lengths), "'length' must be a number")])
+        inf_vs, inf_lengths = _column_table(inf["edges"], "infinity.edges", ("v", "length"))
+        _first_offender("infinity.edges", [(_numbers(inf_lengths), "'length' must be a number")])
         # new lists: the payload's own columns stay as the caller gave them
         ids = ids + [infinity_id]
         measures = measures + [0.0]

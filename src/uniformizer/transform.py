@@ -178,9 +178,6 @@ class BoundaryMeasure:
     mesh_scale: float
     nu: dict[str, float]
 
-    def total(self) -> float:
-        return float(sum(self.nu.values()))
-
     def array(self, space: GraphSpace) -> np.ndarray:
         """The weights in vertex order, zero where nu names no weight; raises
         TransformError naming the first id that is not a boundary vertex of

@@ -35,21 +35,3 @@ def fine_ladder(data: dict) -> list[float]:
     rng = max(values) - min(values)
     return [rng * 0.3**k for k in range(21)]
 
-
-def row_payload(space) -> dict:
-    """The row form of a domain file: one object per vertex and per edge, a
-    vertex without coordinates lacking the ``coords`` key, and no ``format``
-    key.  Built from the column form that ``to_payload`` gives."""
-    columns = space.to_payload()
-
-    def rows(table: dict) -> list[dict]:
-        return [dict(zip(table, values)) for values in zip(*table.values())]
-
-    vertices = rows(columns["vertices"])
-    for vertex in vertices:
-        if "coords" in vertex and vertex["coords"] is None:
-            del vertex["coords"]
-    payload = {"vertices": vertices, "edges": rows(columns["edges"])}
-    if "infinity" in columns:
-        payload["infinity"] = {"id": columns["infinity"]["id"], "edges": rows(columns["infinity"]["edges"])}
-    return payload

@@ -548,9 +548,11 @@ def test_boundary_measure_interior_id_exits_2(dom_file, nu_file, tmp_path, capsy
          "must be a JSON list of [t, value] pairs"),
         (None, ["verify", "--check", "doubling", "--at-infinity"], "--at-infinity requires --phi"),
         (None, ["verify", "--check", "exponents", "--at-infinity"], "--at-infinity requires --phi"),
+        (None, ["capacity", "--with-infinity", "--E", "v4_0", "--F", "v4_8"], "--with-infinity requires --phi"),
+        (None, ["modulus", "--with-infinity", "--E", "v4_0", "--F", "v4_8"], "--with-infinity requires --phi"),
     ],
     ids=["data-null", "data-bool", "data-report", "tabulated-null", "tabulated-object",
-         "doubling-at-infinity", "exponents-at-infinity"],
+         "doubling-at-infinity", "exponents-at-infinity", "capacity-with-infinity", "modulus-with-infinity"],
 )
 def test_bad_side_inputs_exit_2(dom_file, tmp_path, capsys, side, argv, message):
     side_file = tmp_path / "side.json"
@@ -581,6 +583,7 @@ def _shorten(table: str, key: str):
 @pytest.mark.parametrize(
     "mutate, message",
     [
+        (lambda p: p.pop("format"), """domain: missing 'format' (only the column form, "format": 2, is read)"""),
         (lambda p: p.update(format=3), "domain: unknown format 3"),
         (lambda p: p.update(format="2"), "domain: unknown format '2'"),
         (lambda p: p.update(vertices=[]), "vertices: must be an object"),
@@ -606,12 +609,12 @@ def _shorten(table: str, key: str):
             "infinity.edges: 'length' has 1 entries, 'v' has 2",
         ),
     ],
-    ids=["format-3", "format-string", "vertices-list", "missing-column", "measure-object", "coords-string",
-         "length-null", "endpoint-list", "endpoint-object", "boundary-short", "coords-short", "length-short",
-         "infinity-edges-list", "infinity-length-number", "infinity-length-short"],
+    ids=["format-missing", "format-3", "format-string", "vertices-list", "missing-column", "measure-object",
+         "coords-string", "length-null", "endpoint-list", "endpoint-object", "boundary-short", "coords-short",
+         "length-short", "infinity-edges-list", "infinity-length-number", "infinity-length-short"],
 )
 def test_bad_column_form_domain_exits_2(dom_file, tmp_path, capsys, mutate, message):
-    """A column-form domain file with an unknown format, a column that is
+    """A domain file with no format or an unknown one, a column that is
     not a list, columns of unequal length or an edge end that is a JSON
     array or object: exit 2 and one line naming the table and key."""
     with open(dom_file) as fh:
@@ -622,6 +625,20 @@ def test_bad_column_form_domain_exits_2(dom_file, tmp_path, capsys, mutate, mess
     out = tmp_path / "out.json"
     code = run(["solve", "--domain", str(domain), "--data", "const:1", "--out", str(out)])
     _assert_input_error(code, capsys, out, message)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--q", "0"), ("--q", "-1"), ("--q", "nan"), ("--p-tilde", "0"), ("--p-tilde", "nan")],
+)
+def test_adams_exponents_out_of_range_exit_2(dom_file, nu_file, tmp_path, capsys, flag, value):
+    """``verify --check adams`` takes a finite q > 0 and a finite
+    p_tilde >= 1: anything else is bad input, not a passed or failed check."""
+    out = tmp_path / "out.json"
+    argv = ["verify", "--check", "adams", "--domain", dom_file, "--nu", nu_file, "--phi", "power:2",
+            "--fields", "1", "--samples", "1", flag, value, "--out", str(out)]
+    name = flag[2:].replace("-", "_")
+    _assert_input_error(run(argv), capsys, out, f"{name} = {value} must be")
 
 
 @pytest.mark.parametrize(

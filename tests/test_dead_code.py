@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-module-level private name is read somewhere in the package, and every
-defaulted parameter of a package function is passed by some call.
+module-level private name is read somewhere in the package, every
+defaulted parameter of a package function is passed by some call, and every
+public name and public method has a caller outside the unit tests.
 
 The import check skips ``__init__.py``: it imports only to re-export.
 The one allowed exception is ``solver``'s ``minimize`` and ``spsolve``:
@@ -11,9 +12,12 @@ name as the solver module sees them, so they stay imported there.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+import uniformizer
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "uniformizer"
@@ -158,3 +162,57 @@ def test_every_defaulted_parameter_is_passed():
     definitions = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     callers = [p.read_text() for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
     assert unpassed_defaults(definitions, callers) == set()
+
+
+def uncalled_public_names(
+    exported: list[str], definitions: dict[str, str], callers: list[str], readme: str
+) -> set[str]:
+    """Each name of `exported`, and ``Class.method`` for each public method
+    of a class in `definitions` (module name -> text), that no Name load and
+    no attribute in `callers` (texts) reads and that `readme` does not hold
+    as a word.
+
+    Names are matched bare, so any local or attribute of the same name
+    counts as a read.  That hides some dead names: locals named ``bands`` and
+    ``total`` would hide a module function ``bands()`` and a method
+    ``BoundaryMeasure.total``.
+    """
+    methods = {
+        (f"{node.name}.{item.name}", item.name)
+        for source in definitions.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+    read = set(re.findall(r"\w+", readme))
+    for source in callers:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return {label for label, name in {(e, e) for e in exported} | methods if name not in read}
+
+
+def test_uncalled_public_names_are_found():
+    definitions = {
+        "a": (
+            "def f():\n    pass\ndef g():\n    pass\n"
+            "class C:\n"
+            "    def m(self):\n        pass\n    def n(self):\n        pass\n"
+            "    def o(self):\n        pass\n    def _p(self):\n        pass\n"
+        )
+    }
+    callers = ["f()\nx = C()\nx.m()\n"]
+    readme = "Call `C.n` or `h`."
+    assert uncalled_public_names(["f", "g", "C", "h"], definitions, callers, readme) == {"g", "C.o"}
+
+
+def test_every_public_name_has_a_caller():
+    """A caller is a package module other than ``__init__.py``, a bench
+    script, the acceptance tests or the README; unit tests do not count."""
+    definitions = {p.stem: p.read_text() for p in MODULES}
+    callers = [p.read_text() for p in [*MODULES, *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]]
+    readme = (ROOT / "README.md").read_text()
+    assert uncalled_public_names(uniformizer.__all__, definitions, callers, readme) == set()

@@ -26,7 +26,6 @@ from uniformizer.energy import (
     p_energy,
     poincare_check,
     random_smooth_fields,
-    riesz_potential,
     trace,
     upper_gradient,
 )
@@ -105,14 +104,13 @@ def test_p_energy_translation_invariant_and_zero_on_constants():
     assert p_energy(space, np.full(4, 2.2), 2.0) == 0.0
 
 
-def test_field_array_accepts_dict_and_array():
+def test_field_array_takes_one_value_per_vertex():
     space = cycle_space()
-    u = {"a": 0.0, "b": 1.0, "c": 2.0, "d": 3.0}
-    np.testing.assert_array_equal(field_array(space, u), [0.0, 1.0, 2.0, 3.0])
     arr = np.array([4.0, 5.0, 6.0, 7.0])
     np.testing.assert_array_equal(field_array(space, arr), arr)
-    with pytest.raises(EnergyError):
-        field_array(space, {"a": 1.0})
+    np.testing.assert_array_equal(field_array(space, [0, 1, 2, 3]), [0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(EnergyError, match="expected \\(4,\\)"):
+        field_array(space, [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -178,47 +176,6 @@ def test_besov_norm_directed_dijkstra_matches_undirected(monkeypatch):
     ref = besov_norm(space, nu, f, alpha, 2.0)
     assert directed_args == [True]
     assert got > 0 and got.hex() == ref.hex()
-
-
-# ---------------------------------------------------------------------------
-# Riesz potential
-
-
-def test_riesz_two_vertex_closed_form():
-    space = GraphSpace(
-        ids=["z", "x", "y"],
-        measures=[0.0, 2.0, 3.0],
-        boundary_flags=[True, False, False],
-        edges=[("z", "x", 1.0), ("x", "y", 5.0)],
-    )
-    u = {"z": 0.0, "x": 4.0, "y": 7.0}
-    out, flags = riesz_potential(space, u, ["x", "y"])
-    assert not flags
-    # I(x): the only other vertex is y at distance 5; the open ball B(x, 5)
-    # within the subset is {x} with measure 2
-    assert out["x"] == pytest.approx(7.0 * 5.0 * 3.0 / 2.0, rel=1e-12)
-    assert out["y"] == pytest.approx(4.0 * 5.0 * 2.0 / 3.0, rel=1e-12)
-
-
-def test_riesz_zero_mass_ball_is_flagged():
-    space = GraphSpace(
-        ids=["z", "x", "y"],
-        measures=[0.0, 2.0, 3.0],
-        boundary_flags=[True, False, False],
-        edges=[("z", "x", 1.0), ("x", "y", 5.0)],
-    )
-    # the boundary vertex z carries no measure, so the subset ball at z is massless
-    out, flags = riesz_potential(space, {"z": 0.0, "x": 1.0, "y": 1.0}, ["z", "x"])
-    assert any(f["reason"] == "zero-mass ball" for f in flags)
-    assert out["z"] == 0.0
-
-
-def test_riesz_rejects_negative_field_and_empty_domain():
-    space = cycle_space()
-    with pytest.raises(EnergyError):
-        riesz_potential(space, np.array([0.0, -1.0, 0.0, 0.0]), ["b"])
-    with pytest.raises(EnergyError):
-        riesz_potential(space, np.zeros(4), [])
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +259,7 @@ def test_nu_naming_a_missing_vertex_is_rejected():
     f = {"zl": 0.0, "m": 0.5, "zr": 1.0}
     calls = [
         lambda: besov_norm(space, nu, f, 0.5, 2.0),
-        lambda: trace(space, f, nu, radii=[2.0, 1.0]),
+        lambda: trace(space, np.array([0.0, 0.5, 1.0]), nu, radii=[2.0, 1.0]),
         lambda: adams_check(attach_infinity(transform(space, power(2.0), 2.0)), nu,
                             np.zeros(4), 3.0, 1.0, [("zl", 0.5)]),
     ]
@@ -320,7 +277,7 @@ def test_trace_flags_vertex_without_interior_mass():
         edges=[("zl", "m", 10.0), ("m", "zr", 1.0)],
     )
     nu = BoundaryMeasure(theta=1.0, mesh_scale=0.25, nu={"zl": 1.0, "zr": 1.0})
-    rep = trace(space, {"zl": 0.0, "m": 5.0, "zr": 0.0}, nu, radii=[2.0, 1.0])
+    rep = trace(space, np.array([0.0, 5.0, 0.0]), nu, radii=[2.0, 1.0])
     assert rep.unresolved == ["zl"]
     assert rep.values[rep.ids.index("zr")] == pytest.approx(5.0)
 

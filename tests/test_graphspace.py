@@ -19,17 +19,12 @@ from uniformizer.graphspace import (
     DomainFormatError,
     GraphSpace,
     band_of_distance,
-    bands,
-    boundary_distance,
     dump_domain,
     from_payload,
     load_domain,
-    metric_ball,
-    path_distance,
     shortest_route,
 )
 from uniformizer.transform import attach_infinity, transform
-from conftest import row_payload
 
 
 def cycle_space() -> GraphSpace:
@@ -83,7 +78,7 @@ def test_cycle_distances_match_floyd_warshall():
     oracle = floyd_warshall(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (3, 0, 4.0)])
     for i, x in enumerate(space.ids):
         for j, y in enumerate(space.ids):
-            assert path_distance(space, x, y) == pytest.approx(oracle[i, j], abs=1e-14)
+            assert space.distances_from(x)[space.index[y]] == pytest.approx(oracle[i, j], abs=1e-14)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -213,8 +208,9 @@ def test_shortest_route_matches_floyd_warshall(seed):
 def test_boundary_distance_on_strip_rows(strip_small):
     space = strip_small.space
     # the boundary is the bottom row, so d equals the height coordinate
+    d = space.boundary_distance_array()
     for vid, xy in space.coords.items():
-        assert boundary_distance(space, vid) == pytest.approx(xy[1], abs=1e-12)
+        assert d[space.index[vid]] == pytest.approx(xy[1], abs=1e-12)
 
 
 def test_cached_distance_arrays_are_read_only():
@@ -275,7 +271,7 @@ def test_band_of_distance_half_open_convention():
 
 def test_bands_partition_and_measures(strip_small):
     space = strip_small.space
-    dec = bands(space)
+    dec = space.bands()
     d = space.boundary_distance_array()
     interior = space.interior_mask
     assert dec.n_max == band_of_distance(float(d.max()))
@@ -283,20 +279,26 @@ def test_bands_partition_and_measures(strip_small):
     for i in np.flatnonzero(interior):
         assert dec.band_index[i] == band_of_distance(float(d[i]))
     # band measures add up to the total (boundary carries measure zero)
-    assert sum(dec.band_measure.values()) == pytest.approx(space.total_measure())
+    assert sum(dec.band_measure.values()) == pytest.approx(space.measure.sum())
     for n, m in dec.band_measure.items():
         sel = interior & (dec.band_index == n)
         assert m == pytest.approx(float(space.measure[sel].sum()))
 
 
 def test_metric_ball_is_open_and_monotone():
+    """The ball about x of radius r is ``distances_from(x) < r``."""
     space = cycle_space()
-    assert set(metric_ball(space, "a", 0.5)) == {"a"}
+    d = space.distances_from("a")
+
+    def ball(r):
+        return {space.ids[i] for i in np.flatnonzero(d < r)}
+
+    assert ball(0.5) == {"a"}
     # open convention: the vertex at distance exactly r stays outside
-    assert set(metric_ball(space, "a", 1.0)) == {"a"}
-    assert set(metric_ball(space, "a", 1.5)) == {"a", "b"}
-    assert set(metric_ball(space, "a", 3.5)) == {"a", "b", "c"}
-    assert set(metric_ball(space, "a", 4.5)) == {"a", "b", "c", "d"}
+    assert ball(1.0) == {"a"}
+    assert ball(1.5) == {"a", "b"}
+    assert ball(3.5) == {"a", "b", "c"}
+    assert ball(4.5) == {"a", "b", "c", "d"}
 
 
 # ---------------------------------------------------------------------------
@@ -345,204 +347,202 @@ def test_duplicate_vertex_id_rejected():
     "mutate, fragment",
     [
         (lambda p: p.pop("vertices"), "vertices"),
-        (lambda p: p["vertices"][0].pop("measure"), "measure"),
-        (lambda p: p["edges"][0].pop("length"), "length"),
-        (lambda p: p["vertices"][0].update(boundary=1), "boolean"),
-        (lambda p: p["edges"].append({"u": "a", "v": "nope", "length": 1.0}), "nope"),
+        (lambda p: p["vertices"].pop("measure"), "measure"),
+        (lambda p: p["edges"].pop("length"), "length"),
+        (lambda p: _set(p, "vertices", 0, boundary=1), "boolean"),
+        (lambda p: [p["edges"][key].append(x) for key, x in (("u", "a"), ("v", "nope"), ("length", 1.0))], "nope"),
     ],
 )
 def test_payload_diagnostics_name_the_offender(mutate, fragment):
-    payload = row_payload(cycle_space())
+    payload = cycle_space().to_payload()
     mutate(payload)
     with pytest.raises(DomainFormatError, match=fragment):
         from_payload(payload)
 
 
-def _set(entry: dict, **fields):
-    entry.update(fields)
+def _set(p: dict, table: str, k: int, **fields):
+    """Set entry k of some columns of a column-form table."""
+    for key, value in fields.items():
+        p[table][key][k] = value
 
 
-def _infinity(*edges, vid="inf"):
-    return lambda p: p.update(infinity={"id": vid, "edges": list(edges)})
+def _infinity(v=(), length=(), vid="inf"):
+    return lambda p: p.update(infinity={"id": vid, "edges": {"v": list(v), "length": list(length)}})
 
 
-# Each case breaks an entry at k > 0 and another entry after it (in another
-# way where the order of the checks matters), so a check that looks at all
-# entries at once must still name the first offender.  Vertices are a, b, c, d
-# and edges a-b, b-c, c-d, d-a (cycle_space).
+# Mutations of the column form of cycle_space (vertices a, b, c, d; edges
+# a-b, b-c, c-d, d-a).  Each value case breaks an entry at k > 0 and another
+# entry after it (in another way where the order of the checks matters), so
+# a check that looks at a whole column at once must still name the first
+# offender.
 FIRST_OFFENDER_CASES = [
     ("top-level", lambda p: p.pop("edges"), "domain: missing 'edges'"),
-    ("vertices-list", lambda p: p.update(vertices={}), "vertices: must be a list"),
-    ("edges-list", lambda p: p.update(edges=None), "edges: must be a list"),
+    (
+        "format-missing",
+        lambda p: p.pop("format"),
+        "domain: missing 'format' (only the column form, \"format\": 2, is read)",
+    ),
+    ("vertices-list", lambda p: p.update(vertices=[]), "vertices: must be an object"),
+    ("edges-list", lambda p: p.update(edges=[]), "edges: must be an object"),
     (
         "vertex-object",
-        lambda p: (p["vertices"].__setitem__(1, "b"), p["vertices"].__setitem__(3, 7)),
-        "vertices[1]: must be an object",
+        lambda p: (_set(p, "vertices", 1, id={"id": "b"}), _set(p, "vertices", 3, id=7)),
+        "vertices[1]: 'id' must be a nonempty string",
     ),
-    (
-        "vertex-missing-key",
-        lambda p: (p["vertices"][1].pop("boundary"), p["vertices"][2].pop("id")),
-        "vertices[1]: missing 'boundary'",
-    ),
+    ("vertex-missing-key", lambda p: p["vertices"].pop("boundary"), "vertices: missing 'boundary'"),
     (
         "vertex-id",
-        lambda p: (_set(p["vertices"][1], id=""), _set(p["vertices"][2], id=5)),
+        lambda p: (_set(p, "vertices", 1, id=""), _set(p, "vertices", 2, id=5)),
         "vertices[1]: 'id' must be a nonempty string",
     ),
     (
         "vertex-measure",
-        lambda p: (_set(p["vertices"][2], measure="1"), p["vertices"][3].pop("id")),
+        lambda p: (_set(p, "vertices", 2, measure="1"), _set(p, "vertices", 3, id=None)),
         "vertices[2]: 'measure' must be a number",
     ),
     (
         "vertex-boundary",
-        lambda p: (_set(p["vertices"][1], boundary=0), _set(p["vertices"][2], measure=None)),
+        lambda p: (_set(p, "vertices", 1, boundary=0), _set(p, "vertices", 2, measure=None)),
         "vertices[1]: 'boundary' must be a boolean",
     ),
     (
         "vertex-coords",
-        lambda p: (
-            _set(p["vertices"][1], coords=[0.0, "x"]),
-            _set(p["vertices"][2], coords="xy"),
-        ),
+        lambda p: p["vertices"].update(coords=[None, [0.0, "x"], "xy", None]),
         "vertices[1]: 'coords' must be a list of numbers",
     ),
     (
         "vertex-coords-bool",
-        lambda p: [
-            _set(v, coords=c)
-            for v, c in zip(p["vertices"], ([0.0, 0.0], [1.0, 0.0], [True, 1.0], [0, "x"]))
-        ],
+        lambda p: p["vertices"].update(coords=[[0.0, 0.0], [1.0, 0.0], [True, 1.0], [0, "x"]]),
         "vertices[2]: 'coords' must be a list of numbers",
     ),
     (
         "edge-object",
-        lambda p: (p["edges"].__setitem__(1, ["b", "c", 2.0]), p["edges"].__setitem__(2, None)),
-        "edges[1]: must be an object",
+        lambda p: (_set(p, "edges", 1, v={"v": "c"}), _set(p, "edges", 2, u=None)),
+        "edges[1]: unknown endpoint 'b' or {'v': 'c'}",
     ),
-    (
-        "edge-missing-key",
-        lambda p: (p["edges"][1].pop("v"), p["edges"][3].pop("u")),
-        "edges[1]: missing 'v'",
-    ),
+    ("edge-missing-key", lambda p: p["edges"].pop("v"), "edges: missing 'v'"),
     (
         "edge-length-type",
-        lambda p: (_set(p["edges"][1], length="2"), _set(p["edges"][2], length=None)),
+        lambda p: (_set(p, "edges", 1, length="2"), _set(p, "edges", 2, length=None)),
         "edges[1]: 'length' must be a number",
     ),
     (
         "duplicate-id",
-        lambda p: (
-            _set(p["vertices"][2], id="a"),
-            _set(p["vertices"][3], id="b"),
-            _set(p["edges"][0], v="ghost"),
-        ),
+        lambda p: (_set(p, "vertices", 2, id="a"), _set(p, "vertices", 3, id="b"), _set(p, "edges", 0, v="ghost")),
         "vertices[2]: duplicate id 'a'",
     ),
     (
         "unknown-endpoint",
-        lambda p: (_set(p["edges"][1], v="ghost"), _set(p["edges"][3], u="nope")),
+        lambda p: (_set(p, "edges", 1, v="ghost"), _set(p, "edges", 3, u="nope")),
         "edges[1]: unknown endpoint 'b' or 'ghost'",
     ),
     (
         "self-loop",
-        lambda p: (_set(p["edges"][1], v="b"), _set(p["edges"][2], v="ghost")),
+        lambda p: (_set(p, "edges", 1, v="b"), _set(p, "edges", 2, v="ghost")),
         "edges[1]: self loop at 'b'",
     ),
     (
         "duplicate-edge",
-        lambda p: (_set(p["edges"][2], u="b", v="a"), _set(p["edges"][3], u="a", v="b")),
+        lambda p: (_set(p, "edges", 2, u="b", v="a"), _set(p, "edges", 3, u="a", v="b")),
         "edges[2]: duplicate edge 'b'-'a'",
     ),
     (
         "zero-length",
-        lambda p: (_set(p["edges"][1], length=0.0), _set(p["edges"][2], v="ghost")),
+        lambda p: (_set(p, "edges", 1, length=0.0), _set(p, "edges", 2, v="ghost")),
         "edges[1]: length must be positive and finite",
     ),
     (
         "inf-length",
-        lambda p: (_set(p["edges"][1], length=math.inf), _set(p["edges"][3], length=-1.0)),
+        lambda p: (_set(p, "edges", 1, length=math.inf), _set(p, "edges", 3, length=-1.0)),
         "edges[1]: length must be positive and finite",
     ),
     (
         "nan-length",
-        lambda p: (_set(p["edges"][2], length=math.nan), _set(p["edges"][3], u="a", v="a")),
+        lambda p: (_set(p, "edges", 2, length=math.nan), _set(p, "edges", 3, u="a", v="a")),
         "edges[2]: length must be positive and finite",
     ),
     (
         "measure-value",
-        lambda p: (_set(p["vertices"][2], measure=0.0), _set(p["vertices"][3], measure=0.0)),
+        lambda p: (_set(p, "vertices", 2, measure=0.0), _set(p, "vertices", 3, measure=0.0)),
         "vertices[2] ('c'): interior vertex must have positive measure",
     ),
     (
         "measure-rule-order",
-        lambda p: (_set(p["vertices"][2], measure=0.0), _set(p["vertices"][3], measure=-1.0)),
+        lambda p: (_set(p, "vertices", 2, measure=0.0), _set(p, "vertices", 3, measure=-1.0)),
         "vertices[2] ('c'): interior vertex must have positive measure",
     ),
     (
         "vertex-measure-bool",
-        lambda p: (_set(p["vertices"][1], measure=True), _set(p["vertices"][2], measure="1")),
+        lambda p: (_set(p, "vertices", 1, measure=True), _set(p, "vertices", 2, measure="1")),
         "vertices[1]: 'measure' must be a number",
     ),
     (
         "edge-length-bool",
-        lambda p: (_set(p["edges"][1], length=True), _set(p["edges"][2], length="2")),
+        lambda p: (_set(p, "edges", 1, length=True), _set(p, "edges", 2, length="2")),
         "edges[1]: 'length' must be a number",
     ),
     ("infinity-object", lambda p: p.update(infinity=[]), "infinity: must be an object"),
     ("infinity-id", _infinity(vid=3), "infinity: missing string 'id'"),
-    (
-        "infinity-collision",
-        _infinity({"v": "b", "length": 1.0}, vid="c"),
-        "infinity: id 'c' collides with a vertex",
-    ),
+    ("infinity-collision", _infinity(["b"], [1.0], vid="c"), "infinity: id 'c' collides with a vertex"),
     (
         "infinity-edge-object",
-        _infinity({"v": "b", "length": 1.0}, 3, {"v": "c"}),
-        "infinity.edges[1]: must be an object",
+        _infinity(["b", {"v": "c"}, "d"], [1.0, 2.0, 3.0]),
+        "edges[5]: unknown endpoint 'inf' or {'v': 'c'}",
     ),
     (
         "infinity-edge-keys",
-        _infinity({"v": "b", "length": 1.0}, {"v": "c"}, {"length": 2.0}),
-        "infinity.edges[1]: needs 'v' and 'length'",
+        lambda p: p.update(infinity={"id": "inf", "edges": {"v": ["b"]}}),
+        "infinity.edges: missing 'length'",
     ),
     (
         "infinity-edge-length-string",
-        _infinity({"v": "b", "length": 1.0}, {"v": "c", "length": "2.0"}, {"length": 2.0}),
+        _infinity(["b", "c", "d"], [1.0, "2.0", None]),
         "infinity.edges[1]: 'length' must be a number",
     ),
     (
         "infinity-edge-length-bool",
-        _infinity({"v": "b", "length": 1.0}, {"v": "c", "length": True}, {"v": "d", "length": None}),
+        _infinity(["b", "c", "d"], [1.0, True, None]),
         "infinity.edges[1]: 'length' must be a number",
     ),
     (
         "infinity-edge-length-null",
-        _infinity({"v": "b", "length": 1.0}, {"v": "c", "length": None}, {"v": "d", "length": "1"}),
+        _infinity(["b", "c", "d"], [1.0, None, "1"]),
         "infinity.edges[1]: 'length' must be a number",
     ),
     (
         "infinity-edge-endpoint",
-        _infinity({"v": "b", "length": 1.0}, {"v": "ghost", "length": 1.0}, {"v": "b", "length": 1.0}),
+        _infinity(["b", "ghost", "b"], [1.0, 1.0, 1.0]),
         "edges[5]: unknown endpoint 'inf' or 'ghost'",
     ),
     (
         "infinity-edge-duplicate",
-        _infinity({"v": "b", "length": 1.0}, {"v": "c", "length": 1.0}, {"v": "b", "length": 2.0}),
+        _infinity(["b", "c", "b"], [1.0, 1.0, 2.0]),
         "edges[6]: duplicate edge 'inf'-'b'",
     ),
 ]
+OFFENDER_PARAMS = [pytest.param(mutate, message, id=name) for name, mutate, message in FIRST_OFFENDER_CASES]
 
 
-@pytest.mark.parametrize(
-    "mutate, message",
-    [pytest.param(mutate, message, id=name) for name, mutate, message in FIRST_OFFENDER_CASES],
-)
+@pytest.mark.parametrize("mutate, message", OFFENDER_PARAMS)
 def test_payload_diagnostics_name_the_first_offender(mutate, message):
-    payload = row_payload(cycle_space())
+    payload = cycle_space().to_payload()
     mutate(payload)
     with pytest.raises(DomainFormatError) as info:
         from_payload(payload)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mutate, message", OFFENDER_PARAMS)
+def test_column_form_names_the_same_first_offender(tmp_path, mutate, message):
+    """Written as JSON text and read back by load_domain, as the CLI reads a
+    domain, each mutated payload gives from_payload's message: the text keeps
+    every value the checks see, NaN and Infinity included."""
+    payload = cycle_space().to_payload()
+    mutate(payload)
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DomainFormatError) as info:
+        load_domain(str(path))
     assert str(info.value) == message
 
 
@@ -567,22 +567,20 @@ def test_payload_survives_json_text_round_trip(strip_small):
     back = from_payload(json.loads(text))
     assert back.n_vertices == space.n_vertices
     assert back.n_edges == space.n_edges
-    assert math.isclose(back.total_measure(), space.total_measure())
+    assert math.isclose(back.measure.sum(), space.measure.sum())
 
 
 def test_integer_coords_load_as_floats():
-    payload = row_payload(cycle_space())
-    for v, c in zip(payload["vertices"], ([0, 1], [1.5, 0], [2, 2], [0, 3.0])):
-        v["coords"] = c
+    payload = cycle_space().to_payload()
+    payload["vertices"]["coords"] = [[0, 1], [1.5, 0], [2, 2], [0, 3.0]]
     space = from_payload(payload)
     assert space.coords == {"a": (0.0, 1.0), "b": (1.5, 0.0), "c": (2.0, 2.0), "d": (0.0, 3.0)}
     assert {type(x) for c in space.coords.values() for x in c} == {float}
 
 
 def _int_coords_from_file(tmp_path):
-    payload = row_payload(cycle_space())
-    for k, v in enumerate(payload["vertices"]):
-        v["coords"] = [k, -k]
+    payload = cycle_space().to_payload()
+    payload["vertices"]["coords"] = [[k, -k] for k in range(4)]
     path = tmp_path / "int_coords.json"
     path.write_text(json.dumps(payload))
     return load_domain(str(path))
@@ -618,76 +616,16 @@ DUMP_INPUTS = [
 
 @pytest.mark.parametrize("make", DUMP_INPUTS)
 def test_dump_domain_writes_json_dumps_bytes(tmp_path, make):
-    """A domain file is the compact json.dumps text of the column form."""
+    """A domain file is the compact json.dumps text of the column form, and
+    loads back as the space it was written from."""
     space = make(tmp_path)
     path = tmp_path / "out.json"
     dump_domain(space, str(path))
     assert path.read_text() == json.dumps(space.to_payload(), sort_keys=True, separators=(",", ":")) + "\n"
     assert path.read_text().isascii()
-
-
-@pytest.mark.parametrize("make", DUMP_INPUTS)
-def test_row_form_loads_as_its_column_form(tmp_path, make):
-    space = make(tmp_path)
-    rows, columns = from_payload(row_payload(space)), from_payload(space.to_payload())
-    assert rows.ids == columns.ids == space.ids
-    assert rows.coords == columns.coords
-    assert rows.infinity_id == columns.infinity_id == space.infinity_id
+    back = load_domain(str(path))
+    assert back.ids == space.ids
+    assert back.coords == space.coords
+    assert back.infinity_id == space.infinity_id
     for name in ("measure", "boundary_mask", "edge_u", "edge_v", "edge_length"):
-        np.testing.assert_array_equal(getattr(rows, name), getattr(columns, name))
-        np.testing.assert_array_equal(getattr(rows, name), getattr(space, name))
-
-
-def _columns_of(entries, keys: tuple[str, ...]) -> dict | None:
-    """A row-form table in column form, or None when some entry is not an
-    object holding every key of ``keys``."""
-    if not (isinstance(entries, list) and all(isinstance(e, dict) and set(keys) <= e.keys() for e in entries)):
-        return None
-    table = {k: [e[k] for e in entries] for k in keys}
-    if any("coords" in e for e in entries):
-        table["coords"] = [e.get("coords") for e in entries]
-    return table
-
-
-def _as_columns(payload: dict) -> dict | None:
-    """The column form of a row-form payload, or None when only the row
-    form can hold it."""
-    columns = dict(payload, format=2)
-    tables = [(columns, "vertices", ("id", "measure", "boundary")), (columns, "edges", ("u", "v", "length"))]
-    if isinstance(payload.get("infinity"), dict):
-        columns["infinity"] = dict(payload["infinity"])
-        tables.append((columns["infinity"], "edges", ("v", "length")))
-    for part, name, keys in tables:
-        part[name] = _columns_of(part.get(name), keys)
-        if part[name] is None:
-            return None
-    return columns
-
-
-def _value_level(mutate) -> bool:
-    payload = row_payload(cycle_space())
-    mutate(payload)
-    return _as_columns(payload) is not None
-
-
-VALUE_LEVEL_CASES = [case for case in FIRST_OFFENDER_CASES if _value_level(case[1])]
-
-
-@pytest.mark.parametrize(
-    "mutate, message",
-    [pytest.param(mutate, message, id=name) for name, mutate, message in VALUE_LEVEL_CASES],
-)
-def test_column_form_names_the_same_first_offender(mutate, message):
-    """A value-level mutation of the rows, turned into columns, gives the
-    row form's message."""
-    payload = row_payload(cycle_space())
-    mutate(payload)
-    with pytest.raises(DomainFormatError) as info:
-        from_payload(_as_columns(payload))
-    assert str(info.value) == message
-
-
-def test_value_level_cases_cover_every_column_check():
-    names = {case[0] for case in VALUE_LEVEL_CASES}
-    assert {"vertex-id", "vertex-measure-bool", "vertex-boundary", "vertex-coords", "edge-length-type",
-            "duplicate-edge", "infinity-edge-length-bool", "infinity-collision"} <= names
+        np.testing.assert_array_equal(getattr(back, name), getattr(space, name))

@@ -201,7 +201,7 @@ def test_codimensional_measure_normalization_and_theta_response():
     space = bundle.space
     nu1 = codimensional_measure(space, 1.0, 0.125)
     # total nu mass is pinned to the band-0 interior measure
-    assert nu1.total() == pytest.approx(space.bands().measure(0), rel=1e-12)
+    assert sum(nu1.nu.values()) == pytest.approx(space.bands().measure(0), rel=1e-12)
     # a straight codim-1 boundary is uniformly weighted: each bottom vertex
     # sees exactly one interior vertex at mesh scale, so nu(v) = h everywhere
     vals = np.array(list(nu1.nu.values()))
