@@ -381,7 +381,37 @@ def cmd_report(args) -> int:
 # verify
 
 
+# The options each verify check reads, past --check, --domain and --out.
+VERIFY_READS = {
+    "codim": {"nu", "radii", "bound"},
+    "doubling": {"phi", "p", "at_infinity", "samples", "seed", "radii", "bound"},
+    "exponents": {"phi", "p", "at_infinity", "samples", "seed", "radii", "expect", "tol"},
+    "distinf": {"phi", "p", "bound"},
+    "poincare": {"phi", "p", "fields", "samples", "seed", "radii", "bound"},
+    "hardy": {"phi", "p", "fields", "seed", "bound"},
+    "adams": {"phi", "p", "nu", "q", "p_tilde", "fields", "samples", "seed", "radii"},
+    "besov": {"nu", "p", "fields", "seed", "alpha"},
+    "uniformity": {"phi", "p", "samples", "seed", "bound"},
+    "fatness": {"phi", "p", "nu", "samples", "seed", "radii", "floor"},
+}
+
+
+def _check_verify_options(args) -> None:
+    """Reject an option that the chosen check does not read, unless it has
+    its default value, and ``--p-tilde`` next to ``--q`` (it only enters
+    the q that ``--q`` replaces)."""
+    given = ["verify", "--check", args.check, "--domain", args.domain]
+    defaults = vars(build_parser().parse_args(given))
+    skip = VERIFY_READS[args.check] | {"command", "func", "check", "domain", "out"}
+    for name, default in defaults.items():
+        if name not in skip and getattr(args, name) != default:
+            raise ValueError(f"verify: --check {args.check} does not read --{name.replace('_', '-')}")
+    if args.q is not None and args.p_tilde is not None:
+        raise ValueError("verify: --p-tilde is read only without --q")
+
+
 def _verify_rows(args) -> list[dict]:
+    _check_verify_options(args)
     if args.at_infinity and not args.phi:
         raise AnalysisError("--at-infinity requires --phi (the dampened pipeline)")
     space = load_domain(args.domain)

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 
 class DampeningError(ValueError):
@@ -150,6 +149,8 @@ def tail_integral(phi: Dampening, t: float) -> float:
     if phi.kind == "log_power":
         start = max(t, 1.0)
         flat = max(0.0, 1.0 - t)
+        from scipy import integrate  # only this branch needs it
+
         val, _ = integrate.quad(
             lambda s: s ** (-phi.beta) * math.log(math.e - 1.0 + s),
             start,

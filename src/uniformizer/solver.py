@@ -7,11 +7,13 @@
   below the initial iterate's largest edge difference; every level but the
   last is only the next level's warm start and stops at a relative energy
   drop below sqrt(tol), and the last level stops at a drop below tol with
-  a step of at most 1e-10 of the range.  The Newton steps and the line
-  search act only on the edges with a free end; the first Hessian of a
-  solve is ordered by minimum degree on A^T + A, the later ones reuse that
-  order and a planned CSC structure (_NewtonSystem), and SuperLU factors
-  them in symmetric mode, once in all at p = 2.
+  a step of at most 1e-10 of the range.  The exact line search finds the
+  root of the slope by ``brentq``, a port of Brent's method as scipy's C
+  ``brentq`` runs it.  The Newton steps and the line search act only on
+  the edges with a free end; the first Hessian of a solve is ordered by
+  minimum degree on A^T + A, the later ones reuse that order and a planned
+  CSC structure (_NewtonSystem), and SuperLU factors them in symmetric
+  mode, once in all at p = 2.
 * ``capacity``: condenser capacity as the energy of the equilibrium
   potential (pins 1 on E, 0 on F, restricted to U).
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
@@ -36,13 +38,13 @@ the limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-# minimize and spsolve are not called here; bench/spans.py wraps them by name
-from scipy.optimize import brentq, minimize
 from scipy.sparse.csgraph import connected_components
+# spsolve is not called here; bench/spans.py wraps it by name
 from scipy.sparse.linalg import splu, spsolve
 
 from .dampening import Dampening
@@ -53,6 +55,17 @@ from .transform import TransformedSpace, attach_infinity, transform
 
 class SolverError(ValueError):
     pass
+
+
+def __getattr__(name: str):
+    # Nothing here calls minimize, but bench/spans.py wraps solver.minimize
+    # by name, so scipy.optimize is imported only when that name is asked
+    # for.  ROADMAP item 2 (a benchmark change) removes the name.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # the default eps ladder's factor, and its floor (see SolveOptions)
@@ -159,6 +172,72 @@ def _slope_sum(g: np.ndarray) -> float:
     bisect it down to xtol, so such a t counts as the root."""
     s = float(np.sum(g))
     return 0.0 if abs(s) <= 1e-14 * float(np.sum(np.abs(g))) else s
+
+
+# brentq's relative tolerance and iteration budget (scipy's defaults)
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def _negative(x: float) -> bool:
+    """C's signbit, which the sign tests use: true for -0.0 too."""
+    return math.copysign(1.0, x) < 0.0
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4): a port
+    of scipy's C ``brentq`` loop that does the same float operations in
+    the same order, so it returns the same root after the same calls."""
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise SolverError(f"line search: slope at t={x!r} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _negative(fpre) == _negative(fcur):
+        raise SolverError(f"line search: slope has one sign on [{a!r}, {b!r}]")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and _negative(fpre) != _negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise SolverError(f"line search: no convergence after {_BRENT_MAXITER} iterations")
 
 
 # The first factorization of a solve orders the Hessian by minimum degree on
@@ -652,27 +731,30 @@ def _flow_paths(
     edge, tail, down = edge[order], tail[order], down[order]
     head = np.where(down, ev[edge], eu[edge])
     start = np.searchsorted(tail, np.arange(n + 1))
-    left = flow[edge]
     at_E = np.zeros(n, dtype=bool)
     at_E[E_idx] = True
     at_F = np.zeros(n, dtype=bool)
     at_F[F_idx] = True
-    from_E = np.nonzero(at_E[tail])[0]
+    from_E = np.nonzero(at_E[tail])[0].tolist()
+    # the walk takes one step per vertex: plain lists, not numpy scalars
+    left = flow[edge].tolist()
+    head, start, at_F = head.tolist(), start.tolist(), at_F.tolist()
     paths: list = []
     slots, trail = from_E, []
-    while len(paths) < k:
-        if slots.size == 0 or left[slots].max() <= 0:
+    while len(paths) < k and slots:
+        slot = max(slots, key=left.__getitem__)  # the first maximum
+        if left[slot] <= 0:
             break
-        slot = slots[np.argmax(left[slots])]
         trail.append(slot)
         v = head[slot]
         if at_F[v]:
-            amount = float(left[trail].min())
-            left[trail] -= amount
+            amount = min(left[s] for s in trail)
+            for s in trail:
+                left[s] -= amount
             paths.append((np.sort(edge[trail]), amount))
             slots, trail = from_E, []
         else:
-            slots = np.arange(start[v], start[v + 1])
+            slots = range(start[v], start[v + 1])
     return paths
 
 

@@ -642,6 +642,36 @@ def test_adams_exponents_out_of_range_exit_2(dom_file, nu_file, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--check", "adams", "--phi", "power:2", "--nu", "NU", "--fields", "1", "--samples", "1",
+          "--q", "3", "--p-tilde", "0"], "verify: --p-tilde is read only without --q"),
+        (["--check", "poincare", "--q", "3"], "verify: --check poincare does not read --q"),
+        (["--check", "codim", "--nu", "NU", "--p", "3"], "verify: --check codim does not read --p"),
+        (["--check", "doubling", "--nu", "NU"], "verify: --check doubling does not read --nu"),
+        (["--check", "besov", "--nu", "NU", "--phi", "power:2"], "verify: --check besov does not read --phi"),
+        (["--check", "hardy", "--phi", "power:2", "--at-infinity"],
+         "verify: --check hardy does not read --at-infinity"),
+    ],
+    ids=["adams-q-and-p-tilde", "poincare-q", "codim-p", "doubling-nu", "besov-phi", "hardy-at-infinity"],
+)
+def test_verify_option_the_check_does_not_read_exits_2(dom_file, nu_file, tmp_path, capsys, argv, message):
+    """A verify option that the chosen check does not read is bad input
+    unless it keeps its default, and so is ``--p-tilde`` next to ``--q``
+    (it only enters the q that ``--q`` replaces)."""
+    out = tmp_path / "out.json"
+    argv = [nu_file if a == "NU" else a for a in argv]
+    _assert_input_error(run(["verify", "--domain", dom_file, "--out", str(out)] + argv), capsys, out, message)
+
+
+def test_verify_option_at_its_default_is_accepted(coarse_strip, capsys):
+    """An option that the check does not read may still be given its default."""
+    domain, nu = coarse_strip
+    assert run(["verify", "--check", "codim", "--domain", domain, "--nu", nu, "--p", "2", "--seed", "0"]) == 0
+    assert "pass=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--check", "codim", "--domain", "DOM", "--nu", "BAD"],

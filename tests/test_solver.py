@@ -7,7 +7,8 @@ Oracles used here:
 * p = 2 on a real domain: a dense weighted-Laplacian solve assembled in-test;
 * p != 2 with one free vertex: scalar energy minimization;
 * modulus: full convex program over an exhaustively enumerated path family,
-  solved with SLSQP.
+  solved with SLSQP;
+* the line search's ``brentq``: scipy's ``brentq``, call for call.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize, minimize_scalar
 
 from uniformizer import domains, solver
@@ -350,6 +354,59 @@ def test_solver_guards(strip_small):
         solve_p_harmonic(
             DirichletProblem(space, 3.0, ramp, SolveOptions(eps_schedule=[0.1, -0.1]))
         )
+
+
+class Counted:
+    """A function that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.f(t)
+
+
+TERMS = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    terms=st.lists(st.tuples(st.floats(0.1, 3.0), TERMS, TERMS), min_size=1, max_size=5),
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    lo=st.floats(-2.0, 0.0),
+    width=st.floats(0.5, 8.0),
+)
+def test_brentq_is_scipys_brentq(terms, p, lo, width):
+    """On slopes of the line-search form, sum a sign(d + t e) |d + t e|^(p-1)
+    e, over a bracket where the sign changes, the port returns scipy's root
+    bit for bit after as many slope calls, and fails to converge where
+    scipy does."""
+    a, d, e = (np.array(c) for c in zip(*terms))
+
+    def slope(t):
+        x = d + t * e
+        return float(np.sum(a * np.sign(x) * np.abs(x) ** (p - 1) * e))
+
+    hi = lo + width
+    f_lo, f_hi = slope(lo), slope(hi)
+    assume(f_lo != 0 and f_hi != 0 and (f_lo < 0) != (f_hi < 0))
+    theirs, ours = Counted(slope), Counted(slope)
+    try:
+        want = scipy_brentq(theirs, lo, hi, xtol=1e-13)
+    except RuntimeError:  # no convergence in 100 iterations
+        with pytest.raises(SolverError, match="no convergence"):
+            solver.brentq(ours, lo, hi, xtol=1e-13)
+    else:
+        assert solver.brentq(ours, lo, hi, xtol=1e-13).hex() == want.hex()
+    assert ours.calls == theirs.calls
+
+
+def test_brentq_rejects_a_nan_slope_and_a_bracket_without_a_root():
+    with pytest.raises(SolverError, match="NaN"):
+        solver.brentq(lambda t: -1.0 if t == 0.0 else math.nan, 0.0, 1.0, xtol=1e-13)
+    with pytest.raises(SolverError, match="one sign"):
+        solver.brentq(lambda t: t + 1.0, 0.0, 1.0, xtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
