@@ -5,9 +5,9 @@ Subcommands:
 * ``example``: build one of the model domains and write its JSON file.
 * ``validate-phi``: check a dampening function against its admissibility
   conditions.
-* ``transform``: write the dampened realization of a domain (inspection
-  artifact; solve commands re-derive the transform in memory from base
-  domain plus phi so edge masses stay exact).
+* ``transform``: write the dampened realization of a domain with its point
+  at infinity, as the base domain plus its ``dampening`` recipe; loading the
+  file rebuilds the exact transform.
 * ``solve``: Dirichlet solve; with ``--phi`` runs the dampened pipeline with
   the point at infinity, otherwise solves on the domain as given.
 * ``capacity`` / ``modulus``: condenser energies by the two dual engines.
@@ -48,9 +48,8 @@ from .analysis import (
 from .dampening import (
     Dampening,
     DampeningError,
-    log_power,
-    power,
-    tabulated,
+    NMaxError,
+    read_profile,
 )
 from .dampening import validate as validate_dampening
 from .domains import GENERATORS, generate
@@ -97,18 +96,10 @@ INPUT_ERRORS = (
 
 def _parse_phi(spec: str) -> Dampening:
     kind, _, rest = spec.partition(":")
-    if kind == "power":
-        return power(float(rest))
-    if kind == "log_power":
-        return log_power(float(rest))
+    if kind in ("power", "log_power"):
+        return read_profile(kind, float(rest), spec)
     if kind == "tabulated":
-        samples = read_json(rest)
-        if not isinstance(samples, list):
-            raise DampeningError(f"{rest}: tabulated samples must be a JSON list of [t, value] pairs")
-        for k, pair in enumerate(samples):
-            if not (isinstance(pair, list) and len(pair) == 2 and all(_numbers(pair))):
-                raise DampeningError(f"{rest}: samples[{k}] must be a [number, number] pair")
-        return tabulated(samples)
+        return read_profile(kind, read_json(rest), rest)
     raise DampeningError(f"unknown dampening spec {spec!r} (power:B, log_power:B, tabulated:FILE)")
 
 
@@ -227,6 +218,8 @@ def cmd_example(args) -> int:
         if args.level is None:
             raise DomainFormatError(f"{args.name} requires --level")
         kwargs["level"] = args.level
+    elif args.level is not None:
+        raise ValueError(f"example: --name {args.name} does not read --level")
     bundle = generate(args.name, **kwargs)
     dump_domain(bundle.space, args.out)
     if args.nu:
@@ -244,7 +237,10 @@ def cmd_validate_phi(args) -> int:
     if args.domain:
         space = load_domain(args.domain)
         band_measures = space.bands().band_measure
-    report = validate_dampening(phi, args.p, band_measures=band_measures, n_max=args.n_max)
+    try:
+        report = validate_dampening(phi, args.p, band_measures=band_measures, n_max=args.n_max)
+    except NMaxError as exc:
+        raise ValueError(f"--n-max={args.n_max}: {exc}") from exc
     payload = _report_payload(args, {"report": report.to_dict(), "pass": report.all_pass})
     if args.out:
         _write_json(args.out, payload)
@@ -255,16 +251,10 @@ def cmd_validate_phi(args) -> int:
 
 def cmd_transform(args) -> int:
     space = load_domain(args.domain)
-    phi = _parse_phi(args.phi)
-    ts = transform(space, phi, args.p)
-    if not args.no_infinity:
-        ts = attach_infinity(ts)
+    ts = attach_infinity(transform(space, _parse_phi(args.phi), args.p))
     dump_domain(ts, args.out)
-    d_inf = ts.distance_to_infinity() if ts.infinity_attached else None
-    print(
-        f"transformed: {ts.n_vertices} vertices; "
-        + (f"max d_phi to infinity {float(np.nanmax(d_inf[np.isfinite(d_inf)])):.6g}" if d_inf is not None else "no infinity vertex")
-    )
+    d_inf = ts.distance_to_infinity()
+    print(f"transformed: {ts.n_vertices} vertices; max d_phi to infinity {float(d_inf[np.isfinite(d_inf)].max()):.6g}")
     return 0
 
 
@@ -340,6 +330,8 @@ def cmd_modulus(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.seed != 0 and not args.with_theory:
+        raise ValueError("classify: --seed is read only with --with-theory")
     space = load_domain(args.domain)
     phi = _parse_phi(args.phi)
     ts = attach_infinity(transform(space, phi, args.p))
@@ -602,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--no-infinity", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transform)
 

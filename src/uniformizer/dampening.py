@@ -28,9 +28,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphspace import DomainFormatError, _numbers
+
 
 class DampeningError(ValueError):
     """Invalid dampening parameters, domain violations, or divergent tails."""
+
+
+class NMaxError(DampeningError):
+    """A dyadic range ``n_max`` that ``validate`` cannot evaluate."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,22 @@ def tabulated(samples) -> Dampening:
             if v > pts[k - 1][1]:
                 raise DampeningError(f"samples[{k}]: values must be non-increasing")
     return Dampening(kind="tabulated", samples=pts)
+
+
+def read_profile(kind: str, value, where: str) -> Dampening:
+    """The profile of `kind` from its parameter's JSON value, read from `where`:
+    a number beta, or for tabulated a list of [t, value] number pairs.  A
+    value of another shape raises DomainFormatError naming `where`."""
+    if kind != "tabulated":
+        if not _numbers([value])[0]:
+            raise DomainFormatError(f"{where}: 'beta' must be a number")
+        return power(value) if kind == "power" else log_power(value)
+    if not isinstance(value, list):
+        raise DomainFormatError(f"{where}: tabulated samples must be a JSON list of [t, value] pairs")
+    for k, pair in enumerate(value):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(_numbers(pair))):
+            raise DomainFormatError(f"{where}: samples[{k}] must be a [number, number] pair")
+    return tabulated(value)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -280,7 +302,16 @@ def validate(
     if not (1 <= p < np.inf):
         raise DampeningError(f"validate: p={p:g} must be finite and >= 1")
     if n_max < 2:
-        raise DampeningError("validate: n_max must be >= 2")
+        raise NMaxError("validate: n_max must be >= 2")
+    # the ratios below need 2^n phi(2^n), and on synthetic bands phi(2^n)^p,
+    # to be positive finite floats up to the last dyadic scale
+    n_hi, _ = _dyadic_range(phi, n_max)
+    with np.errstate(all="ignore"):
+        scales = np.exp2(np.arange(1.0, n_hi + 1))
+        w = edge_weight(phi, scales)
+        dyadic = np.concatenate([scales * w, w**p if band_measures is None else []])
+    if not ((dyadic > 0) & (dyadic < np.inf)).all():
+        raise NMaxError(f"validate: n_max={n_max} takes 2^n phi(2^n) or phi(2^n)^p out of the float range")
     flags: list[str] = []
     passes: dict[str, bool] = {}
 
@@ -321,7 +352,6 @@ def validate(
     passes["4"] = tau_emp > 2.0
 
     # condition (5): sum_{n >= m} 2^n phi(2^n) comparable to the first term
-    n_hi, _ = _dyadic_range(phi, n_max)
     terms = np.array([2.0**n * float(edge_weight(phi, 2.0**n)) for n in range(1, n_hi + 1)])
     tail5 = 0.0
     if phi.kind == "power" and phi.beta > 1:
@@ -330,7 +360,7 @@ def validate(
     elif phi.kind == "log_power":
         n = n_hi + 1
         partial = 0.0
-        while n < n_hi + 400:
+        while n < min(n_hi + 400, 1024):  # 2.0**1024 overflows
             term = 2.0**n * float(edge_weight(phi, 2.0**n))
             partial += term
             if term < 1e-16 * max(partial, terms[-1]):

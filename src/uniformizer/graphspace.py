@@ -14,9 +14,10 @@ the far field: band 0 is ``{d <= 1}`` and band ``n >= 1`` is
 ``{2^(n-1) < d <= 2^n}``.
 
 Domain files hold the column form of ``GraphSpace.to_payload``: one list per
-key of the vertex, edge and ``infinity.edges`` tables, under
-``"format": 2``.  ``dump_domain`` writes it as one line of compact JSON with
-the stdlib C encoder; ``from_payload`` reads it.
+key of the vertex and edge tables, under ``"format": 2``.  A dampened domain
+adds one ``dampening`` block, its recipe, from which ``from_payload``
+rebuilds the transform (``transform.from_recipe``).  ``dump_domain`` writes a
+file as one line of compact JSON with the stdlib C encoder.
 """
 
 from __future__ import annotations
@@ -384,38 +385,20 @@ class GraphSpace:
 
     def to_payload(self) -> dict:
         """The on-disk schema in column form, built from the arrays with
-        construction order kept: one list per key of the vertex, edge and
-        ``infinity.edges`` tables.  A vertex without coordinates has null in
-        ``coords`` when some other vertex has them; the column is left out
-        when none has."""
-        inf = self.infinity_index
+        construction order kept: one list per key of the vertex and edge
+        tables.  A vertex without coordinates has null in ``coords`` when
+        some other vertex has them; the column is left out when none has."""
         name = self.ids.__getitem__
-        shown = np.arange(self.n_vertices) != inf
-        listed = list(map(name, np.flatnonzero(shown).tolist()))
-        vertices = {
-            "id": listed,
-            "measure": self.measure[shown].tolist(),
-            "boundary": self.boundary_mask[shown].tolist(),
-        }
-        coords = [] if self.coords is None else list(map(self.coords.get, listed))
+        vertices = {"id": list(self.ids), "measure": self.measure.tolist(), "boundary": self.boundary_mask.tolist()}
+        coords = [] if self.coords is None else list(map(self.coords.get, self.ids))
         if any(c is not None for c in coords):
             vertices["coords"] = [None if c is None else list(map(float, c)) for c in coords]
-        at_inf = (self.edge_u == inf) | (self.edge_v == inf)
-        inner = ~at_inf
         edges = {
-            "u": list(map(name, self.edge_u[inner].tolist())),
-            "v": list(map(name, self.edge_v[inner].tolist())),
-            "length": self.edge_length[inner].tolist(),
+            "u": list(map(name, self.edge_u.tolist())),
+            "v": list(map(name, self.edge_v.tolist())),
+            "length": self.edge_length.tolist(),
         }
-        payload: dict = {"format": 2, "vertices": vertices, "edges": edges}
-        if inf >= 0:
-            # the end of each edge at infinity that is not the infinity vertex
-            other = (self.edge_u + self.edge_v - inf)[at_inf]
-            payload["infinity"] = {
-                "id": self.infinity_id,
-                "edges": {"v": list(map(name, other.tolist())), "length": self.edge_length[at_inf].tolist()},
-            }
-        return payload
+        return {"format": 2, "vertices": vertices, "edges": edges}
 
 
 # -- deterministic route extraction -----------------------------------------
@@ -526,9 +509,9 @@ def from_payload(payload: dict) -> GraphSpace:
     The file is in column form: ``"format": 2`` and one list per key of each
     table.  A value without ``format`` is refused with one message that names
     the form read.  Each check runs over a whole column at once; a malformed
-    entry is reported as ``vertices[k]``, ``edges[k]`` or
-    ``infinity.edges[k]`` (the first offender), with the message of the first
-    check it fails.
+    entry is reported as ``vertices[k]`` or ``edges[k]`` (the first
+    offender), with the message of the first check it fails.  With a
+    ``dampening`` block the result is the transform that block describes.
     """
     _require(isinstance(payload, dict), "domain", "top level must be an object")
     _require("vertices" in payload, "domain", "missing 'vertices'")
@@ -536,6 +519,9 @@ def from_payload(payload: dict) -> GraphSpace:
     _require("format" in payload, "domain", "missing 'format' (only the column form, \"format\": 2, is read)")
     fmt = payload["format"]
     _require(type(fmt) is int and fmt == 2, "domain", f"unknown format {fmt!r}")
+    extra = [key for key in payload if key not in ("format", "vertices", "edges", "dampening")]
+    if extra:
+        raise DomainFormatError(f"domain: unknown key {extra[0]!r}")
     ids, measures, flags, coords_col = _column_table(
         payload["vertices"], "vertices", ("id", "measure", "boundary", "coords")
     )
@@ -557,27 +543,11 @@ def from_payload(payload: dict) -> GraphSpace:
     else:
         coords = {vid: tuple(map(float, c)) for vid, c in zip(ids, coords_col) if c is not None}
     _first_offender("edges", [(_numbers(lengths), "'length' must be a number")])
-    infinity_id = None
-    if "infinity" in payload:
-        inf = payload["infinity"]
-        _require(isinstance(inf, dict), "infinity", "must be an object")
-        _require("id" in inf and isinstance(inf["id"], str), "infinity", "missing string 'id'")
-        _require(isinstance(inf.get("edges"), dict), "infinity", "missing 'edges' object")
-        infinity_id = inf["id"]
-        _require(infinity_id not in set(ids), "infinity", f"id {infinity_id!r} collides with a vertex")
-        inf_vs, inf_lengths = _column_table(inf["edges"], "infinity.edges", ("v", "length"))
-        _first_offender("infinity.edges", [(_numbers(inf_lengths), "'length' must be a number")])
-        # new lists: the payload's own columns stay as the caller gave them
-        ids = ids + [infinity_id]
-        measures = measures + [0.0]
-        flags = flags + [False]
-        us = us + [infinity_id] * len(inf_vs)
-        vs = vs + inf_vs
-        lengths = lengths + inf_lengths
     eu, ev, el = _edge_arrays(_vertex_index(ids), us, vs, lengths)
-    return GraphSpace.from_arrays(
-        ids, measures, flags, eu, ev, el, coords=coords or None, infinity_id=infinity_id
-    )
+    space = GraphSpace.from_arrays(ids, measures, flags, eu, ev, el, coords=coords or None)
+    from .transform import from_recipe  # here, as transform imports this module
+
+    return from_recipe(space, payload["dampening"]) if "dampening" in payload else space
 
 
 def read_json(path: str):

@@ -19,6 +19,10 @@ the outermost distance band, the joining edge carrying the integral of phi
 over the remaining distance range -- the length a radial ray to infinity would
 have in the dampened metric.
 
+A dampened domain file holds the recipe, not the result: the base domain
+plus ``"dampening": {"kind", "beta" | "samples", "p"}``, from which
+``from_recipe`` rebuilds the transform bit for bit.
+
 This module also hosts codimension-theta boundary measures: a weight on
 boundary vertices calibrated so that a boundary ball of radius r carries about
 ``mu(ball)/r^theta``.
@@ -30,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dampening import Dampening, edge_weight, tail_integral_many
+from .dampening import Dampening, DampeningError, edge_weight, read_profile, tail_integral_many
 from .energy import edge_mass
-from .graphspace import DomainFormatError, GraphSpace, _numbers
+from .graphspace import DomainFormatError, GraphSpace, _numbers, _require
 
 
 class TransformError(ValueError):
@@ -74,6 +78,14 @@ class TransformedSpace(GraphSpace):
         if not self.infinity_attached:
             raise TransformError("infinity not attached")
         return self.distances_from(self.infinity_index)
+
+    def to_payload(self) -> dict:
+        """The base domain's payload plus the recipe ``from_recipe`` reads."""
+        if not self.infinity_attached:
+            raise TransformError("to_payload: a dampened domain file holds the transform with infinity attached")
+        kind = self.phi.kind
+        param = {"samples": [list(s) for s in self.phi.samples]} if kind == "tabulated" else {"beta": self.phi.beta}
+        return {**self.base.to_payload(), "dampening": {"kind": kind, **param, "p": self.p}}
 
 
 def _approx_boundary_diameter(space: GraphSpace) -> float:
@@ -165,6 +177,22 @@ def attach_infinity(ts: TransformedSpace) -> TransformedSpace:
     )
     out.base, out.phi, out.p, out.edge_rep_dist = space, ts.phi, ts.p, ts.edge_rep_dist
     return out
+
+
+def from_recipe(base: GraphSpace, recipe) -> TransformedSpace:
+    """``attach_infinity(transform(base, phi, p))`` for a domain file's
+    ``dampening`` block; every error is a DomainFormatError naming it."""
+    _require(isinstance(recipe, dict), "dampening", "must be an object")
+    kind = recipe.get("kind")
+    _require(kind in ("power", "log_power", "tabulated"), "dampening", f"unknown kind {kind!r}")
+    param = "samples" if kind == "tabulated" else "beta"
+    _require(set(recipe) == {"kind", param, "p"}, "dampening", f"keys must be 'kind', {param!r} and 'p'")
+    try:
+        phi = read_profile(kind, recipe[param], "dampening")
+        _require(_numbers([recipe["p"]])[0], "dampening", "'p' must be a number")
+        return attach_infinity(transform(base, phi, recipe["p"]))
+    except (DampeningError, TransformError) as exc:
+        raise DomainFormatError(f"dampening: {exc}") from exc
 
 
 # -- boundary measures -------------------------------------------------------

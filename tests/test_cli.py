@@ -99,26 +99,33 @@ def test_validate_phi_exit_codes(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_transform_infinity_toggle(dom_file, tmp_path):
-    with_inf = tmp_path / "with.json"
-    without = tmp_path / "without.json"
-    assert run(["transform", "--domain", dom_file, "--phi", "power:2", "--out", str(with_inf)]) == 0
-    assert (
-        run(
-            [
-                "transform", "--domain", dom_file, "--phi", "power:2",
-                "--no-infinity", "--out", str(without),
-            ]
-        )
-        == 0
-    )
-    body_with = json.loads(with_inf.read_text())
-    body_without = json.loads(without.read_text())
-    # the extra vertex rides in its own block; the base vertex list is shared
-    assert body_with["infinity"]["id"] == "infinity"
-    assert all(length > 0 for length in body_with["infinity"]["edges"]["length"])
-    assert "infinity" not in body_without
-    assert body_with["vertices"] == body_without["vertices"]
+def test_transform_writes_the_recipe(dom_file, tmp_path, capsys):
+    """A dampened domain file is the base file plus one ``dampening`` key,
+    and it cannot be transformed again."""
+    out = tmp_path / "dampened.json"
+    assert run(["transform", "--domain", dom_file, "--phi", "power:2", "--p", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("transformed: 586 vertices; max d_phi to infinity ")
+    body = json.loads(out.read_text())
+    assert body.pop("dampening") == {"kind": "power", "beta": 2.0, "p": 3.0}
+    with open(dom_file) as fh:
+        assert body == json.load(fh)
+    again = tmp_path / "again.json"
+    code = run(["transform", "--domain", str(out), "--phi", "power:2", "--out", str(again)])
+    _assert_input_error(code, capsys, again, "already carries an infinity vertex")
+
+
+def test_solve_on_a_dampened_file_equals_solve_with_phi(dom_file, tmp_path):
+    """The rebuilt transform carries the dampened edge masses, so the solve
+    on the file is the ``--phi`` solve, value at infinity included."""
+    damp, a, b = tmp_path / "dampened.json", tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["transform", "--domain", dom_file, "--phi", "power:2", "--p", "2", "--out", str(damp)]) == 0
+    assert run(["solve", "--domain", str(damp), "--p", "2", "--data", "coord:x", "--out", str(a)]) == 0
+    argv = ["solve", "--domain", dom_file, "--phi", "power:2", "--p", "2", "--data", "coord:x", "--out", str(b)]
+    assert run(argv) == 0
+    on_file, with_phi = json.loads(a.read_text()), json.loads(b.read_text())
+    assert on_file["energy"] == with_phi["energy"]
+    assert on_file["values"].pop("infinity") == with_phi["at_infinity"]
+    assert on_file["values"] == with_phi["values"]
 
 
 def test_solve_writes_values(dom_file, tmp_path):
@@ -303,6 +310,64 @@ def test_non_finite_p_in_checks_exits_2(dom_file, nu_file, tmp_path, capsys, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "phi, n_max",
+    [("power:2", "270"), ("power:2", "1024"), ("log_power:2", "700")],
+    ids=["power-underflow", "power-overflow", "log-power-overflow"],
+)
+def test_n_max_outside_the_float_range_exits_2(tmp_path, capsys, phi, n_max):
+    """A dyadic range whose terms leave the float range is bad input, not a
+    failed condition (power:2 at 270: phi(2^n)^p underflows to 0) nor a
+    traceback (2.0**1024 overflows)."""
+    out = tmp_path / "out.json"
+    code = run(["validate-phi", "--phi", phi, "--n-max", n_max, "--out", str(out)])
+    _assert_input_error(code, capsys, out, f"--n-max={n_max}: validate: n_max={n_max} takes")
+    assert run(["validate-phi", "--phi", "power:2", "--n-max", "260"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["example", "--name", "half_strip", "--h", "0.5", "--H", "8", "--level", "3"],
+         "example: --name half_strip does not read --level"),
+        (["classify", "--domain", "DOM", "--phi", "power:2", "--p", "2", "--seed", "5"],
+         "classify: --seed is read only with --with-theory"),
+    ],
+    ids=["example-level", "classify-seed"],
+)
+def test_option_the_subcommand_does_not_read_exits_2(coarse_strip, tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    argv = [coarse_strip[0] if a == "DOM" else a for a in argv]
+    _assert_input_error(run(argv + ["--out", str(out)]), capsys, out, message)
+
+
+@pytest.mark.parametrize("p", [1.05, 2.0])
+def test_classify_with_theory(coarse_strip, tmp_path, capsys, p):
+    """``--with-theory`` adds the exponent-formula prediction: hyperbolic iff
+    p < Q_mu_plus; ``--shells`` sets the sweep length."""
+    out = tmp_path / "cls.json"
+    argv = ["classify", "--domain", coarse_strip[0], "--phi", "power:2", "--p", str(p), "--with-theory",
+            "--seed", "0", "--shells", "5", "--out", str(out)]
+    assert run(argv) == 0
+    report = json.loads(out.read_text())["report"]
+    assert len(report["shells"]) == 5
+    theory = report["theory"]
+    assert set(theory) == {"Q_beta_minus", "Q_beta_plus", "Q_mu_plus", "predicted"}
+    assert theory["predicted"] == ("Hyperbolic" if p < theory["Q_mu_plus"] else "Parabolic")
+    argv[argv.index("power:2")] = "log_power:2"
+    _assert_input_error(run(argv[:-1] + [str(tmp_path / "log.json")]), capsys, tmp_path / "log.json",
+                        "requires power dampening")
+
+
+def test_besov_alpha_is_read(coarse_strip, tmp_path):
+    domain, nu = coarse_strip
+    out = tmp_path / "besov.json"
+    argv = ["verify", "--check", "besov", "--domain", domain, "--nu", nu, "--fields", "2", "--alpha", "0.7",
+            "--out", str(out)]
+    assert run(argv) == 0
+    assert json.loads(out.read_text())["rows"][0]["params"]["alpha"] == 0.7
+
+
 def test_classify_smoke(dom_file, tmp_path, capsys):
     out = tmp_path / "cls.json"
     code = run(
@@ -416,7 +481,7 @@ def test_report_determinism_modulo_timestamp(dom_file, tmp_path):
 PIPELINE_DIGESTS = {
     "domain.json": "16724edaf49493baae8fba5d3c0fdec969d71356ec972dc21877e7f64b3d453e",
     "nu.json": "1d8dfacd2492a7a7d13dcd120d772de36ff7ca830485fe3116f964850e654769",
-    "dampened.json": "c52c00c7f7b0f53b8ef7c488bea4530adf1ba83751b23dc50a8ea6ff54d8ff75",
+    "dampened.json": "380eed3989272b12f5d02114c8c8a9cfded83bfc64a8bdc6bfb3a13797f3fe03",
     "sol.json": "2502c75a157c98c97617856bdd31d1d600c6451f6b795fda0dd9561e303fc992",
     "sol_phi.json": "42fa728981d4bdaf1021a6522d655aee6b36990a389a7bfb3fc6af8a46440607",
 }
@@ -596,22 +661,21 @@ def _shorten(table: str, key: str):
         (_shorten("vertices", "boundary"), "vertices: 'boundary' has 584 entries, 'id' has 585"),
         (_shorten("vertices", "coords"), "vertices: 'coords' has 584 entries, 'id' has 585"),
         (_shorten("edges", "length"), "edges: 'length' has 1095 entries, 'u' has 1096"),
+        # the infinity table of a dampened file in the old layout
         (
-            lambda p: p.update(infinity={"id": "inf", "edges": [{"v": "v0_0", "length": 1.0}]}),
-            "infinity: missing 'edges' object",
+            lambda p: p.update(infinity={"id": "inf", "edges": {"v": ["v0_1"], "length": [1.0]}}),
+            "domain: unknown key 'infinity'",
         ),
+        (lambda p: p.update(dampening="power:2"), "dampening: must be an object"),
+        (lambda p: p.update(dampening={"kind": "power", "beta": None, "p": 2.0}), "dampening: 'beta' must be a number"),
         (
-            lambda p: p.update(infinity={"id": "inf", "edges": {"v": ["v0_1"], "length": 1.0}}),
-            "infinity.edges.length: must be a list",
-        ),
-        (
-            lambda p: p.update(infinity={"id": "inf", "edges": {"v": ["v0_1", "v1_1"], "length": [1.0]}}),
-            "infinity.edges: 'length' has 1 entries, 'v' has 2",
+            lambda p: p.update(dampening={"kind": "tabulated", "samples": [[1.0, 1.0]], "p": 2.0}),
+            "dampening: tabulated dampening needs at least two samples",
         ),
     ],
     ids=["format-missing", "format-3", "format-string", "vertices-list", "missing-column", "measure-object",
          "coords-string", "length-null", "endpoint-list", "endpoint-object", "boundary-short", "coords-short",
-         "length-short", "infinity-edges-list", "infinity-length-number", "infinity-length-short"],
+         "length-short", "infinity-table", "dampening-string", "dampening-beta-null", "dampening-samples-short"],
 )
 def test_bad_column_form_domain_exits_2(dom_file, tmp_path, capsys, mutate, message):
     """A domain file with no format or an unknown one, a column that is

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level private name is read somewhere in the package, every
-defaulted parameter of a package function is passed by some call, and every
-public name and public method has a caller outside the unit tests.
+defaulted parameter of a package function is passed by some call, every
+public name and public method has a caller outside the unit tests, and
+every command-line option is passed by a test, a bench script or the README.
 
 The import check skips ``__init__.py``: it imports only to re-export.
 The one allowed exception is ``solver``'s ``spsolve``: nothing in the
@@ -14,6 +15,7 @@ so ``minimize`` is no unused import.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import uniformizer
+from uniformizer.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "uniformizer"
@@ -219,3 +222,37 @@ def test_every_public_name_has_a_caller():
     callers = [p.read_text() for p in [*MODULES, *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]]
     readme = (ROOT / "README.md").read_text()
     assert uncalled_public_names(uniformizer.__all__, definitions, callers, readme) == set()
+
+
+def unpassed_options(parser, callers: list[str], readme: str) -> set[str]:
+    """``subcommand option`` for each option string of each subcommand of
+    `parser`, ``-h``/``--help`` aside, that no text of `callers` holds in
+    quotes and `readme` does not hold as a word."""
+    subparsers = next(a for a in parser._actions if a.choices and a.dest == "command")
+    options = {
+        (name, opt)
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+    quoted = set(re.findall(r"""["'](-[\w-]+)["']""", "\n".join(callers)))
+    words = set(re.findall(r"(?<![\w-])(--?[\w][\w-]*)", readme))
+    return {f"{name} {opt}" for name, opt in options if opt not in quoted | words}
+
+
+def test_unpassed_options_are_found():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    a = sub.add_parser("a")
+    for opt in ("--quoted", "--in-readme", "--nowhere", "--in-readme-too"):
+        a.add_argument(opt)
+    sub.add_parser("b").add_argument("--also-nowhere")
+    callers = ["run(['a', '--quoted'])\nx = '--quoted-not' + \"--nowhere-else\""]
+    readme = "uniformizer a --in-readme x, and `--in-readme-tool`"
+    assert unpassed_options(parser, callers, readme) == {"a --nowhere", "a --in-readme-too", "b --also-nowhere"}
+
+
+def test_every_cli_option_is_passed():
+    callers = [p.read_text() for d in ("tests", "bench") for p in (ROOT / d).glob("*.py")]
+    assert unpassed_options(build_parser(), callers, (ROOT / "README.md").read_text()) == set()

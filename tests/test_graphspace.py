@@ -366,8 +366,8 @@ def _set(p: dict, table: str, k: int, **fields):
         p[table][key][k] = value
 
 
-def _infinity(v=(), length=(), vid="inf"):
-    return lambda p: p.update(infinity={"id": vid, "edges": {"v": list(v), "length": list(length)}})
+def _dampening(**recipe):
+    return lambda p: p.update(dampening=recipe)
 
 
 # Mutations of the column form of cycle_space (vertices a, b, c, d; edges
@@ -481,43 +481,41 @@ FIRST_OFFENDER_CASES = [
         lambda p: (_set(p, "edges", 1, length=True), _set(p, "edges", 2, length="2")),
         "edges[1]: 'length' must be a number",
     ),
-    ("infinity-object", lambda p: p.update(infinity=[]), "infinity: must be an object"),
-    ("infinity-id", _infinity(vid=3), "infinity: missing string 'id'"),
-    ("infinity-collision", _infinity(["b"], [1.0], vid="c"), "infinity: id 'c' collides with a vertex"),
+    ("unknown-key", lambda p: p.update(infinity={"id": "inf"}), "domain: unknown key 'infinity'"),
+    ("dampening-object", lambda p: p.update(dampening=[]), "dampening: must be an object"),
+    ("dampening-kind", _dampening(kind="cubic", beta=2.0, p=2.0), "dampening: unknown kind 'cubic'"),
     (
-        "infinity-edge-object",
-        _infinity(["b", {"v": "c"}, "d"], [1.0, 2.0, 3.0]),
-        "edges[5]: unknown endpoint 'inf' or {'v': 'c'}",
+        "dampening-extra-key",
+        _dampening(kind="power", beta=2.0, samples=[[1.0, 1.0], [2.0, 0.25]], p=2.0),
+        "dampening: keys must be 'kind', 'beta' and 'p'",
     ),
     (
-        "infinity-edge-keys",
-        lambda p: p.update(infinity={"id": "inf", "edges": {"v": ["b"]}}),
-        "infinity.edges: missing 'length'",
+        "dampening-missing-p",
+        _dampening(kind="tabulated", samples=[[1.0, 1.0], [2.0, 0.25]]),
+        "dampening: keys must be 'kind', 'samples' and 'p'",
+    ),
+    ("dampening-beta-string", _dampening(kind="power", beta="2", p=None), "dampening: 'beta' must be a number"),
+    ("dampening-p-bool", _dampening(kind="log_power", beta=2.0, p=True), "dampening: 'p' must be a number"),
+    (
+        "dampening-samples-object",
+        _dampening(kind="tabulated", samples={"t": 1.0}, p=2.0),
+        "dampening: tabulated samples must be a JSON list of [t, value] pairs",
     ),
     (
-        "infinity-edge-length-string",
-        _infinity(["b", "c", "d"], [1.0, "2.0", None]),
-        "infinity.edges[1]: 'length' must be a number",
+        "dampening-samples-pair",
+        _dampening(kind="tabulated", samples=[[1.0, 1.0], [2.0, None], [4.0]], p=2.0),
+        "dampening: samples[1] must be a [number, number] pair",
     ),
     (
-        "infinity-edge-length-bool",
-        _infinity(["b", "c", "d"], [1.0, True, None]),
-        "infinity.edges[1]: 'length' must be a number",
+        "dampening-samples-value",
+        _dampening(kind="tabulated", samples=[[1.0, 1.0], [2.0, 1.5], [4.0, 2.0]], p=2.0),
+        "dampening: samples[1]: value must lie in (0, 1]",
     ),
+    ("dampening-p-range", _dampening(kind="power", beta=2.0, p=0.5), "dampening: transform: p=0.5 must be finite and >= 1"),
     (
-        "infinity-edge-length-null",
-        _infinity(["b", "c", "d"], [1.0, None, "1"]),
-        "infinity.edges[1]: 'length' must be a number",
-    ),
-    (
-        "infinity-edge-endpoint",
-        _infinity(["b", "ghost", "b"], [1.0, 1.0, 1.0]),
-        "edges[5]: unknown endpoint 'inf' or 'ghost'",
-    ),
-    (
-        "infinity-edge-duplicate",
-        _infinity(["b", "c", "b"], [1.0, 1.0, 2.0]),
-        "edges[6]: duplicate edge 'inf'-'b'",
+        "dampening-beta-range",
+        _dampening(kind="power", beta=1.0, p=2.0),
+        "dampening: tail_integral diverges: power with beta <= 1",
     ),
 ]
 OFFENDER_PARAMS = [pytest.param(mutate, message, id=name) for name, mutate, message in FIRST_OFFENDER_CASES]

@@ -1,5 +1,5 @@
 """Property tests: the invariants the dampening transform guarantees, on
-random small connected graphs and random power profiles.
+random small connected graphs and random profiles of every kind.
 
 Examples are derandomized and few, so the suite stays deterministic and fast.
 """
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uniformizer.dampening import edge_weight, power
+from uniformizer.dampening import edge_weight, log_power, power, tabulated
 from uniformizer.energy import edge_mass, p_energy, upper_gradient
 from uniformizer.graphspace import GraphSpace, dump_domain, load_domain
 from uniformizer.solver import (
@@ -32,7 +32,21 @@ from uniformizer.util import canonical_json, jsonable
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 EXPONENTS = st.sampled_from([1.5, 2.0, 3.0])
-PROFILES = st.floats(1.5, 4.0).map(power)
+
+
+@st.composite
+def tabulated_profiles(draw):
+    """Samples at 2^-k (k <= 2), 1, 2, 4, ..., 64: flat up to t = 1, then
+    power segments with slopes in [1.1, 4], past every distance to the
+    boundary of a graph below (at most 8 edges of length 2)."""
+    samples = [(2.0 ** -k, 1.0) for k in range(draw(st.integers(0, 2)), 0, -1)] + [(1.0, 1.0)]
+    for slope in draw(st.lists(st.floats(1.1, 4.0), min_size=6, max_size=6)):
+        t, value = samples[-1]
+        samples.append((2 * t, value * 2.0**-slope))
+    return tabulated(samples)
+
+
+PROFILES = st.floats(1.5, 4.0).map(power) | st.floats(1.5, 4.0).map(log_power) | tabulated_profiles()
 
 
 @st.composite
@@ -125,9 +139,13 @@ def test_json_round_trip_is_byte_stable(space, phi, p):
         first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
         for g in (space, attach_infinity(transform(space, phi, p))):
             dump_domain(g, first)
-            dump_domain(load_domain(first), second)
+            back = load_domain(first)
+            dump_domain(back, second)
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
+        # the dampened file rebuilds the transform, masses included
+        np.testing.assert_array_equal(edge_mass(back), edge_mass(g))
+        assert (back.phi, back.p) == (g.phi, g.p)
 
 
 # Leaves for the JSON writer: every value kind jsonable converts, with the

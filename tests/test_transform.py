@@ -12,9 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from uniformizer.dampening import edge_weight, power, tail_integral
+from uniformizer.dampening import edge_weight, log_power, power, tabulated, tail_integral
 from uniformizer.energy import edge_mass, p_energy, upper_gradient
-from uniformizer.graphspace import GraphSpace
+from uniformizer.graphspace import GraphSpace, dump_domain, load_domain
 from uniformizer.transform import (
     TransformError,
     attach_infinity,
@@ -156,6 +156,33 @@ def test_attach_infinity_guards(strip_transform):
         attach_infinity(ts)
     with pytest.raises(TransformError, match="carries an infinity"):
         transform(ts, power(2.0), 2.0)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [power(2.0), log_power(2.5), tabulated([(1.0, 1.0), (2.0, 0.25), (8.0, 0.01), (32.0, 1e-4)])],
+    ids=["power", "log_power", "tabulated"],
+)
+def test_dampened_file_rebuilds_the_transform(strip_small, tmp_path, phi):
+    """A dampened domain file is the base domain plus its recipe; loading it
+    rebuilds the transform bit for bit, masses included."""
+    ts = attach_infinity(transform(strip_small.space, phi, 3.0))
+    path = tmp_path / "dampened.json"
+    dump_domain(ts, str(path))
+    back = load_domain(str(path))
+    assert back.ids == ts.ids and back.infinity_id == ts.infinity_id
+    assert back.phi == phi and back.p == 3.0
+    for name in ("measure", "boundary_mask", "edge_u", "edge_v", "edge_length", "edge_rep_dist"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ts, name))
+    np.testing.assert_array_equal(edge_mass(back), edge_mass(ts))
+    with pytest.raises(TransformError, match="carries an infinity"):
+        transform(back, phi, 3.0)
+
+
+def test_dampened_space_without_infinity_is_not_written(strip_transform, tmp_path):
+    with pytest.raises(TransformError, match="infinity attached"):
+        dump_domain(strip_transform, str(tmp_path / "dampened.json"))
+    assert not (tmp_path / "dampened.json").exists()
 
 
 def test_transform_rejects_small_p(strip_small):
