@@ -78,20 +78,21 @@ def doubling_constant(space, centers: list, radii: list, bound: float | None = N
 
     Centers are vertex ids or indices.  Balls are open in the space's own
     metric (pass a transformed space for the dampened metric/measure pair).
-    Zero-mass inner balls are skipped and counted.
+    Zero-mass inner balls are skipped and counted; at each radius the first
+    center with the worst ratio is reported.
     """
+    reach = space.distance_rows(centers, limit=2 * max(radii, default=0.0))
+    masses = [[(space.measure[d < r].sum(), space.measure[d < 2 * r].sum()) for r in radii] for d in reach]
     per_scale = []
     skipped = 0
     overall = 0.0
-    for r in radii:
+    for k, r in enumerate(radii):
         worst = None
-        for c in centers:
-            d = space.distances_from(c)
-            mu_r = float(space.measure[d < r].sum())
+        for c, mass in zip(centers, masses):
+            mu_r, mu_2r = map(float, mass[k])
             if mu_r <= 0:
                 skipped += 1
                 continue
-            mu_2r = float(space.measure[d < 2 * r].sum())
             ratio = mu_2r / mu_r
             if worst is None or ratio > worst[1]:
                 worst = (c, ratio)
@@ -141,8 +142,7 @@ def mass_exponents(space, centers: list, radii: list) -> ExponentFit:
     slopes = []
     ls_slopes = []
     residuals = []
-    for c in centers:
-        d = space.distances_from(c)
+    for d in space.distance_rows(centers, limit=radii[-1]):
         mus = np.array([float(space.measure[d < r].sum()) for r in radii])
         keep = mus > 0
         rs = np.array(radii)[keep]
@@ -378,7 +378,7 @@ def uniformity_spot_check(space, pairs: list) -> UniformityReport:
     rows = []
     flags = []
     best = 0.0
-    for x, y in pairs:
+    for (x, y), d in zip(pairs, space.distance_rows([x for x, _ in pairs])):
         xi, yi = space.index[x], space.index[y]
         excluded = space.boundary_mask.copy()
         if space.infinity_index >= 0:
@@ -390,7 +390,7 @@ def uniformity_spot_check(space, pairs: list) -> UniformityReport:
         except ValueError:
             flags.append({"pair": [x, y], "reason": "no-interior-path"})
             continue
-        dist = float(space.distances_from(xi)[yi])
+        dist = float(d[yi])
         len_ratio = cost / dist if dist > 0 else 1.0
         cum = np.concatenate([[0.0], np.cumsum(space.edge_length[epath])])
         cigar = 0.0
@@ -443,8 +443,7 @@ def boundary_fatness(
     nu_vec = nu.array(t)
     rows = []
     skipped = []
-    for c in centers:
-        d = t.distances_from(c)
+    for c, d in zip(centers, t.distance_rows(centers, limit=2 * max(radii, default=0.0) * (1 + 1e-9))):
         for r in radii:
             in_ball = d <= r * (1 + 1e-9)
             if not (in_ball & t.interior_mask).any():

@@ -16,11 +16,12 @@ the total vertex measure exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphspace import GraphSpace
+from .graphspace import GraphSpace, _frozen
 
 if TYPE_CHECKING:
     from .transform import BoundaryMeasure, TransformedSpace
@@ -56,9 +57,7 @@ def edge_mass(space: GraphSpace) -> np.ndarray:
             ev, weights=ln, minlength=nv
         )
         share = np.where(S > 0, space.measure / np.where(S > 0, S, 1.0), 0.0)
-        m = ln * (share[eu] + share[ev])
-        m.flags.writeable = False
-        space._edge_mass = m
+        space._edge_mass = _frozen(ln * (share[eu] + share[ev]))
     return space._edge_mass
 
 
@@ -137,8 +136,7 @@ def poincare_check(space, p: float, centers: list, radii: list, fields) -> Poinc
     masses = edge_mass(space)
     report = PoincareReport(p=p, lam=lam)
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
-    for center in centers:
-        d = space.distances_from(center)
+    for center, d in zip(centers, space.distance_rows(centers, limit=lam * max(radii, default=0.0))):
         for r in radii:
             in_ball = d < r
             in_lam = d < lam * r
@@ -215,18 +213,16 @@ def besov_norm(space: GraphSpace, nu: BoundaryMeasure, f: dict, alpha: float, p:
         return 0.0
     w = nu_vec[idx]
     vals = np.array([float(f[space.ids[i]]) for i in idx])
-    D = space.distance_rows(idx)[:, idx]
     total = 0.0
-    for i in range(idx.size):
-        order = np.argsort(D[i], kind="stable")
-        d_sorted = D[i][order]
+    for i, row in enumerate(space.distance_rows(idx)):
+        d = row[idx]
+        order = np.argsort(d, kind="stable")
         cum = np.concatenate([[0.0], np.cumsum(w[order])])
-        pos = np.searchsorted(d_sorted, D[i], side="left")
-        ball = cum[pos]
+        ball = cum[np.searchsorted(d[order], d, side="left")]
         for j in range(idx.size):
             if j == i:
                 continue
-            dij = D[i][j]
+            dij = d[j]
             if not np.isfinite(dij) or dij <= 0 or ball[j] <= 0:
                 continue
             total += abs(vals[j] - vals[i]) ** p / (dij ** (alpha * p) * ball[j]) * w[i] * w[j]
@@ -292,24 +288,19 @@ def trace(space: GraphSpace, u, nu: BoundaryMeasure, radii: list) -> TraceReport
     out = np.full(idx.size, np.nan)
     osc = np.full(idx.size, np.nan)
     unresolved = []
-    rmax = radii[0] * (1 + 1e-9)
     interior_mass = np.where(space.boundary_mask, 0.0, space.measure)
-    for k, (i, vid) in enumerate(zip(idx, ids)):
-        dist = space.distances_from(i, limit=rmax)
+    for k, (vid, dist) in enumerate(zip(ids, space.distance_rows(idx, limit=radii[0] * (1 + 1e-9)))):
         means = []
-        ok = True
         for r in radii:
             sel = dist <= r * (1 + 1e-9)
             m = float(interior_mass[sel].sum())
             if m <= 0:
-                ok = False
+                unresolved.append(vid)
                 break
             means.append(float((vals[sel] * interior_mass[sel]).sum()) / m)
-        if not ok:
-            unresolved.append(vid)
-            continue
-        out[k] = means[-1]
-        osc[k] = max(means) - min(means)
+        else:
+            out[k] = means[-1]
+            osc[k] = max(means) - min(means)
     return TraceReport(ids=ids, values=out, oscillation=osc, radii=radii, unresolved=unresolved)
 
 
@@ -375,7 +366,8 @@ def adams_check(
     the ball; RHS is r^{1 - theta/q} / mu_phi(B)^{1/p - 1/q} times the
     p-energy of u over edges inside the doubled ball, to the power 1/p.
     Balls are inclusive.  A ball with zero RHS but positive LHS is recorded
-    as a violation.  q must be positive and finite.
+    as a violation.  q must be positive and finite.  Balls are measured
+    center by center and reported in the order given.
     """
     if not 0.0 < q < np.inf:
         raise EnergyError(f"q = {q:g} must be positive and finite")
@@ -384,32 +376,39 @@ def adams_check(
     vals = field_array(t, u)
     report = AdamsReport(q=q, theta=theta)
     nu_arr = nu.array(t)
-    for center, r in balls:
-        d = t.distances_from(center)
-        in_ball = d <= r * (1 + 1e-9)
-        bsel = in_ball & (nu_arr > 0)
-        mu_ball = float(t.measure[in_ball].sum())
-        if not bsel.any():
-            report.skipped.append({"center": center, "r": r, "reason": "no boundary mass in ball"})
-            continue
-        if mu_ball <= 0:
-            report.skipped.append({"center": center, "r": r, "reason": "zero-measure ball"})
-            continue
-        w = nu_arr[bsel]
-        uv = vals[bsel]
-        c = _weighted_median(uv, w)
-        lhs = float((w * np.abs(uv - c) ** q).sum()) ** (1.0 / q)
-        in_2b = d <= 2 * r * (1 + 1e-9)
-        emask = in_2b[t.edge_u] & in_2b[t.edge_v]
-        g = np.abs(vals[t.edge_u[emask]] - vals[t.edge_v[emask]])
-        g /= t.edge_length[emask]
-        energy = float((masses[emask] * g**p).sum())
-        rhs = r ** (1.0 - theta / q) / mu_ball ** (1.0 / p - 1.0 / q) * energy ** (1.0 / p)
-        if rhs == 0:
-            if lhs > 0:
-                report.violations.append({"center": center, "r": r, "lhs": lhs})
-            ratio = 0.0
-        else:
-            ratio = lhs / rhs
-        report.rows.append({"center": center, "r": r, "lhs": lhs, "rhs": rhs, "ratio": ratio})
+    by_center: dict = {}
+    for k, (center, r) in enumerate(balls):
+        by_center.setdefault(center, []).append((k, r))
+    found: list[list] = [[] for _ in balls]  # per ball, its (report list, entry) pairs
+    limit = 2 * max((r for _, r in balls), default=0.0) * (1 + 1e-9)
+    for center, d in zip(by_center, t.distance_rows(list(by_center), limit=limit)):
+        for k, r in by_center[center]:
+            in_ball = d <= r * (1 + 1e-9)
+            bsel = in_ball & (nu_arr > 0)
+            mu_ball = float(t.measure[in_ball].sum())
+            if not bsel.any():
+                found[k].append(("skipped", {"center": center, "r": r, "reason": "no boundary mass in ball"}))
+                continue
+            if mu_ball <= 0:
+                found[k].append(("skipped", {"center": center, "r": r, "reason": "zero-measure ball"}))
+                continue
+            w = nu_arr[bsel]
+            uv = vals[bsel]
+            c = _weighted_median(uv, w)
+            lhs = float((w * np.abs(uv - c) ** q).sum()) ** (1.0 / q)
+            in_2b = d <= 2 * r * (1 + 1e-9)
+            emask = in_2b[t.edge_u] & in_2b[t.edge_v]
+            g = np.abs(vals[t.edge_u[emask]] - vals[t.edge_v[emask]])
+            g /= t.edge_length[emask]
+            energy = float((masses[emask] * g**p).sum())
+            rhs = r ** (1.0 - theta / q) / mu_ball ** (1.0 / p - 1.0 / q) * energy ** (1.0 / p)
+            if rhs == 0:
+                if lhs > 0:
+                    found[k].append(("violations", {"center": center, "r": r, "lhs": lhs}))
+                ratio = 0.0
+            else:
+                ratio = lhs / rhs
+            found[k].append(("rows", {"center": center, "r": r, "lhs": lhs, "rhs": rhs, "ratio": ratio}))
+    for name, entry in chain.from_iterable(found):
+        getattr(report, name).append(entry)
     return report

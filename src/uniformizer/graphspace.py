@@ -5,9 +5,11 @@ vertices carry a measure that vanishes exactly on a nonempty set of boundary
 vertices.  Path distance (sum of edge lengths along a path) makes it a length
 space; the vertex measure makes it a measure space.  Everything downstream
 (dampened metrics, energies, capacities) is built on the ``GraphSpace``
-distance methods: ``distances_from`` one vertex, ``distance_rows`` and
-``multi_source_distances`` from several, and ``boundary_distance_array``.
-A metric ball about x of radius r is ``distances_from(x) < r``.
+distance methods: ``distance_rows`` from several sources, limited or not, one
+search per block of rows (every ball sweep reads it), ``distances_from`` one
+vertex, ``multi_source_distances`` the nearest of several, and the cached
+``boundary_distance_array``.  A metric ball about x of radius r is
+``distances_from(x) < r``; a check on closed balls, ``<= r (1 + 1e-9)``, says so.
 
 Distance to the boundary induces the dyadic band decomposition used to grade
 the far field: band 0 is ``{d <= 1}`` and band ``n >= 1`` is
@@ -25,7 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Sequence
+from types import MappingProxyType
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +41,8 @@ class DomainFormatError(ValueError):
     """Malformed domain data: violates the schema or a structural invariant."""
 
 
-_DIST_CACHE_MAX = 32
+# The most floats one ``distance_rows`` search returns (8 MB of rows).
+ROW_CHUNK_FLOATS = 2**20
 
 
 @dataclass
@@ -138,7 +142,9 @@ class GraphSpace:
     are aligned with that order, which is what makes serialized output
     byte-stable.  ``infinity_id`` (set through ``from_arrays``) marks the
     single added point used by dampened (transformed) spaces; it is exempt
-    from the measure-positivity rule but from nothing else.
+    from the measure-positivity rule but from nothing else.  The space is
+    frozen, so its caches stay true: the five arrays of vertex and edge data
+    are read-only, ``ids`` is a tuple, ``index`` and ``coords`` read-only maps.
 
     The edge-mass slot holds one mass per edge.  ``from_arrays(edge_mass=...)``
     fills it with explicit masses (the dampened ones of a transform);
@@ -177,7 +183,9 @@ class GraphSpace:
         Endpoint indices must refer to `ids`; pair uniqueness is trusted, the
         cheap vector checks (positive finite lengths, no self loops, finite
         nonnegative masses) still run.  ``edge_mass``, when given, fills the
-        edge-mass slot in place of the length-share rule.
+        edge-mass slot in place of the length-share rule.  The space owns
+        what it is given: arrays of the right dtype are kept, not copied, and
+        made read-only, and the caller must not change the ``coords`` dict.
         """
         obj = cls.__new__(cls)
         obj._set_vertices(ids, measures, boundary_flags, infinity_id)
@@ -204,8 +212,8 @@ class GraphSpace:
         boundary_flags: Sequence[bool],
         infinity_id: str | None,
     ) -> None:
-        self.ids: list[str] = list(ids)
-        self.index: dict[str, int] = _vertex_index(self.ids)
+        self.ids: tuple[str, ...] = tuple(ids)
+        self.index = MappingProxyType(_vertex_index(self.ids))
         n = len(self.ids)
         self.measure = np.ascontiguousarray(measures, dtype=float)
         self.boundary_mask = np.ascontiguousarray(boundary_flags, dtype=bool)
@@ -218,11 +226,12 @@ class GraphSpace:
         self, coords: dict[str, tuple[float, ...]] | None, edge_mass: np.ndarray | None = None
     ) -> None:
         self._validate_measures()
-        self.coords = coords
+        for a in (self.edge_u, self.edge_v, self.edge_length, self.measure, self.boundary_mask):
+            _frozen(a)
+        self.coords = None if coords is None else MappingProxyType(coords)
         self._edge_mass = edge_mass
         self._adjacency = None
         self._route = None
-        self._dist_cache = {}
         self._boundary_distance = None
         self._bands = None
         self._check_connected()
@@ -331,30 +340,24 @@ class GraphSpace:
             directed=True,
             indices=sources,
             min_only=min_only,
-            limit=np.inf if limit is None else float(limit),
+            limit=np.inf if limit is None else max(float(limit), 0.0),
             return_predecessors=edge_weights is not None,
         )
         return out if edge_weights is None else out[:2]
 
+    def distance_rows(self, sources: Sequence[str | int], limit: float | None = None) -> Iterator[np.ndarray]:
+        """Path distances from each source (vertex id or index) to every
+        vertex, one row per source in order, one search per block of at most
+        ``ROW_CHUNK_FLOATS`` floats.  Entries over ``limit`` (read as 0 when
+        negative) are inf; those within it equal unlimited ones bit for bit."""
+        src = np.array([s if isinstance(s, (int, np.integer)) else self.index[s] for s in sources], dtype=np.int64)
+        step = max(1, ROW_CHUNK_FLOATS // self.n_vertices)
+        for k in range(0, src.size, step):
+            yield from self._search(src[k : k + step], limit)
+
     def distances_from(self, source: str | int, limit: float | None = None) -> np.ndarray:
-        """Single-source path distances to every vertex (inf when unreached/over limit).
-
-        The array is cached and returned read-only.
-        """
-        idx = source if isinstance(source, (int, np.integer)) else self.index[source]
-        key = (int(idx), limit)
-        hit = self._dist_cache.get(key)
-        if hit is not None:
-            return hit
-        dist = self._search(int(idx), limit)
-        if len(self._dist_cache) >= _DIST_CACHE_MAX:
-            self._dist_cache.pop(next(iter(self._dist_cache)))
-        self._dist_cache[key] = _frozen(dist)
-        return dist
-
-    def distance_rows(self, sources: Sequence[int]) -> np.ndarray:
-        """Path distances from each source (rows, in the given order) to every vertex."""
-        return self._search(np.asarray(sources, dtype=np.int64))
+        """Single-source path distances to every vertex (inf when unreached/over limit)."""
+        return next(self.distance_rows([source], limit))
 
     def multi_source_distances(self, sources: Sequence[int]) -> np.ndarray:
         """Distance to the nearest of several source vertices, for every vertex."""

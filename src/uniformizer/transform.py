@@ -36,7 +36,7 @@ import numpy as np
 
 from .dampening import Dampening, DampeningError, edge_weight, read_profile, tail_integral_many
 from .energy import edge_mass
-from .graphspace import DomainFormatError, GraphSpace, _numbers, _require
+from .graphspace import DomainFormatError, GraphSpace, _frozen, _numbers, _require
 
 
 class TransformError(ValueError):
@@ -68,16 +68,20 @@ class TransformedSpace(GraphSpace):
     phi: Dampening
     p: float
     edge_rep_dist: np.ndarray
+    _infinity_distance: np.ndarray | None = None
 
     @property
     def infinity_attached(self) -> bool:
         return self.infinity_index >= 0
 
     def distance_to_infinity(self) -> np.ndarray:
-        """Dampened distance from every vertex to the infinity vertex."""
+        """Dampened distance from every vertex to the infinity vertex, computed
+        once and returned read-only."""
         if not self.infinity_attached:
             raise TransformError("infinity not attached")
-        return self.distances_from(self.infinity_index)
+        if self._infinity_distance is None:
+            self._infinity_distance = _frozen(self.distances_from(self.infinity_index))
+        return self._infinity_distance
 
     def to_payload(self) -> dict:
         """The base domain's payload plus the recipe ``from_recipe`` reads."""
@@ -275,12 +279,9 @@ def codimensional_measure(space: GraphSpace, theta: float, h: float) -> Boundary
     if not (theta > 0 and h > 0):
         raise TransformError("codimensional_measure: theta and h must be positive")
     bidx = space.boundary_indices()
-    raw = np.empty(len(bidx))
     interior = space.interior_mask
-    for j, b in enumerate(bidx):
-        idx, _ = local_distances(space, int(b), h * (1 + 1e-9))
-        keep = idx[interior[idx]]
-        raw[j] = space.measure[keep].sum() / h**theta
+    reach = space.distance_rows(bidx, limit=h * (1 + 1e-9))
+    raw = np.array([space.measure[np.isfinite(d) & interior].sum() for d in reach]) / h**theta
     total_raw = raw.sum()
     if total_raw <= 0:
         raise TransformError("codimensional_measure: no interior mass at mesh scale")
@@ -326,16 +327,13 @@ def verify_codimensionality(
         raise TransformError("verify_codimensionality: radii must be positive")
     nu_vec = nu.array(space)
     interior = space.interior_mask
-    boundary = space.boundary_mask
     rows: list[dict] = []
     skipped = 0
-    rmax = radii[-1] * (1 + 1e-9)
-    for c in cidx:
-        idx, dist = local_distances(space, c, rmax)
+    for c, d in zip(cidx, space.distance_rows(cidx, limit=radii[-1] * (1 + 1e-9))):
         for r in radii:
-            inside = idx[dist <= r * (1 + 1e-9)]
-            mass = float(space.measure[inside[interior[inside]]].sum())
-            nu_mass = float(nu_vec[inside[boundary[inside]]].sum())
+            inside = d <= r * (1 + 1e-9)
+            mass = float(space.measure[inside & interior].sum())
+            nu_mass = float(nu_vec[inside & space.boundary_mask].sum())
             if mass <= 0 or nu_mass <= 0:
                 skipped += 1
                 continue

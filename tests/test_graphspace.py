@@ -214,17 +214,53 @@ def test_boundary_distance_on_strip_rows(strip_small):
 
 
 def test_cached_distance_arrays_are_read_only():
+    """The two cached arrays, boundary distance and distance to infinity,
+    are read-only and every call returns the same array.  distances_from
+    caches nothing: a write to what it returned leaves the next call alone."""
     space = cycle_space()
-    cached = [
-        space.distances_from("a"),
-        space.distances_from(2, limit=2.5),
-        space.boundary_distance_array(),
-    ]
-    for arr in cached:
+    ts = attach_infinity(transform(domains.half_strip(0.25, 8).space, power(2.0), 2.0))
+    for get in (space.boundary_distance_array, ts.boundary_distance_array, ts.distance_to_infinity):
+        arr = get()
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = -1.0
-    np.testing.assert_array_equal(space.distances_from("a"), [0.0, 1.0, 3.0, 4.0])
-    assert space.distances_from("a") is cached[0]
+        assert get() is arr
+    for limit in (None, 2.5):
+        first = space.distances_from("a", limit=limit)
+        want = first.copy()
+        first[:] = -1.0
+        np.testing.assert_array_equal(space.distances_from("a", limit=limit), want)
+    np.testing.assert_array_equal(want, [0.0, 1.0, np.inf, np.inf])
+
+
+FROZEN_ARRAYS = ("edge_u", "edge_v", "edge_length", "measure", "boundary_mask")
+
+
+def test_space_arrays_are_read_only():
+    """A write to an array of a space raises, so the caches built from it
+    (adjacency, boundary distance, edge masses) stay true."""
+    for space in (cycle_space(), domains.half_strip(0.5, 8).space):
+        for name in FROZEN_ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(space, name)[0] = 1
+
+
+def test_transform_base_arrays_are_read_only():
+    """A transform shares arrays with its base; neither can be written."""
+    ts = attach_infinity(transform(domains.half_strip(0.5, 8).space, power(2.0), 2.0))
+    for space in (ts.base, ts):
+        for name in FROZEN_ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(space, name)[0] = 1
+
+
+def test_vertex_tables_are_read_only():
+    space = domains.half_strip(0.5, 8).space
+    with pytest.raises(TypeError):
+        space.ids[0] = "x"
+    with pytest.raises(TypeError):
+        space.index["x"] = 0
+    with pytest.raises(TypeError):
+        space.coords["x"] = (0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -236,10 +272,10 @@ def test_cached_distance_arrays_are_read_only():
     ids=["cantor_slit", "plane_minus_cantor_square"],
 )
 def test_dijkstra_on_symmetric_adjacency_matches_undirected(make):
-    """distances_from and multi_source_distances run csgraph with
-    directed=True on the symmetric adjacency; the arrays must equal the
-    directed=False result bit for bit (distances_from with and without a
-    limit)."""
+    """distances_from, distance_rows and multi_source_distances run csgraph
+    with directed=True on the symmetric adjacency; the arrays must equal the
+    directed=False result bit for bit (the rows with and without a limit,
+    and limited rows equal to unlimited ones within the limit)."""
     space = make().space
     adj = space.adjacency()
     b = space.boundary_indices()
@@ -250,6 +286,11 @@ def test_dijkstra_on_symmetric_adjacency_matches_undirected(make):
             ref = csgraph.dijkstra(adj, directed=False, indices=int(s), limit=lim)
             got = space.distances_from(int(s), limit=limit)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        rows = np.array(list(space.distance_rows(sources, limit=limit)))
+        ref = csgraph.dijkstra(adj, directed=False, indices=sources, limit=lim)
+        assert rows.tobytes() == ref.tobytes()
+        full = csgraph.dijkstra(adj, directed=False, indices=sources)
+        assert rows[rows <= lim].tobytes() == full[full <= lim].tobytes()
     for src in (sources, b):
         ref = csgraph.dijkstra(adj, directed=False, indices=src, min_only=True)
         got = space.multi_source_distances(src)

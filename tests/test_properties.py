@@ -193,6 +193,10 @@ NESTED = st.recursive(
 @given(NESTED)
 @example([{}, {}])
 @example([{"v": 1.5, "u": "a"}, {"u": "b", "v": math.inf}, {"u": "c", "v": [True, None]}])
-def test_canonical_json_matches_json_dumps(obj):
-    reference = json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
-    assert canonical_json(obj) == reference
+def test_canonical_json_reads_back_as_a_fixed_point(obj):
+    """The text ends in one newline, reads back as the ``jsonable`` form of
+    the value, and writing what it reads back gives the same text."""
+    text = canonical_json(obj)
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert json.loads(text) == jsonable(obj)
+    assert canonical_json(json.loads(text)) == text
