@@ -15,18 +15,21 @@ Distance to the boundary induces the dyadic band decomposition used to grade
 the far field: band 0 is ``{d <= 1}`` and band ``n >= 1`` is
 ``{2^(n-1) < d <= 2^n}``.
 
-Domain files hold the column form of ``GraphSpace.to_payload``: one list per
-key of the vertex and edge tables, under ``"format": 2``.  A dampened domain
-adds one ``dampening`` block, its recipe, from which ``from_payload``
-rebuilds the transform (``transform.from_recipe``).  ``dump_domain`` writes a
-file as one line of compact JSON with the stdlib C encoder.
+Domain files hold ``GraphSpace.to_payload`` under ``"format": 3``: the
+vertex ids as one JSON list, and every other column of the vertex and edge
+tables as one base64 string of its little-endian values, with a fixed dtype
+per column (``_COLUMNS``).  A dampened domain adds one ``dampening`` block,
+its recipe, from which ``from_payload`` rebuilds the transform
+(``transform.from_recipe``).  ``dump_domain`` writes a file as one line of
+compact JSON with the stdlib C encoder.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import compress, repeat
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
@@ -102,27 +105,29 @@ def _end_indices(index: dict[str, int], ends: Sequence) -> np.ndarray:
 
 
 def _edge_arrays(
-    index: dict[str, int], us: Sequence, vs: Sequence, lengths: Sequence
+    eu: np.ndarray, ev: np.ndarray, lengths: Sequence, n: int, ends
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoint indices and lengths of an edge list given as three columns.
+    """Endpoint indices (int64) and lengths of an edge list given as three
+    columns, checked; an end outside [0, n) is unknown, and ``ends(k)`` gives
+    the two ends of edge k as the message names them.
 
     Per edge the checks are, in this order: both endpoints known, no self
     loop, vertex pair not seen on an earlier edge, length positive and
     finite.  They run on whole arrays; the error names the first failing
     edge and, on it, the first failing check.
     """
-    eu, ev = _end_indices(index, us), _end_indices(index, vs)
-    el = np.array(lengths, dtype=float)
-    unknown = (eu < 0) | (ev < 0)
+    eu, ev = np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64)
+    el = np.asarray(lengths, dtype=float)
+    unknown = (eu < 0) | (eu >= n) | (ev < 0) | (ev >= n)
     loop = eu == ev
     seen_before = np.ones(eu.size, dtype=bool)
-    pair = np.minimum(eu, ev) * len(index) + np.maximum(eu, ev)
+    pair = np.minimum(eu, ev) * n + np.maximum(eu, ev)
     seen_before[np.unique(pair, return_index=True)[1]] = False
     bad_length = ~(el > 0.0) | ~np.isfinite(el)
     bad = unknown | loop | seen_before | bad_length
     if bad.any():
         k = int(np.argmax(bad))
-        u, v = us[k], vs[k]
+        u, v = ends(k)
         if unknown[k]:
             msg = f"unknown endpoint {u!r} or {v!r}"
         elif loop[k]:
@@ -162,7 +167,10 @@ class GraphSpace:
     ):
         self._set_vertices(ids, measures, boundary_flags, None)
         us, vs, lengths = zip(*[(u, v, ln) for u, v, ln in edges]) if len(edges) else ((), (), ())
-        self.edge_u, self.edge_v, self.edge_length = _edge_arrays(self.index, us, vs, lengths)
+        self.edge_u, self.edge_v, self.edge_length = _edge_arrays(
+            _end_indices(self.index, us), _end_indices(self.index, vs), lengths, self.n_vertices,
+            lambda k: (us[k], vs[k]),
+        )
         self._finish_init(coords)
 
     @classmethod
@@ -387,21 +395,38 @@ class GraphSpace:
     # -- serialization ------------------------------------------------------
 
     def to_payload(self) -> dict:
-        """The on-disk schema in column form, built from the arrays with
-        construction order kept: one list per key of the vertex and edge
-        tables.  A vertex without coordinates has null in ``coords`` when
-        some other vertex has them; the column is left out when none has."""
-        name = self.ids.__getitem__
-        vertices = {"id": list(self.ids), "measure": self.measure.tolist(), "boundary": self.boundary_mask.tolist()}
-        coords = [] if self.coords is None else list(map(self.coords.get, self.ids))
-        if any(c is not None for c in coords):
-            vertices["coords"] = [None if c is None else list(map(float, c)) for c in coords]
-        edges = {
-            "u": list(map(name, self.edge_u.tolist())),
-            "v": list(map(name, self.edge_v.tolist())),
-            "length": self.edge_length.tolist(),
+        """The on-disk schema, ``"format": 3``, in construction order: the
+        ids as a JSON list, every other column as base64 of its values in the
+        dtype ``_COLUMNS`` gives it, and edge ends as indices into the ids.
+        ``coords`` is the row-major n x dim block, a vertex without
+        coordinates a row of NaN; it is left out when no vertex has any.
+
+        Raises DomainFormatError for a space whose file would load as another
+        one: 2^31 or more vertices (ends are int32), coordinate tuples of
+        more than one length or of none, or a NaN coordinate."""
+        n = self.n_vertices
+        if n >= 2**31:
+            raise DomainFormatError(f"vertices: {n} vertices; a file names edge ends as int32")
+        vertices = {
+            "id": list(self.ids),
+            "measure": _encode("measure", self.measure),
+            "boundary": _encode("boundary", self.boundary_mask),
         }
-        return {"format": 2, "vertices": vertices, "edges": edges}
+        coords = [] if self.coords is None else list(map(self.coords.get, self.ids))
+        given = [c for c in coords if c is not None]
+        if given:
+            dims = sorted(set(map(len, given)))
+            if len(dims) > 1 or dims == [0]:
+                raise DomainFormatError(f"vertices.coords: tuples of lengths {dims}; a file holds one length >= 1")
+            rows = np.full((n, dims[0]), np.nan)
+            has = np.array([c is not None for c in coords])
+            rows[has] = given
+            if np.isnan(rows[has]).any():
+                raise DomainFormatError("vertices.coords: a NaN coordinate; a file reads NaN as no coordinates")
+            vertices["coords"] = _encode("coords", rows)
+        columns = (("u", self.edge_u), ("v", self.edge_v), ("length", self.edge_length))
+        edges = {key: _encode(key, values) for key, values in columns}
+        return {"format": 3, "vertices": vertices, "edges": edges}
 
 
 # -- deterministic route extraction -----------------------------------------
@@ -456,40 +481,62 @@ def shortest_route(
 
 # -- JSON domain files -------------------------------------------------------
 
+# The dtype of each base64 column of a domain file; ``id`` is a JSON list.
+_COLUMNS = {"measure": "<f8", "boundary": "u1", "coords": "<f8", "u": "<i4", "v": "<i4", "length": "<f8"}
+
+
+def _encode(key: str, values: np.ndarray) -> str:
+    """Column ``key`` as base64 of its values in the column's dtype."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype=_COLUMNS[key])).decode("ascii")
+
+
+def _decode(text, table: str, key: str) -> np.ndarray:
+    """The values of base64 column ``key`` of a table, a read-only array of
+    the column's dtype."""
+    where = f"{table}.{key}"
+    _require(isinstance(text, str), where, "must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character that is not ASCII
+        raise DomainFormatError(f"{where}: not base64") from None
+    size = np.dtype(_COLUMNS[key]).itemsize
+    _require(len(raw) % size == 0, where, f"{len(raw)} bytes, not a whole number of {size}-byte entries")
+    return np.frombuffer(raw, _COLUMNS[key])
+
 
 def _require(cond: bool, where: str, msg: str) -> None:
     if not cond:
         raise DomainFormatError(f"{where}: {msg}")
 
 
-def _first_offender(where: str, checks: list[tuple[list[bool], str]]) -> None:
-    """Raise for the first list entry that fails a check.
+def _first_offender(where: str, checks: list[tuple[np.ndarray, str]]) -> None:
+    """Raise for the first entry that fails a check.
 
-    ``checks`` pairs, in the order the checks apply to one entry, a pass flag
-    per entry with the check's message.  The lowest failing entry is named,
+    ``checks`` pairs, in the order the checks apply to one entry, a boolean
+    pass array with the check's message.  The lowest failing entry is named,
     with the earliest check it fails.
     """
-    hits = [(ok.index(False), i) for i, (ok, _) in enumerate(checks) if not all(ok)]
+    hits = [(int(np.argmin(ok)), i) for i, (ok, _) in enumerate(checks) if not ok.all()]
     if hits:
         k, i = min(hits)
         raise DomainFormatError(f"{where}[{k}]: {checks[i][1]}")
 
 
 _NUMBER = (int, float)
-_ABSENT = object()
 
 
-def _column_table(table, where: str, keys: tuple[str, ...]) -> list[list]:
-    """The columns under ``keys`` of a column-form table, checked to be lists
-    of one length.  A ``coords`` column is optional: absent, it is all None."""
+def _column_table(table, where: str, keys: tuple[str, ...]) -> list:
+    """The columns under ``keys`` of a table, checked to have as many entries
+    as the first: an ``id`` column as its JSON list, the others decoded."""
     _require(isinstance(table, dict), where, "must be an object")
-    cols: list[list] = []
+    cols: list = []
     for key in keys:
-        col = table.get(key, _ABSENT)
-        if col is _ABSENT and key == "coords":
-            col = [None] * len(cols[0])
-        _require(col is not _ABSENT, where, f"missing '{key}'")
-        _require(isinstance(col, list), f"{where}.{key}", "must be a list")
+        _require(key in table, where, f"missing '{key}'")
+        col = table[key]
+        if key == "id":
+            _require(isinstance(col, list), f"{where}.{key}", "must be a list")
+        else:
+            col = _decode(col, where, key)
         if cols and len(col) != len(cols[0]):
             raise DomainFormatError(f"{where}: '{key}' has {len(col)} entries, '{keys[0]}' has {len(cols[0])}")
         cols.append(col)
@@ -509,45 +556,51 @@ def _numbers(col: list) -> list[bool]:
 def from_payload(payload: dict) -> GraphSpace:
     """Build a space from a domain file's value, with entry-level diagnostics.
 
-    The file is in column form: ``"format": 2`` and one list per key of each
-    table.  A value without ``format`` is refused with one message that names
-    the form read.  Each check runs over a whole column at once; a malformed
-    entry is reported as ``vertices[k]`` or ``edges[k]`` (the first
-    offender), with the message of the first check it fails.  With a
-    ``dampening`` block the result is the transform that block describes.
+    The file is ``"format": 3`` (see ``GraphSpace.to_payload``); a value
+    with no format or another one is refused with one message.  A column
+    that is not base64, or whose bytes are not a whole number of entries, or
+    whose count differs from ``id``'s, is named by table and key.  Each value
+    check runs over a whole column at once; a bad entry is reported as
+    ``vertices[k]`` or ``edges[k]`` (the first offender), with the message of
+    the first check it fails.  With a ``dampening`` block the result is the
+    transform that block describes.
     """
     _require(isinstance(payload, dict), "domain", "top level must be an object")
     _require("vertices" in payload, "domain", "missing 'vertices'")
     _require("edges" in payload, "domain", "missing 'edges'")
-    _require("format" in payload, "domain", "missing 'format' (only the column form, \"format\": 2, is read)")
+    _require("format" in payload, "domain", 'missing \'format\' (only "format": 3 is read)')
     fmt = payload["format"]
-    _require(type(fmt) is int and fmt == 2, "domain", f"unknown format {fmt!r}")
+    _require(type(fmt) is int and fmt == 3, "domain", f'unknown format {fmt!r} (only "format": 3 is read)')
     extra = [key for key in payload if key not in ("format", "vertices", "edges", "dampening")]
     if extra:
         raise DomainFormatError(f"domain: unknown key {extra[0]!r}")
-    ids, measures, flags, coords_col = _column_table(
-        payload["vertices"], "vertices", ("id", "measure", "boundary", "coords")
-    )
-    us, vs, lengths = _column_table(payload["edges"], "edges", ("u", "v", "length"))
+    vertices = payload["vertices"]
+    ids, measure, flags = _column_table(vertices, "vertices", ("id", "measure", "boundary"))
+    n, rows = len(ids), None
+    if "coords" in vertices:
+        rows = _decode(vertices["coords"], "vertices", "coords")
+        whole = n and rows.size and rows.size % n == 0
+        _require(whole, "vertices", f"'coords' has {rows.size} values, not rows for the {n} ids")
+        rows = rows.reshape(n, -1)
+    eu, ev, el = _column_table(payload["edges"], "edges", ("u", "v", "length"))
     checks = []
     # a check that holds for the whole column at once adds no flags
     if set(map(type, ids)) != {str} or "" in ids:
-        checks.append(([isinstance(x, str) and x != "" for x in ids], "'id' must be a nonempty string"))
-    checks.append((_numbers(measures), "'measure' must be a number"))
-    if set(map(type, flags)) != {bool}:
-        checks.append((list(map(isinstance, flags, repeat(bool))), "'boundary' must be a boolean"))
-    present = [c for c in coords_col if c is not None]
-    if not (set(map(type, present)) <= {list} and set(map(type, chain.from_iterable(present))) <= {int, float}):
-        ok = [c is None or (isinstance(c, list) and all(_numbers(c))) for c in coords_col]
-        checks.append((ok, "'coords' must be a list of numbers"))
+        checks.append((np.array([isinstance(x, str) and x != "" for x in ids]), "'id' must be a nonempty string"))
+    checks.append((flags <= 1, "'boundary' must be a boolean, byte 0 or 1"))
+    if rows is not None:
+        nan = np.isnan(rows)
+        has = ~nan.any(axis=1)
+        checks.append((has | nan.all(axis=1), "'coords' must be all numbers or all NaN"))
     _first_offender("vertices", checks)
-    if len(present) == len(coords_col) and set(map(type, chain.from_iterable(present))) <= {float}:
-        coords = dict(zip(ids, map(tuple, coords_col)))
-    else:
-        coords = {vid: tuple(map(float, c)) for vid, c in zip(ids, coords_col) if c is not None}
-    _first_offender("edges", [(_numbers(lengths), "'length' must be a number")])
-    eu, ev, el = _edge_arrays(_vertex_index(ids), us, vs, lengths)
-    space = GraphSpace.from_arrays(ids, measures, flags, eu, ev, el, coords=coords or None)
+    # a row of NaN is a vertex without coordinates
+    coords = None if rows is None or not has.any() else dict(zip(compress(ids, has), zip(*rows[has].T.tolist())))
+    space = GraphSpace.__new__(GraphSpace)
+    space._set_vertices(ids, measure, flags, None)
+    space.edge_u, space.edge_v, space.edge_length = _edge_arrays(
+        eu, ev, el, n, lambda k: tuple(ids[i] if 0 <= i < n else i for i in (int(eu[k]), int(ev[k])))
+    )
+    space._finish_init(coords)
     from .transform import from_recipe  # here, as transform imports this module
 
     return from_recipe(space, payload["dampening"]) if "dampening" in payload else space
@@ -569,5 +622,7 @@ def load_domain(path: str) -> GraphSpace:
 
 def dump_domain(space: GraphSpace, path: str) -> None:
     """Write `space` to `path` as one line of compact, ASCII, key-sorted JSON
-    in column form (``GraphSpace.to_payload``), by the stdlib C encoder."""
+    of ``GraphSpace.to_payload`` (``"format": 3``, base64 columns), by the
+    stdlib C encoder.  Raises DomainFormatError, writing nothing, for a space
+    that the format cannot carry."""
     atomic_write_text(path, json.dumps(space.to_payload(), sort_keys=True, separators=(",", ":")) + "\n")

@@ -9,7 +9,7 @@ output.
 indentation on the ``jsonable`` form of a value: numpy scalars and arrays
 become plain values and lists, nan and +-inf become the strings ``"nan"``,
 ``"inf"`` and ``"-inf"``, and dict keys become strings.  Domain files are
-written by ``graphspace.dump_domain``, compactly and in column form.
+written by ``graphspace.dump_domain``, which alone knows their format.
 """
 
 from __future__ import annotations

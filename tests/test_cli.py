@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
+from conftest import column, put_column, set_entry
 from uniformizer.cli import run
 from uniformizer.dampening import power
 from uniformizer.graphspace import GraphSpace, dump_domain, load_domain
@@ -41,7 +44,7 @@ def nu_file(tmp_path_factory):
 def test_example_output(dom_file, capsys, tmp_path):
     with open(dom_file) as fh:
         payload = json.load(fh)
-    assert payload["format"] == 2
+    assert payload["format"] == 3
     assert len(payload["vertices"]["id"]) == 585
     nu_path = tmp_path / "nu.json"
     code = run(
@@ -479,9 +482,9 @@ def test_report_determinism_modulo_timestamp(dom_file, tmp_path):
 # Digests of the README pipeline's outputs on half_strip --h 0.5 --H 8.  A
 # change that moves a byte of a domain file or of a solve body fails here.
 PIPELINE_DIGESTS = {
-    "domain.json": "16724edaf49493baae8fba5d3c0fdec969d71356ec972dc21877e7f64b3d453e",
+    "domain.json": "93a194cbafcce5f2ff2c3037f586bcb49e6a63f3406f3229f0758f23644972fa",
     "nu.json": "1d8dfacd2492a7a7d13dcd120d772de36ff7ca830485fe3116f964850e654769",
-    "dampened.json": "380eed3989272b12f5d02114c8c8a9cfded83bfc64a8bdc6bfb3a13797f3fe03",
+    "dampened.json": "7db08c210f34c65c509f5a97f5517f0af84ac938ba58ee4ef379a4cb2fe8e6ca",
     "sol.json": "2502c75a157c98c97617856bdd31d1d600c6451f6b795fda0dd9561e303fc992",
     "sol_phi.json": "42fa728981d4bdaf1021a6522d655aee6b36990a389a7bfb3fc6af8a46440607",
 }
@@ -631,37 +634,48 @@ def test_bad_side_inputs_exit_2(dom_file, tmp_path, capsys, side, argv, message)
 def test_coord_data_needs_coords_on_every_boundary_vertex(dom_file, tmp_path, capsys):
     with open(dom_file) as fh:
         payload = json.load(fh)
-    vertices = payload["vertices"]
-    k = vertices["boundary"].index(True)
-    vertices["coords"][k] = None
+    k = int(column(payload, "vertices", "boundary").argmax())
+    set_entry(payload, "vertices", k, coords=math.nan)  # a row of NaN: no coordinates
     domain = tmp_path / "domain.json"
     domain.write_text(json.dumps(payload))
     out = tmp_path / "out.json"
     code = run(["solve", "--domain", str(domain), "--data", "coord:x", "--out", str(out)])
-    _assert_input_error(code, capsys, out, f"boundary vertex {vertices['id'][k]!r} has no x coordinate")
+    _assert_input_error(code, capsys, out, f"boundary vertex {payload['vertices']['id'][k]!r} has no x coordinate")
 
 
 def _shorten(table: str, key: str):
-    return lambda p: p[table][key].pop()
+    return lambda p: put_column(p, table, key, column(p, table, key)[:-1])
 
 
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda p: p.pop("format"), """domain: missing 'format' (only the column form, "format": 2, is read)"""),
-        (lambda p: p.update(format=3), "domain: unknown format 3"),
-        (lambda p: p.update(format="2"), "domain: unknown format '2'"),
+        (lambda p: p.pop("format"), """domain: missing 'format' (only "format": 3 is read)"""),
+        (lambda p: p.update(format=2), """domain: unknown format 2 (only "format": 3 is read)"""),
+        (lambda p: p.update(format=3.0), "domain: unknown format 3.0"),
+        (lambda p: p.update(format="3"), "domain: unknown format '3'"),
         (lambda p: p.update(vertices=[]), "vertices: must be an object"),
         (lambda p: p["edges"].pop("u"), "edges: missing 'u'"),
-        (lambda p: p["vertices"].update(measure={"v0_0": 0.0}), "vertices.measure: must be a list"),
-        (lambda p: p["vertices"].update(coords="xy"), "vertices.coords: must be a list"),
-        (lambda p: p["edges"].update(length=None), "edges.length: must be a list"),
-        (lambda p: p["edges"]["u"].__setitem__(3, ["x"]), "edges[3]: unknown endpoint ['x'] or"),
-        (lambda p: p["edges"]["v"].__setitem__(3, {}), "edges[3]: unknown endpoint"),
+        (lambda p: p["vertices"].update(measure={"v0_0": 0.0}), "vertices.measure: must be a base64 string"),
+        (lambda p: p["vertices"].update(coords="xy"), "vertices.coords: not base64"),
+        (lambda p: p["edges"].update(length=None), "edges.length: must be a base64 string"),
+        (lambda p: p["edges"].update(length=p["edges"]["length"].replace("A", "-", 1)), "edges.length: not base64"),
+        (
+            lambda p: p["vertices"].update(measure=base64.b64encode(b"\0" * 4673).decode()),
+            "vertices.measure: 4673 bytes, not a whole number of 8-byte entries",
+        ),
+        # an edge end that is not a vertex index, below and above the range
+        (lambda p: set_entry(p, "edges", 3, u=-1), "edges[3]: unknown endpoint -1 or"),
+        (lambda p: set_entry(p, "edges", 3, v=585), "edges[3]: unknown endpoint 'v3_0' or 585"),
+        (lambda p: set_entry(p, "vertices", 7, boundary=255), "vertices[7]: 'boundary' must be a boolean, byte 0 or 1"),
+        (
+            lambda p: set_entry(p, "vertices", 7, coords=[0.5, math.nan]),
+            "vertices[7]: 'coords' must be all numbers or all NaN",
+        ),
         (_shorten("vertices", "boundary"), "vertices: 'boundary' has 584 entries, 'id' has 585"),
-        (_shorten("vertices", "coords"), "vertices: 'coords' has 584 entries, 'id' has 585"),
+        (_shorten("vertices", "coords"), "vertices: 'coords' has 1168 values, not rows for the 585 ids"),
         (_shorten("edges", "length"), "edges: 'length' has 1095 entries, 'u' has 1096"),
-        # the infinity table of a dampened file in the old layout
+        # the infinity table of a dampened file in an old layout
         (
             lambda p: p.update(infinity={"id": "inf", "edges": {"v": ["v0_1"], "length": [1.0]}}),
             "domain: unknown key 'infinity'",
@@ -673,14 +687,19 @@ def _shorten(table: str, key: str):
             "dampening: tabulated dampening needs at least two samples",
         ),
     ],
-    ids=["format-missing", "format-3", "format-string", "vertices-list", "missing-column", "measure-object",
-         "coords-string", "length-null", "endpoint-list", "endpoint-object", "boundary-short", "coords-short",
-         "length-short", "infinity-table", "dampening-string", "dampening-beta-null", "dampening-samples-short"],
+    ids=["format-missing", "format-2", "format-3", "format-string", "vertices-list", "missing-column",
+         "measure-object", "coords-string", "length-null", "length-not-base64", "measure-bytes", "endpoint-list",
+         "endpoint-object", "boundary-byte", "coords-partly-nan", "boundary-short", "coords-short", "length-short",
+         "infinity-table", "dampening-string", "dampening-beta-null", "dampening-samples-short"],
 )
 def test_bad_column_form_domain_exits_2(dom_file, tmp_path, capsys, mutate, message):
-    """A domain file with no format or an unknown one, a column that is
-    not a list, columns of unequal length or an edge end that is a JSON
-    array or object: exit 2 and one line naming the table and key."""
+    """A domain file with no format or another one than 3, a column that
+    is not base64 or not whole entries, columns of unequal length, an edge
+    end that is not a vertex index, a boundary byte other than 0 or 1 or a
+    partly-NaN coordinate row: exit 2 and one line naming the table and key
+    or the entry.  Cases named for a fault of the JSON-list columns of
+    "format": 2 (endpoint-list, endpoint-object) now put the nearest fault
+    of an index column in its place."""
     with open(dom_file) as fh:
         payload = json.load(fh)
     mutate(payload)

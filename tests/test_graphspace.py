@@ -6,14 +6,17 @@ the Dijkstra-based library code is checked against an independent algorithm.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from uniformizer import domains
+from conftest import column, hex_columns, put_column, set_entry
+from uniformizer import domains, graphspace
 from uniformizer.dampening import power
 from uniformizer.graphspace import (
     DomainFormatError,
@@ -390,8 +393,8 @@ def test_duplicate_vertex_id_rejected():
         (lambda p: p.pop("vertices"), "vertices"),
         (lambda p: p["vertices"].pop("measure"), "measure"),
         (lambda p: p["edges"].pop("length"), "length"),
-        (lambda p: _set(p, "vertices", 0, boundary=1), "boolean"),
-        (lambda p: [p["edges"][key].append(x) for key, x in (("u", "a"), ("v", "nope"), ("length", 1.0))], "nope"),
+        (lambda p: set_entry(p, "vertices", 0, boundary=2), "boolean"),
+        (lambda p: (set_entry(p, "vertices", 3, id="nope"), _append_edge(p, 0, 3, 1.0)), "nope"),
     ],
 )
 def test_payload_diagnostics_name_the_offender(mutate, fragment):
@@ -401,126 +404,135 @@ def test_payload_diagnostics_name_the_offender(mutate, fragment):
         from_payload(payload)
 
 
-def _set(p: dict, table: str, k: int, **fields):
-    """Set entry k of some columns of a column-form table."""
-    for key, value in fields.items():
-        p[table][key][k] = value
+def _append_edge(p: dict, u: int, v: int, length: float) -> None:
+    for key, x in (("u", u), ("v", v), ("length", length)):
+        put_column(p, "edges", key, np.append(column(p, "edges", key), x))
+
+
+def _drop_byte(p: dict, table: str, key: str) -> None:
+    p[table][key] = base64.b64encode(base64.b64decode(p[table][key])[:-1]).decode("ascii")
+
+
+def _coords(*rows):
+    return lambda p: put_column(p, "vertices", "coords", rows)
 
 
 def _dampening(**recipe):
     return lambda p: p.update(dampening=recipe)
 
 
-# Mutations of the column form of cycle_space (vertices a, b, c, d; edges
-# a-b, b-c, c-d, d-a).  Each value case breaks an entry at k > 0 and another
+NAN = math.nan
+
+# Mutations of the file form of cycle_space (vertices a, b, c, d; edges a-b,
+# b-c, c-d, d-a).  Each value case breaks an entry at k > 0 and another
 # entry after it (in another way where the order of the checks matters), so
 # a check that looks at a whole column at once must still name the first
-# offender.
+# offender.  Edge ends are indices: -1, 4 and 9 are not vertices.
 FIRST_OFFENDER_CASES = [
     ("top-level", lambda p: p.pop("edges"), "domain: missing 'edges'"),
-    (
-        "format-missing",
-        lambda p: p.pop("format"),
-        "domain: missing 'format' (only the column form, \"format\": 2, is read)",
-    ),
+    ("format-missing", lambda p: p.pop("format"), "domain: missing 'format' (only \"format\": 3 is read)"),
     ("vertices-list", lambda p: p.update(vertices=[]), "vertices: must be an object"),
     ("edges-list", lambda p: p.update(edges=[]), "edges: must be an object"),
     (
         "vertex-object",
-        lambda p: (_set(p, "vertices", 1, id={"id": "b"}), _set(p, "vertices", 3, id=7)),
+        lambda p: (set_entry(p, "vertices", 1, id={"id": "b"}), set_entry(p, "vertices", 3, id=7)),
         "vertices[1]: 'id' must be a nonempty string",
     ),
     ("vertex-missing-key", lambda p: p["vertices"].pop("boundary"), "vertices: missing 'boundary'"),
     (
         "vertex-id",
-        lambda p: (_set(p, "vertices", 1, id=""), _set(p, "vertices", 2, id=5)),
+        lambda p: (set_entry(p, "vertices", 1, id=""), set_entry(p, "vertices", 2, id=5)),
         "vertices[1]: 'id' must be a nonempty string",
     ),
     (
+        # a column fault comes before any entry fault
         "vertex-measure",
-        lambda p: (_set(p, "vertices", 2, measure="1"), _set(p, "vertices", 3, id=None)),
-        "vertices[2]: 'measure' must be a number",
+        lambda p: (_drop_byte(p, "vertices", "measure"), set_entry(p, "vertices", 3, id=None)),
+        "vertices.measure: 31 bytes, not a whole number of 8-byte entries",
     ),
     (
         "vertex-boundary",
-        lambda p: (_set(p, "vertices", 1, boundary=0), _set(p, "vertices", 2, measure=None)),
-        "vertices[1]: 'boundary' must be a boolean",
+        lambda p: (set_entry(p, "vertices", 1, boundary=2), set_entry(p, "vertices", 2, measure=NAN)),
+        "vertices[1]: 'boundary' must be a boolean, byte 0 or 1",
     ),
     (
         "vertex-coords",
-        lambda p: p["vertices"].update(coords=[None, [0.0, "x"], "xy", None]),
-        "vertices[1]: 'coords' must be a list of numbers",
+        _coords([NAN, NAN], [0.0, NAN], [NAN, 1.0], [NAN, NAN]),
+        "vertices[1]: 'coords' must be all numbers or all NaN",
     ),
     (
         "vertex-coords-bool",
-        lambda p: p["vertices"].update(coords=[[0.0, 0.0], [1.0, 0.0], [True, 1.0], [0, "x"]]),
-        "vertices[2]: 'coords' must be a list of numbers",
+        lambda p: (_coords([0.0, 0.0], [1.0, 0.0], [NAN, 1.0], [0.0, NAN])(p),
+                   set_entry(p, "vertices", 3, boundary=7)),
+        "vertices[2]: 'coords' must be all numbers or all NaN",
     ),
     (
         "edge-object",
-        lambda p: (_set(p, "edges", 1, v={"v": "c"}), _set(p, "edges", 2, u=None)),
-        "edges[1]: unknown endpoint 'b' or {'v': 'c'}",
+        lambda p: (set_entry(p, "edges", 1, v=4), set_entry(p, "edges", 2, u=-1)),
+        "edges[1]: unknown endpoint 'b' or 4",
     ),
     ("edge-missing-key", lambda p: p["edges"].pop("v"), "edges: missing 'v'"),
     (
         "edge-length-type",
-        lambda p: (_set(p, "edges", 1, length="2"), _set(p, "edges", 2, length=None)),
-        "edges[1]: 'length' must be a number",
+        lambda p: (p["edges"].update(length="AAAA*AAA"), set_entry(p, "edges", 2, v=4)),
+        "edges.length: not base64",
     ),
     (
         "duplicate-id",
-        lambda p: (_set(p, "vertices", 2, id="a"), _set(p, "vertices", 3, id="b"), _set(p, "edges", 0, v="ghost")),
+        lambda p: (set_entry(p, "vertices", 2, id="a"), set_entry(p, "vertices", 3, id="b"),
+                   set_entry(p, "edges", 0, v=4)),
         "vertices[2]: duplicate id 'a'",
     ),
     (
         "unknown-endpoint",
-        lambda p: (_set(p, "edges", 1, v="ghost"), _set(p, "edges", 3, u="nope")),
-        "edges[1]: unknown endpoint 'b' or 'ghost'",
+        lambda p: (set_entry(p, "edges", 1, v=-1), set_entry(p, "edges", 3, u=9)),
+        "edges[1]: unknown endpoint 'b' or -1",
     ),
     (
         "self-loop",
-        lambda p: (_set(p, "edges", 1, v="b"), _set(p, "edges", 2, v="ghost")),
+        lambda p: (set_entry(p, "edges", 1, v=1), set_entry(p, "edges", 2, v=4)),
         "edges[1]: self loop at 'b'",
     ),
     (
         "duplicate-edge",
-        lambda p: (_set(p, "edges", 2, u="b", v="a"), _set(p, "edges", 3, u="a", v="b")),
+        lambda p: (set_entry(p, "edges", 2, u=1, v=0), set_entry(p, "edges", 3, u=0, v=1)),
         "edges[2]: duplicate edge 'b'-'a'",
     ),
     (
         "zero-length",
-        lambda p: (_set(p, "edges", 1, length=0.0), _set(p, "edges", 2, v="ghost")),
+        lambda p: (set_entry(p, "edges", 1, length=0.0), set_entry(p, "edges", 2, v=4)),
         "edges[1]: length must be positive and finite",
     ),
     (
         "inf-length",
-        lambda p: (_set(p, "edges", 1, length=math.inf), _set(p, "edges", 3, length=-1.0)),
+        lambda p: (set_entry(p, "edges", 1, length=math.inf), set_entry(p, "edges", 3, length=-1.0)),
         "edges[1]: length must be positive and finite",
     ),
     (
         "nan-length",
-        lambda p: (_set(p, "edges", 2, length=math.nan), _set(p, "edges", 3, u="a", v="a")),
+        lambda p: (set_entry(p, "edges", 2, length=NAN), set_entry(p, "edges", 3, u=0, v=0)),
         "edges[2]: length must be positive and finite",
     ),
     (
         "measure-value",
-        lambda p: (_set(p, "vertices", 2, measure=0.0), _set(p, "vertices", 3, measure=0.0)),
+        lambda p: (set_entry(p, "vertices", 2, measure=0.0), set_entry(p, "vertices", 3, measure=0.0)),
         "vertices[2] ('c'): interior vertex must have positive measure",
     ),
     (
         "measure-rule-order",
-        lambda p: (_set(p, "vertices", 2, measure=0.0), _set(p, "vertices", 3, measure=-1.0)),
+        lambda p: (set_entry(p, "vertices", 2, measure=0.0), set_entry(p, "vertices", 3, measure=-1.0)),
         "vertices[2] ('c'): interior vertex must have positive measure",
     ),
     (
+        # a column in the JSON-list form of "format": 2
         "vertex-measure-bool",
-        lambda p: (_set(p, "vertices", 1, measure=True), _set(p, "vertices", 2, measure="1")),
-        "vertices[1]: 'measure' must be a number",
+        lambda p: p["vertices"].update(measure=[0.0, 1.0, 2.0, 0.5]),
+        "vertices.measure: must be a base64 string",
     ),
     (
         "edge-length-bool",
-        lambda p: (_set(p, "edges", 1, length=True), _set(p, "edges", 2, length="2")),
-        "edges[1]: 'length' must be a number",
+        lambda p: put_column(p, "edges", "length", column(p, "edges", "length")[:-1]),
+        "edges: 'length' has 3 entries, 'u' has 4",
     ),
     ("unknown-key", lambda p: p.update(infinity={"id": "inf"}), "domain: unknown key 'infinity'"),
     ("dampening-object", lambda p: p.update(dampening=[]), "dampening: must be an object"),
@@ -574,8 +586,7 @@ def test_payload_diagnostics_name_the_first_offender(mutate, message):
 @pytest.mark.parametrize("mutate, message", OFFENDER_PARAMS)
 def test_column_form_names_the_same_first_offender(tmp_path, mutate, message):
     """Written as JSON text and read back by load_domain, as the CLI reads a
-    domain, each mutated payload gives from_payload's message: the text keeps
-    every value the checks see, NaN and Infinity included."""
+    domain, each mutated payload gives from_payload's message."""
     payload = cycle_space().to_payload()
     mutate(payload)
     path = tmp_path / "domain.json"
@@ -586,15 +597,13 @@ def test_column_form_names_the_same_first_offender(tmp_path, mutate, message):
 
 
 def test_json_round_trip(tmp_path):
-    space = cycle_space()
+    """Every column comes back bit for bit and in order, and a second dump
+    is byte-identical (canonical serialization)."""
+    space = _with_coords({"a": (-0.0, 5e-324), "c": (1e300, -1.5)})
     path = tmp_path / "cycle.json"
     dump_domain(space, str(path))
     back = load_domain(str(path))
-    assert back.ids == space.ids
-    np.testing.assert_array_equal(back.measure, space.measure)
-    np.testing.assert_array_equal(back.boundary_mask, space.boundary_mask)
-    np.testing.assert_array_equal(back.edge_length, space.edge_length)
-    # a second dump is byte-identical (canonical serialization)
+    assert hex_columns(back) == hex_columns(space)
     path2 = tmp_path / "cycle2.json"
     dump_domain(back, str(path2))
     assert path.read_bytes() == path2.read_bytes()
@@ -604,24 +613,58 @@ def test_payload_survives_json_text_round_trip(strip_small):
     space = strip_small.space
     text = json.dumps(space.to_payload())
     back = from_payload(json.loads(text))
-    assert back.n_vertices == space.n_vertices
-    assert back.n_edges == space.n_edges
-    assert math.isclose(back.measure.sum(), space.measure.sum())
+    assert hex_columns(back) == hex_columns(space)
+
+
+def test_load_builds_the_vertex_index_once(tmp_path, monkeypatch):
+    path = tmp_path / "strip.json"
+    dump_domain(domains.half_strip(0.5, 8).space, str(path))
+    calls, vertex_index = [], graphspace._vertex_index
+
+    def counted(ids):
+        calls.append(len(ids))
+        return vertex_index(ids)
+
+    monkeypatch.setattr(graphspace, "_vertex_index", counted)
+    load_domain(str(path))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ({"a": (0.0, 1.0), "b": (1.0, 2.0, 3.0)}, "vertices.coords: tuples of lengths [2, 3]"),
+        ({"a": (), "b": ()}, "vertices.coords: tuples of lengths [0]"),
+        ({"a": (0.0, 1.0), "b": (math.nan, 2.0)}, "vertices.coords: a NaN coordinate"),
+    ],
+    ids=["ragged", "empty", "nan"],
+)
+def test_writer_refuses_coords_the_format_cannot_carry(tmp_path, coords, message):
+    path = tmp_path / "out.json"
+    with pytest.raises(DomainFormatError, match=re.escape(message)):
+        dump_domain(_with_coords(coords), str(path))
+    assert not path.exists()
+
+
+def test_writer_refuses_more_vertices_than_int32_ends_name(tmp_path, monkeypatch):
+    """Checked before any column is encoded; the count is faked on a small
+    space built first."""
+    space = cycle_space()
+    monkeypatch.setattr(GraphSpace, "n_vertices", property(lambda self: 2**31))
+    with pytest.raises(DomainFormatError, match="int32"):
+        dump_domain(space, str(tmp_path / "out.json"))
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_integer_coords_load_as_floats():
-    payload = cycle_space().to_payload()
-    payload["vertices"]["coords"] = [[0, 1], [1.5, 0], [2, 2], [0, 3.0]]
-    space = from_payload(payload)
+    space = from_payload(_with_coords({"a": (0, 1), "b": (1.5, 0), "c": (2, 2), "d": (0, 3.0)}).to_payload())
     assert space.coords == {"a": (0.0, 1.0), "b": (1.5, 0.0), "c": (2.0, 2.0), "d": (0.0, 3.0)}
     assert {type(x) for c in space.coords.values() for x in c} == {float}
 
 
 def _int_coords_from_file(tmp_path):
-    payload = cycle_space().to_payload()
-    payload["vertices"]["coords"] = [[k, -k] for k in range(4)]
     path = tmp_path / "int_coords.json"
-    path.write_text(json.dumps(payload))
+    dump_domain(_with_coords({v: (k, -k) for k, v in enumerate("abcd")}), str(path))
     return load_domain(str(path))
 
 
@@ -645,8 +688,8 @@ DUMP_INPUTS = [
     ),
     pytest.param(
         lambda tmp: _with_coords(
-            {"\u00e9t\u00e9": (0.5, 1.0), "a%s": (1.0, 1.0), 'q"\\': (2.0, 0.0), "\U0001d4b3": (3.0, 0.0)},
-            ids=("\u00e9t\u00e9", "a%s", 'q"\\', "\U0001d4b3"),
+            {"été": (0.5, 1.0), "a%s": (1.0, 1.0), 'q"\\': (2.0, 0.0), "\U0001d4b3": (3.0, 0.0)},
+            ids=("été", "a%s", 'q"\\', "\U0001d4b3"),
         ),
         id="non-ascii-id",
     ),
@@ -655,7 +698,7 @@ DUMP_INPUTS = [
 
 @pytest.mark.parametrize("make", DUMP_INPUTS)
 def test_dump_domain_writes_json_dumps_bytes(tmp_path, make):
-    """A domain file is the compact json.dumps text of the column form, and
+    """A domain file is the compact json.dumps text of the payload, and
     loads back as the space it was written from."""
     space = make(tmp_path)
     path = tmp_path / "out.json"

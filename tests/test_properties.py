@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import hex_columns
 from uniformizer.dampening import edge_weight, log_power, power, tabulated
 from uniformizer.energy import edge_mass, p_energy, upper_gradient
 from uniformizer.graphspace import GraphSpace, dump_domain, load_domain
@@ -146,6 +147,43 @@ def test_json_round_trip_is_byte_stable(space, phi, p):
         # the dampened file rebuilds the transform, masses included
         np.testing.assert_array_equal(edge_mass(back), edge_mass(g))
         assert (back.phi, back.p) == (g.phi, g.p)
+
+
+# Finite floats a domain file must carry bit for bit: subnormals, values near
+# 1e300 and the float maximum, -0.0 and ones with no short decimal form.
+POSITIVE = st.floats(min_value=5e-324, max_value=1e300) | st.sampled_from([5e-324, 1e-310, 9.9e299, 1e300, 1 / 3])
+COORDINATES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -1.797e308])
+
+
+@st.composite
+def awkward_spaces(draw) -> GraphSpace:
+    """A ``domains()`` graph with awkward finite floats: positive lengths and
+    interior measures from ``POSITIVE``, boundary measures 0.0 or -0.0, and
+    coordinates of one dimension on some vertices only (or on none)."""
+    g = draw(domains())
+    measure = [draw(st.sampled_from([0.0, -0.0]) if b else POSITIVE) for b in g.boundary_mask.tolist()]
+    lengths = draw(st.lists(POSITIVE, min_size=g.n_edges, max_size=g.n_edges))
+    dim = draw(st.integers(1, 3))
+    row = st.tuples(*[COORDINATES] * dim)
+    coords = {vid: draw(row) for vid in g.ids if draw(st.booleans())}
+    return GraphSpace.from_arrays(
+        list(g.ids), np.array(measure), g.boundary_mask, g.edge_u, g.edge_v, np.array(lengths), coords=coords or None
+    )
+
+
+@PROPERTY
+@given(awkward_spaces())
+def test_domain_file_keeps_every_bit(space):
+    """load_domain(dump_domain(s)) equals s by float.hex in every column, in
+    vertex and edge order, and a second dump is byte-identical."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+        dump_domain(space, first)
+        back = load_domain(first)
+        dump_domain(back, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    assert hex_columns(back) == hex_columns(space)
 
 
 # Leaves for the JSON writer: every value kind jsonable converts, with the
