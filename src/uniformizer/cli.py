@@ -149,10 +149,12 @@ def _boundary_data(spec: str, space: GraphSpace) -> dict:
             raise DomainFormatError(f"bad data spec {spec!r}")
         if space.coords is None:
             raise DomainFormatError("domain carries no coordinates for coord: data")
-        for v in bids:
-            if len(space.coords.get(v, ())) <= axis:
-                raise DomainFormatError(f"boundary vertex {v!r} has no {spec[6:]} coordinate")
-        return {v: float(space.coords[v][axis]) for v in bids}
+        has_axis = axis < space.coords.shape[1]
+        values = space.coords[space.boundary_indices(), axis] if has_axis else np.full(len(bids), np.nan)
+        missing = np.isnan(values)
+        if missing.any():
+            raise DomainFormatError(f"boundary vertex {bids[np.argmax(missing)]!r} has no {spec[6:]} coordinate")
+        return dict(zip(bids, values.tolist()))
     raw = read_json(spec)
     if not isinstance(raw, dict):
         raise DomainFormatError(f"{spec}: boundary data must be a JSON object")

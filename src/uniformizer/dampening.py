@@ -306,6 +306,10 @@ def validate(
     # the ratios below need 2^n phi(2^n), and on synthetic bands phi(2^n)^p,
     # to be positive finite floats up to the last dyadic scale
     n_hi, _ = _dyadic_range(phi, n_max)
+    if n_hi < 1:  # only tabulated samples clamp the range this far
+        lo, hi = phi.samples[0][0], phi.samples[-1][0]
+        msg = f"tabulated samples span t in [{lo:g}, {hi:g}]; the dyadic checks need t up to 4"
+        raise DampeningError(f"validate: {msg}")
     with np.errstate(all="ignore"):
         scales = np.exp2(np.arange(1.0, n_hi + 1))
         w = edge_weight(phi, scales)

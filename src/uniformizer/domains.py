@@ -103,9 +103,7 @@ def _build_grid(
         raise DomainFormatError("generator produced an empty domain")
     idmap[rows, cols] = np.arange(nv)
     ids = [f"v{ix0 + int(a)}_{iy0 + int(b)}" for b, a in zip(rows, cols)]
-    xs = x0 + cols * h
-    ys = y0 + rows * h
-    coords = {vid: (float(x), float(y)) for vid, x, y in zip(ids, xs, ys)}
+    coords = np.column_stack([x0 + cols * h, y0 + rows * h])
     bflags = boundary[rows, cols]
     measures = np.where(bflags, 0.0, h * h)
 

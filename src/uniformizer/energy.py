@@ -80,12 +80,15 @@ def random_smooth_fields(space, count: int, seed: int) -> np.ndarray:
 
     Each field sums 4 products cos(a x + c) cos(b y + d), with frequencies
     a, b uniform in [-1, 1], phases uniform in [0, 2 pi) and normal
-    amplitudes divided by 4.  Vertices without coordinates (the added point
-    at infinity) get value 0.  Returns an array of shape (count, n_vertices).
+    amplitudes divided by 4.  x and y are coordinate columns 0 and 1, NaN
+    (no coordinates, as at infinity) read as 0.  Returns (count, n_vertices).
     """
     if space.coords is None:
         raise EnergyError("space has no coordinates; cannot build smooth fields")
-    xy = np.array([space.coords.get(i, (0.0, 0.0)) for i in space.ids])
+    if space.coords.shape[1] < 2:
+        raise EnergyError(f"random_smooth_fields needs 2 coordinate columns; the space has {space.coords.shape[1]}")
+    xy = space.coords[:, :2]
+    xy = np.where(np.isnan(xy), 0.0, xy)
     rng = np.random.default_rng(seed)
     out = np.zeros((count, space.n_vertices))
     for k in range(count):

@@ -18,10 +18,11 @@ the far field: band 0 is ``{d <= 1}`` and band ``n >= 1`` is
 Domain files hold ``GraphSpace.to_payload`` under ``"format": 3``: the
 vertex ids as one JSON list, and every other column of the vertex and edge
 tables as one base64 string of its little-endian values, with a fixed dtype
-per column (``_COLUMNS``).  A dampened domain adds one ``dampening`` block,
-its recipe, from which ``from_payload`` rebuilds the transform
-(``transform.from_recipe``).  ``dump_domain`` writes a file as one line of
-compact JSON with the stdlib C encoder.
+per column (``_COLUMNS``); the ``coords`` block is ``GraphSpace.coords`` as
+it is.  A dampened domain adds one ``dampening`` block, its recipe, from
+which ``from_payload`` rebuilds the transform (``transform.from_recipe``).
+``dump_domain`` writes a file as one line of compact JSON with the stdlib C
+encoder.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
@@ -148,8 +149,10 @@ class GraphSpace:
     byte-stable.  ``infinity_id`` (set through ``from_arrays``) marks the
     single added point used by dampened (transformed) spaces; it is exempt
     from the measure-positivity rule but from nothing else.  The space is
-    frozen, so its caches stay true: the five arrays of vertex and edge data
-    are read-only, ``ids`` is a tuple, ``index`` and ``coords`` read-only maps.
+    frozen, so its caches stay true: the arrays of vertex and edge data are
+    read-only, ``ids`` is a tuple and ``index`` a read-only map.  ``coords``
+    is None or an (n, dim >= 1) float64 array, a row of NaN for a vertex
+    without coordinates; a block that is all NaN is stored as None.
 
     The edge-mass slot holds one mass per edge.  ``from_arrays(edge_mass=...)``
     fills it with explicit masses (the dampened ones of a transform);
@@ -163,7 +166,7 @@ class GraphSpace:
         measures: Sequence[float],
         boundary_flags: Sequence[bool],
         edges: Sequence[tuple[str, str, float]],
-        coords: dict[str, tuple[float, ...]] | None = None,
+        coords: np.ndarray | None = None,
     ):
         self._set_vertices(ids, measures, boundary_flags, None)
         us, vs, lengths = zip(*[(u, v, ln) for u, v, ln in edges]) if len(edges) else ((), (), ())
@@ -182,7 +185,7 @@ class GraphSpace:
         edge_u: np.ndarray,
         edge_v: np.ndarray,
         edge_length: np.ndarray,
-        coords: dict[str, tuple[float, ...]] | None = None,
+        coords: np.ndarray | None = None,
         infinity_id: str | None = None,
         edge_mass: np.ndarray | None = None,
     ) -> "GraphSpace":
@@ -193,7 +196,7 @@ class GraphSpace:
         nonnegative masses) still run.  ``edge_mass``, when given, fills the
         edge-mass slot in place of the length-share rule.  The space owns
         what it is given: arrays of the right dtype are kept, not copied, and
-        made read-only, and the caller must not change the ``coords`` dict.
+        made read-only, ``coords`` included.
         """
         obj = cls.__new__(cls)
         obj._set_vertices(ids, measures, boundary_flags, infinity_id)
@@ -230,13 +233,14 @@ class GraphSpace:
         self.infinity_id = infinity_id
         self.infinity_index = self.index[infinity_id] if infinity_id is not None else -1
 
-    def _finish_init(
-        self, coords: dict[str, tuple[float, ...]] | None, edge_mass: np.ndarray | None = None
-    ) -> None:
+    def _finish_init(self, coords: np.ndarray | None, edge_mass: np.ndarray | None = None) -> None:
         self._validate_measures()
         for a in (self.edge_u, self.edge_v, self.edge_length, self.measure, self.boundary_mask):
             _frozen(a)
-        self.coords = None if coords is None else MappingProxyType(coords)
+        coords = None if coords is None else np.ascontiguousarray(coords, dtype=float)
+        if coords is not None and (coords.ndim != 2 or coords.shape[0] != self.n_vertices or coords.size == 0):
+            raise DomainFormatError(f"vertices.coords: shape {coords.shape}, not ({self.n_vertices}, dim >= 1)")
+        self.coords = None if coords is None or np.isnan(coords).all() else _frozen(coords)
         self._edge_mass = edge_mass
         self._adjacency = None
         self._route = None
@@ -402,8 +406,8 @@ class GraphSpace:
         coordinates a row of NaN; it is left out when no vertex has any.
 
         Raises DomainFormatError for a space whose file would load as another
-        one: 2^31 or more vertices (ends are int32), coordinate tuples of
-        more than one length or of none, or a NaN coordinate."""
+        one: 2^31 or more vertices (ends are int32), or a coordinate row with
+        some but not all NaN."""
         n = self.n_vertices
         if n >= 2**31:
             raise DomainFormatError(f"vertices: {n} vertices; a file names edge ends as int32")
@@ -412,18 +416,11 @@ class GraphSpace:
             "measure": _encode("measure", self.measure),
             "boundary": _encode("boundary", self.boundary_mask),
         }
-        coords = [] if self.coords is None else list(map(self.coords.get, self.ids))
-        given = [c for c in coords if c is not None]
-        if given:
-            dims = sorted(set(map(len, given)))
-            if len(dims) > 1 or dims == [0]:
-                raise DomainFormatError(f"vertices.coords: tuples of lengths {dims}; a file holds one length >= 1")
-            rows = np.full((n, dims[0]), np.nan)
-            has = np.array([c is not None for c in coords])
-            rows[has] = given
-            if np.isnan(rows[has]).any():
-                raise DomainFormatError("vertices.coords: a NaN coordinate; a file reads NaN as no coordinates")
-            vertices["coords"] = _encode("coords", rows)
+        if self.coords is not None:
+            nan = np.isnan(self.coords)
+            if (nan.any(axis=1) & ~nan.all(axis=1)).any():
+                raise DomainFormatError("vertices.coords: a row mixes NaN and numbers; a file holds no such row")
+            vertices["coords"] = _encode("coords", self.coords)
         columns = (("u", self.edge_u), ("v", self.edge_v), ("length", self.edge_length))
         edges = {key: _encode(key, values) for key, values in columns}
         return {"format": 3, "vertices": vertices, "edges": edges}
@@ -590,17 +587,14 @@ def from_payload(payload: dict) -> GraphSpace:
     checks.append((flags <= 1, "'boundary' must be a boolean, byte 0 or 1"))
     if rows is not None:
         nan = np.isnan(rows)
-        has = ~nan.any(axis=1)
-        checks.append((has | nan.all(axis=1), "'coords' must be all numbers or all NaN"))
+        checks.append((~nan.any(axis=1) | nan.all(axis=1), "'coords' must be all numbers or all NaN"))
     _first_offender("vertices", checks)
-    # a row of NaN is a vertex without coordinates
-    coords = None if rows is None or not has.any() else dict(zip(compress(ids, has), zip(*rows[has].T.tolist())))
     space = GraphSpace.__new__(GraphSpace)
     space._set_vertices(ids, measure, flags, None)
     space.edge_u, space.edge_v, space.edge_length = _edge_arrays(
         eu, ev, el, n, lambda k: tuple(ids[i] if 0 <= i < n else i for i in (int(eu[k]), int(ev[k])))
     )
-    space._finish_init(coords)
+    space._finish_init(rows)
     from .transform import from_recipe  # here, as transform imports this module
 
     return from_recipe(space, payload["dampening"]) if "dampening" in payload else space

@@ -281,8 +281,11 @@ class _NewtonSystem:
         """Solve with the Hessian of weights w (a kept factor ignores w), refined once."""
         if self.lu is None:
             self.H = self._assemble(w)
-            self.lu = splu(self.H, permc_spec="NATURAL" if self.cell is not None else ORDERING,
-                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            try:
+                self.lu = splu(self.H, permc_spec="NATURAL" if self.cell is not None else ORDERING,
+                               diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise SolverError(f"Newton system: {exc}") from exc
             if self.order is None:  # int64 keys col * n + row; a view would pin the factor
                 self.order = self.lu.perm_c.astype(np.int64)
         frame = self.order if self.cell is not None else slice(None)

@@ -175,7 +175,7 @@ def attach_infinity(ts: TransformedSpace) -> TransformedSpace:
         edge_u,
         edge_v,
         edge_length,
-        coords=space.coords,
+        coords=None if space.coords is None else np.vstack([space.coords, np.full(space.coords.shape[1], np.nan)]),
         infinity_id=INFINITY_ID,
         edge_mass=np.concatenate([edge_mass(ts), inf_masses]),
     )

@@ -73,7 +73,8 @@ def set_entry(payload: dict, table: str, k: int, **fields) -> None:
 
 def hex_columns(space) -> dict:
     """Every column of a space in construction order, each float spelled by
-    ``float.hex`` (so -0.0 and every last bit count); coords by vertex id."""
+    ``float.hex`` (so -0.0 and every last bit count); coords row by row,
+    NaN rows included."""
     def hexes(values):
         return [float(x).hex() for x in values]
 
@@ -84,5 +85,5 @@ def hex_columns(space) -> dict:
         "u": space.edge_u.tolist(),
         "v": space.edge_v.tolist(),
         "length": hexes(space.edge_length),
-        "coords": None if space.coords is None else {vid: hexes(c) for vid, c in space.coords.items()},
+        "coords": None if space.coords is None else [hexes(row) for row in space.coords],
     }

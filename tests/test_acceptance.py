@@ -72,11 +72,7 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
 
 def _bottom_data(space: GraphSpace) -> dict:
     """Dirichlet data f(x, y) = x on the boundary vertices."""
-    return {
-        vid: space.coords[vid][0]
-        for vid, b in zip(space.ids, space.boundary_mask)
-        if b
-    }
+    return {space.ids[i]: space.coords[i, 0] for i in space.boundary_indices()}
 
 
 def _window(space: GraphSpace, seeds: list, radius: float) -> list:

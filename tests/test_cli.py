@@ -259,13 +259,17 @@ def test_solve_rejects_bad_continuation(dom_file, tmp_path, capsys, extra):
         (["classify", "--p", "3", "--phi", "power:2", "--max-iter", "0"], "max_iter=0"),
         (["solve", "--p", "3", "--data", "coord:x", "--max-iter", "0"], "max_iter=0"),
         (["solve", "--data", "coord:x", "--tol", "inf"], "--tol=inf"),
+        (["capacity", "--p", "50", "--E", "v4_0", "--F", "v4_8"], "Factor is exactly singular"),
+        (["solve", "--p", "100", "--data", "coord:x"], "Factor is exactly singular"),
+        (["solve", "--p", "3", "--eps-schedule", "1e200", "--data", "coord:x"], "Factor is exactly singular"),
     ],
 )
 def test_bad_p_tol_and_budget_exit_2(dom_file, tmp_path, capsys, argv, message):
     """A non-finite p, p <= 1 where the solvers need p > 1, a modulus tol
     outside (0, 1), a negative path budget, a Newton budget below 1 and a
     non-finite tol are each named in one line, with exit code 2 and no
-    output."""
+    output.  So is a p or an eps so large that a Newton Hessian factors as
+    exactly singular."""
     out = tmp_path / "out.json"
     code = run(argv[:1] + ["--domain", dom_file, "--out", str(out)] + argv[1:])
     captured = capsys.readouterr()
@@ -641,6 +645,27 @@ def test_coord_data_needs_coords_on_every_boundary_vertex(dom_file, tmp_path, ca
     out = tmp_path / "out.json"
     code = run(["solve", "--domain", str(domain), "--data", "coord:x", "--out", str(out)])
     _assert_input_error(code, capsys, out, f"boundary vertex {payload['vertices']['id'][k]!r} has no x coordinate")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--check", "poincare"],
+        ["--check", "hardy", "--phi", "power:2"],
+        ["--check", "adams", "--phi", "power:2", "--nu", "NU", "--q", "3", "--samples", "1"],
+    ],
+    ids=["poincare", "hardy", "adams"],
+)
+def test_smooth_fields_need_two_coordinate_columns(dom_file, nu_file, tmp_path, capsys, argv):
+    with open(dom_file) as fh:
+        payload = json.load(fh)
+    put_column(payload, "vertices", "coords", column(payload, "vertices", "coords")[:, :1])
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    argv = [a.replace("NU", nu_file) for a in argv]
+    code = run(["verify", "--domain", str(domain), "--fields", "1", "--out", str(out)] + argv)
+    _assert_input_error(code, capsys, out, "random_smooth_fields needs 2 coordinate columns; the space has 1")
 
 
 def _shorten(table: str, key: str):

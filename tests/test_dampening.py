@@ -181,6 +181,13 @@ def test_validate_tabulated_is_range_limited():
     assert rep.passes["4"]
 
 
+def test_validate_refuses_samples_that_end_below_four():
+    """The dyadic checks read phi at t = 2, 4, ...; samples that stop short
+    of 4 leave them nothing, and the error names the sample range."""
+    with pytest.raises(DampeningError, match=r"samples span t in \[1, 2\]"):
+        validate(tabulated([[1, 1], [2, 0.5]]), p=2.0)
+
+
 def test_bad_profiles_rejected():
     with pytest.raises(DampeningError):
         power(0.0)

@@ -44,7 +44,7 @@ def test_half_strip_counts(strip_small):
 
 def test_half_strip_distance_is_height(strip_small):
     g = strip_small.space
-    ys = np.array([g.coords[i][1] for i in g.ids])
+    ys = g.coords[:, 1]
     np.testing.assert_allclose(g.boundary_distance_array(), ys)
 
 
@@ -61,8 +61,8 @@ def test_slit_cone_shape(cone_small):
     # the slit [-1, 1] x {0} holds 2/h + 1 vertices
     assert int(g.boundary_mask.sum()) == 5
     assert g.ids[0] == "v-2_0" and g.ids[-1] == "v34_32"
-    xs = np.array([g.coords[i][0] for i in g.ids])
-    ys = np.array([g.coords[i][1] for i in g.ids])
+    xs = g.coords[:, 0]
+    ys = g.coords[:, 1]
     assert np.all(ys >= np.maximum(0.0, np.abs(xs) - 1.0) - 1e-9)
 
 
@@ -70,8 +70,8 @@ def test_slit_cone_distance_formula(cone_small):
     # inside the slit's shadow the distance is the height; outside it the
     # path must also cover the horizontal overhang
     g = cone_small.space
-    xs = np.array([g.coords[i][0] for i in g.ids])
-    ys = np.array([g.coords[i][1] for i in g.ids])
+    xs = g.coords[:, 0]
+    ys = g.coords[:, 1]
     expect = np.where(np.abs(xs) <= 1.0 + 1e-9, ys, np.abs(xs) - 1.0 + ys)
     np.testing.assert_allclose(g.boundary_distance_array(), expect)
 

@@ -212,11 +212,15 @@ def test_hardy_ratio_finite_and_zero_on_constants(strip_small):
 
 
 def test_random_smooth_fields_deterministic(strip_small):
+    """Same seed, same fields; the point at infinity, which has no
+    coordinates, takes the value of the origin v4_0."""
     space = strip_small.space
     a = random_smooth_fields(space, count=2, seed=9)
     b = random_smooth_fields(space, count=2, seed=9)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (2, space.n_vertices)
+    c = random_smooth_fields(attach_infinity(transform(space, power(2.0), 2.0)), count=2, seed=9)
+    np.testing.assert_array_equal(c, np.column_stack([a, a[:, space.index["v4_0"]]]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +233,10 @@ def test_trace_recovers_boundary_data_of_linear_field(strip_small):
     # within the one-sided centroid shift <= r/4 at the two corners
     space = strip_small.space
     nu = codimensional_measure(space, 1.0, 0.25)
-    u = np.array([space.coords[v][0] for v in space.ids])
+    u = space.coords[:, 0]
     rep = trace(space, u, nu, radii=[2.0, 1.0])
     assert not rep.unresolved
-    x_of = {v: space.coords[v][0] for v in rep.ids}
+    x_of = {v: space.coords[space.index[v], 0] for v in rep.ids}
     errs = {v: abs(rep.values[k] - x_of[v]) for k, v in enumerate(rep.ids)}
     assert errs["v4_0"] == pytest.approx(0.0, abs=1e-12)
     assert max(errs.values()) == pytest.approx(0.25, abs=1e-12)
@@ -309,7 +313,7 @@ def test_adams_check_smoke(strip_small):
     space = strip_small.space
     ts = attach_infinity(transform(space, power(2.0), 2.0))
     nu = codimensional_measure(space, 1.0, 0.25)
-    u = np.array([space.coords[v][0] for v in space.ids] + [0.0])
+    u = np.append(space.coords[:, 0], 0.0)
     q = adams_exponent(1.0, 2.0, 2.0, p_tilde=1.25)
     balls = [("v8_0", 0.5), ("v8_0", 1.0), ("v0_0", 0.5)]
     rep = adams_check(ts, nu, u, q, 1.0, balls)

@@ -211,9 +211,7 @@ def test_shortest_route_matches_floyd_warshall(seed):
 def test_boundary_distance_on_strip_rows(strip_small):
     space = strip_small.space
     # the boundary is the bottom row, so d equals the height coordinate
-    d = space.boundary_distance_array()
-    for vid, xy in space.coords.items():
-        assert d[space.index[vid]] == pytest.approx(xy[1], abs=1e-12)
+    np.testing.assert_allclose(space.boundary_distance_array(), space.coords[:, 1], rtol=0, atol=1e-12)
 
 
 def test_cached_distance_arrays_are_read_only():
@@ -257,13 +255,22 @@ def test_transform_base_arrays_are_read_only():
 
 
 def test_vertex_tables_are_read_only():
+    """ids, index and the coordinate block cannot be written.  A transform
+    holds its base's block, and attaching infinity adds one NaN row to it."""
     space = domains.half_strip(0.5, 8).space
     with pytest.raises(TypeError):
         space.ids[0] = "x"
     with pytest.raises(TypeError):
         space.index["x"] = 0
-    with pytest.raises(TypeError):
-        space.coords["x"] = (0.0, 0.0)
+    ts = transform(space, power(2.0), 2.0)
+    assert ts.coords is space.coords
+    full = attach_infinity(ts)
+    assert full.coords.shape == (space.n_vertices + 1, 2)
+    np.testing.assert_array_equal(full.coords[:-1], space.coords)
+    assert np.isnan(full.coords[-1]).all()
+    for s in (space, full):
+        with pytest.raises(ValueError, match="read-only"):
+            s.coords[0, 0] = 1.0
 
 
 @pytest.mark.parametrize(
@@ -599,7 +606,7 @@ def test_column_form_names_the_same_first_offender(tmp_path, mutate, message):
 def test_json_round_trip(tmp_path):
     """Every column comes back bit for bit and in order, and a second dump
     is byte-identical (canonical serialization)."""
-    space = _with_coords({"a": (-0.0, 5e-324), "c": (1e300, -1.5)})
+    space = _with_coords([[-0.0, 5e-324], [NAN, NAN], [1e300, -1.5], [NAN, NAN]])
     path = tmp_path / "cycle.json"
     dump_domain(space, str(path))
     back = load_domain(str(path))
@@ -633,17 +640,25 @@ def test_load_builds_the_vertex_index_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "coords, message",
     [
-        ({"a": (0.0, 1.0), "b": (1.0, 2.0, 3.0)}, "vertices.coords: tuples of lengths [2, 3]"),
-        ({"a": (), "b": ()}, "vertices.coords: tuples of lengths [0]"),
-        ({"a": (0.0, 1.0), "b": (math.nan, 2.0)}, "vertices.coords: a NaN coordinate"),
+        (np.empty((4, 0)), "vertices.coords: shape (4, 0), not (4, dim >= 1)"),
+        ([[0.0, 1.0], [NAN, 2.0], [NAN, NAN], [NAN, NAN]], "vertices.coords: a row mixes NaN and numbers"),
     ],
-    ids=["ragged", "empty", "nan"],
+    ids=["empty", "nan"],
 )
 def test_writer_refuses_coords_the_format_cannot_carry(tmp_path, coords, message):
+    """No file is written for a coordinate block that would load as another
+    one: a block of no columns cannot even be built, and a row with some
+    but not all NaN is refused by the writer."""
     path = tmp_path / "out.json"
     with pytest.raises(DomainFormatError, match=re.escape(message)):
         dump_domain(_with_coords(coords), str(path))
     assert not path.exists()
+
+
+def test_an_all_nan_block_is_no_coordinates():
+    space = _with_coords(np.full((4, 2), NAN))
+    assert space.coords is None
+    assert "coords" not in space.to_payload()["vertices"]
 
 
 def test_writer_refuses_more_vertices_than_int32_ends_name(tmp_path, monkeypatch):
@@ -657,14 +672,14 @@ def test_writer_refuses_more_vertices_than_int32_ends_name(tmp_path, monkeypatch
 
 
 def test_integer_coords_load_as_floats():
-    space = from_payload(_with_coords({"a": (0, 1), "b": (1.5, 0), "c": (2, 2), "d": (0, 3.0)}).to_payload())
-    assert space.coords == {"a": (0.0, 1.0), "b": (1.5, 0.0), "c": (2.0, 2.0), "d": (0.0, 3.0)}
-    assert {type(x) for c in space.coords.values() for x in c} == {float}
+    space = from_payload(_with_coords([[0, 1], [1.5, 0], [2, 2], [0, 3.0]]).to_payload())
+    assert space.coords.dtype == np.float64
+    np.testing.assert_array_equal(space.coords, [[0.0, 1.0], [1.5, 0.0], [2.0, 2.0], [0.0, 3.0]])
 
 
 def _int_coords_from_file(tmp_path):
     path = tmp_path / "int_coords.json"
-    dump_domain(_with_coords({v: (k, -k) for k, v in enumerate("abcd")}), str(path))
+    dump_domain(_with_coords([[k, -k] for k in range(4)]), str(path))
     return load_domain(str(path))
 
 
@@ -680,16 +695,15 @@ def _with_coords(coords, ids=("a", "b", "c", "d")):
 
 DUMP_INPUTS = [
     pytest.param(lambda tmp: cycle_space(), id="no-coords"),
-    pytest.param(lambda tmp: _with_coords({"b": (1.0, 2.0), "d": (0, 0.5)}), id="some-coords"),
-    pytest.param(lambda tmp: _with_coords({v: (1.0, -0.0, 2.5 * k) for k, v in enumerate("abcd")}), id="3d-coords"),
+    pytest.param(lambda tmp: _with_coords([[NAN, NAN], [1.0, 2.0], [NAN, NAN], [0, 0.5]]), id="some-coords"),
+    pytest.param(lambda tmp: _with_coords([[1.0, -0.0, 2.5 * k] for k in range(4)]), id="3d-coords"),
     pytest.param(_int_coords_from_file, id="int-coords-file"),
     pytest.param(
         lambda tmp: attach_infinity(transform(domains.half_strip(0.25, 8).space, power(2.0), 2.0)), id="infinity"
     ),
     pytest.param(
         lambda tmp: _with_coords(
-            {"été": (0.5, 1.0), "a%s": (1.0, 1.0), 'q"\\': (2.0, 0.0), "\U0001d4b3": (3.0, 0.0)},
-            ids=("été", "a%s", 'q"\\', "\U0001d4b3"),
+            [[0.5, 1.0], [1.0, 1.0], [2.0, 0.0], [3.0, 0.0]], ids=("été", "a%s", 'q"\\', "\U0001d4b3")
         ),
         id="non-ascii-id",
     ),
@@ -707,7 +721,7 @@ def test_dump_domain_writes_json_dumps_bytes(tmp_path, make):
     assert path.read_text().isascii()
     back = load_domain(str(path))
     assert back.ids == space.ids
-    assert back.coords == space.coords
+    assert hex_columns(back)["coords"] == hex_columns(space)["coords"]
     assert back.infinity_id == space.infinity_id
     for name in ("measure", "boundary_mask", "edge_u", "edge_v", "edge_length"):
         np.testing.assert_array_equal(getattr(back, name), getattr(space, name))

@@ -159,15 +159,16 @@ COORDINATES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from
 def awkward_spaces(draw) -> GraphSpace:
     """A ``domains()`` graph with awkward finite floats: positive lengths and
     interior measures from ``POSITIVE``, boundary measures 0.0 or -0.0, and
-    coordinates of one dimension on some vertices only (or on none)."""
+    a coordinate block of 1 to 3 columns whose other rows are NaN (all of
+    them NaN, or no block, for no coordinates)."""
     g = draw(domains())
     measure = [draw(st.sampled_from([0.0, -0.0]) if b else POSITIVE) for b in g.boundary_mask.tolist()]
     lengths = draw(st.lists(POSITIVE, min_size=g.n_edges, max_size=g.n_edges))
     dim = draw(st.integers(1, 3))
-    row = st.tuples(*[COORDINATES] * dim)
-    coords = {vid: draw(row) for vid in g.ids if draw(st.booleans())}
+    row = st.tuples(*[COORDINATES] * dim) | st.just((math.nan,) * dim)
+    coords = draw(st.none() | st.lists(row, min_size=g.n_vertices, max_size=g.n_vertices).map(np.array))
     return GraphSpace.from_arrays(
-        list(g.ids), np.array(measure), g.boundary_mask, g.edge_u, g.edge_v, np.array(lengths), coords=coords or None
+        list(g.ids), np.array(measure), g.boundary_mask, g.edge_u, g.edge_v, np.array(lengths), coords=coords
     )
 
 

@@ -136,7 +136,7 @@ def test_newton_system_matches_dense_solve(strip_small, monkeypatch, p):
 
     monkeypatch.setattr(solver._NewtonSystem, "solve", recording)
     space = strip_small.space
-    f = {space.ids[i]: space.coords[space.ids[i]][0] for i in space.boundary_indices()}
+    f = {space.ids[i]: space.coords[i, 0] for i in space.boundary_indices()}
     solve_p_harmonic(DirichletProblem(space, p, f))
 
     eu, ev = space.edge_u, space.edge_v
@@ -170,7 +170,7 @@ def test_newton_system_orders_and_factors_once(strip_small, monkeypatch):
 
     monkeypatch.setattr(solver, "splu", counting)
     space = strip_small.space
-    f = {space.ids[i]: space.coords[space.ids[i]][0] for i in space.boundary_indices()}
+    f = {space.ids[i]: space.coords[i, 0] for i in space.boundary_indices()}
     res = solve_p_harmonic(DirichletProblem(space, 3.0, f))
     assert res.iterations >= 2
     assert calls[0] == solver.ORDERING and set(calls[1:]) == {"NATURAL"}
@@ -230,7 +230,7 @@ def test_single_free_vertex_matches_scalar_minimization(p):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_maximum_principle_and_energy_minimality(strip_small, p):
     space = strip_small.space
-    f = {space.ids[i]: space.coords[space.ids[i]][0] for i in space.boundary_indices()}
+    f = {space.ids[i]: space.coords[i, 0] for i in space.boundary_indices()}
     res = solve_p_harmonic(DirichletProblem(space, p, f))
     assert res.u.min() >= -1.0 - 1e-10
     assert res.u.max() <= 1.0 + 1e-10
@@ -245,7 +245,7 @@ def test_maximum_principle_and_energy_minimality(strip_small, p):
 
 def test_flat_and_harmonic_inits_agree(strip_small):
     space = strip_small.space
-    f = {space.ids[i]: space.coords[space.ids[i]][0] for i in space.boundary_indices()}
+    f = {space.ids[i]: space.coords[i, 0] for i in space.boundary_indices()}
     a = solve_p_harmonic(DirichletProblem(space, 3.0, f))
     b = solve_p_harmonic(
         DirichletProblem(space, 3.0, f, SolveOptions(init="flat", eps_schedule=fine_ladder(f)))
@@ -260,7 +260,7 @@ def test_default_continuation_matches_fine_continuation(strip_small, p):
     error in u on edges where the difference is about 0."""
     space = strip_small.space
     f = {
-        space.ids[i]: math.sin(math.pi * space.coords[space.ids[i]][0])
+        space.ids[i]: math.sin(math.pi * space.coords[i, 0])
         for i in space.boundary_indices()
     }
     a = solve_p_harmonic(DirichletProblem(space, p, f))
@@ -277,7 +277,7 @@ def test_default_continuation_u_on_dampened_strip(p):
     last level stopped on the energy drop alone missed by 1.3e-9 at p = 1.5."""
     space = domains.half_strip(0.25, 64.0).space
     f = {
-        space.ids[i]: math.sin(math.pi * space.coords[space.ids[i]][0])
+        space.ids[i]: math.sin(math.pi * space.coords[i, 0])
         for i in space.boundary_indices()
     }
     a = solve_dirichlet_unbounded(space, power(2.0), p, f)
@@ -317,7 +317,7 @@ def test_condenser_capacity_newton_steps(cone_small):
 )
 def test_bad_continuation_inputs_rejected(strip_small, p, options, message):
     space = strip_small.space
-    ramp = {space.ids[i]: space.coords[space.ids[i]][0] for i in space.boundary_indices()}
+    ramp = {space.ids[i]: space.coords[i, 0] for i in space.boundary_indices()}
     with pytest.raises(SolverError, match=message):
         solve_p_harmonic(DirichletProblem(space, p, ramp, options))
 
@@ -347,7 +347,7 @@ def test_solver_guards(strip_small):
         solve_dirichlet_unbounded(space, power(2.0), 2.0, {**full, "v4_8": 1.0})
     with pytest.raises(SolverError, match="exceed 1"):
         solve_p_harmonic(DirichletProblem(space, 1.0, full))
-    ramp = {space.ids[i]: space.coords[space.ids[i]][0] for i in space.boundary_indices()}
+    ramp = {space.ids[i]: space.coords[i, 0] for i in space.boundary_indices()}
     with pytest.raises(SolverError, match="init"):
         solve_p_harmonic(DirichletProblem(space, 3.0, ramp, SolveOptions(init="wild")))
     with pytest.raises(SolverError, match="positive"):
@@ -938,7 +938,7 @@ def test_flow_paths_end_quietly_at_a_dead_end():
 
 def test_unbounded_solve_free_infinity(strip_small):
     space = strip_small.space
-    f = {space.ids[i]: space.coords[space.ids[i]][0] for i in space.boundary_indices()}
+    f = {space.ids[i]: space.coords[i, 0] for i in space.boundary_indices()}
     res = solve_dirichlet_unbounded(space, power(2.0), 2.0, f)
     assert -1.0 - 1e-10 <= res.at_infinity_value <= 1.0 + 1e-10
     assert res.transformed.infinity_attached
