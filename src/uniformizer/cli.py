@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -331,18 +334,20 @@ def cmd_modulus(args) -> int:
     return 0
 
 
+def _exponent_fit(space: GraphSpace, seed: int):
+    """The mass-exponent fit the exponent formula reads: three interior
+    centres and dyadic radii out to the outermost band."""
+    radii = [2.0**k for k in range(0, max(3, space.bands().n_max))]
+    return mass_exponents(space, sample_interior(space, 3, seed), radii)
+
+
 def cmd_classify(args) -> int:
     if args.seed != 0 and not args.with_theory:
         raise ValueError("classify: --seed is read only with --with-theory")
     space = load_domain(args.domain)
     phi = _parse_phi(args.phi)
     ts = attach_infinity(transform(space, phi, args.p))
-    theory_fit = None
-    if args.with_theory:
-        bands = space.bands()
-        radii = [2.0**k for k in range(0, max(3, bands.n_max))]
-        centers = sample_interior(space, 3, args.seed)
-        theory_fit = mass_exponents(space, centers, radii)
+    theory_fit = _exponent_fit(space, args.seed) if args.with_theory else None
     report = classify_parabolicity(
         ts, args.p, n_shells=args.shells, options=_solve_options(args), theory_fit=theory_fit
     )
@@ -375,193 +380,194 @@ def cmd_report(args) -> int:
 # verify
 
 
-# The options each verify check reads, past --check, --domain and --out.
-VERIFY_READS = {
-    "codim": {"nu", "radii", "bound"},
-    "doubling": {"phi", "p", "at_infinity", "samples", "seed", "radii", "bound"},
-    "exponents": {"phi", "p", "at_infinity", "samples", "seed", "radii", "expect", "tol"},
-    "distinf": {"phi", "p", "bound"},
-    "poincare": {"phi", "p", "fields", "samples", "seed", "radii", "bound"},
-    "hardy": {"phi", "p", "fields", "seed", "bound"},
-    "adams": {"phi", "p", "nu", "q", "p_tilde", "fields", "samples", "seed", "radii"},
-    "besov": {"nu", "p", "fields", "seed", "alpha"},
-    "uniformity": {"phi", "p", "samples", "seed", "bound"},
-    "fatness": {"phi", "p", "nu", "samples", "seed", "radii", "floor"},
+def _default_radii(scale: float) -> list[float]:
+    """Up to four doublings of four mesh widths that stay within 0.25."""
+    radii = [4 * scale * 2**k for k in range(4) if 4 * scale * 2**k <= 0.25 * (1 + 1e-9)]
+    return radii or [4 * scale]
+
+
+def _within(value: float, bound: float | None) -> bool:
+    return bool(np.isfinite(value)) and (bound is None or value <= bound)
+
+
+def _infinity_sweep(target):
+    """The target with infinity attached, infinity as centre, and the finite positive distances to it."""
+    ts = attach_infinity(target)
+    d = ts.distance_to_infinity()
+    return ts, [ts.infinity_id], d[np.isfinite(d) & (d > 0)]
+
+
+def _codim(a, space, target, nu):
+    radii = _parse_floats(a.radii) if a.radii else _default_radii(nu.mesh_scale)
+    rep = verify_codimensionality(space, nu, radii, spread_bound=16.0 if a.bound is None else a.bound)
+    return {"theta": nu.theta, "radii": radii}, rep.spread, rep.passed
+
+
+def _doubling(a, space, target, nu):
+    if a.at_infinity:
+        target, centers, fin = _infinity_sweep(target)
+        radii = [float(fin.min()) * 2 * 2**k for k in range(5)]
+    else:
+        centers = sample_interior(target, a.samples, a.seed)
+        radii = _parse_floats(a.radii) if a.radii else [0.5, 1.0, 2.0, 4.0]
+    rep = doubling_constant(target, centers, radii, bound=a.bound)
+    return {"radii": radii, "at_infinity": a.at_infinity}, rep.max_ratio, rep.passed
+
+
+def _exponents(a, space, target, nu):
+    if a.at_infinity:
+        target, centers, fin = _infinity_sweep(target)
+        lo, hi = float(fin.min()) * 2, float(fin.max()) * 0.5
+        radii = list(np.geomspace(lo, hi, 6)) if hi > lo else [lo, 2 * lo, 4 * lo]
+    else:
+        centers = sample_interior(target, a.samples, a.seed)
+        radii = _parse_floats(a.radii) if a.radii else [1.0, 2.0, 4.0, 8.0]
+    fit = mass_exponents(target, centers, radii)
+    ok = fit.Q_plus <= fit.Q_minus
+    if a.expect is not None:
+        ok = ok and abs(fit.slope - a.expect) <= (0.3 if a.tol is None else a.tol)
+    value = {"Q_minus": fit.Q_minus, "Q_plus": fit.Q_plus, "slope": fit.slope}
+    return {"radii": [float(r) for r in radii], "expect": a.expect}, value, ok
+
+
+def _distinf(a, space, target, nu):
+    rep = dist_infinity_check(attach_infinity(target))
+    return {"bound": a.bound}, rep.kappa_emp, a.bound is None or rep.kappa_emp <= a.bound
+
+
+def _poincare(a, space, target, nu):
+    fields = random_smooth_fields(target, a.fields, a.seed)
+    centers = sample_interior(target, a.samples, a.seed + 1)
+    radii = _parse_floats(a.radii) if a.radii else [1.0, 2.0]
+    rep = poincare_check(target, a.p, centers, radii, fields)
+    return {"lambda": rep.lam, "n_fields": a.fields}, rep.C_P, _within(rep.C_P, a.bound)
+
+
+def _hardy(a, space, target, nu):
+    worst = max(hardy_check(target, f) for f in random_smooth_fields(space, a.fields, a.seed))
+    return {"n_fields": a.fields}, worst, _within(worst, a.bound)
+
+
+def _adams(a, space, target, nu):
+    if a.q is not None:
+        if a.p_tilde is not None:
+            raise ValueError("verify: --p-tilde is read only without --q")
+        q = a.q
+    else:
+        beta = target.phi.beta
+        qb = (beta * a.p - _exponent_fit(space, a.seed).Q_minus) / (beta - 1)
+        q = adams_exponent(nu.theta, a.p, qb, p_tilde=a.p_tilde)
+    fields = random_smooth_fields(target, a.fields, a.seed)
+    centers = sample_boundary(space, min(a.samples, 10), a.seed + 2)
+    radii = _parse_floats(a.radii) if a.radii else [0.25, 0.5]
+    balls = [(c, r) for c in centers for r in radii]
+    reps = [adams_check(target, nu, f, q, nu.theta, balls) for f in fields]
+    worst = max([0.0] + [rep.max_ratio for rep in reps])
+    return {"q": q, "n_fields": a.fields}, worst, np.isfinite(worst) and not any(rep.violations for rep in reps)
+
+
+def _besov(a, space, target, nu):
+    rng = np.random.default_rng(a.seed)
+    b = space.boundary_indices()
+    worst = 0.0
+    for _ in range(a.fields):
+        f1, f2 = np.zeros((2, space.n_vertices))
+        f1[b], f2[b] = rng.normal(size=(2, b.size))
+        n1, n2, n12 = (besov_norm(space, nu, f, a.alpha, a.p) for f in (f1, f2, f1 + f2))
+        if n1 + n2 > 0:
+            worst = max(worst, n12 / (n1 + n2))
+    return {"alpha": a.alpha, "n_fields": a.fields}, worst, worst <= 1 + 1e-9
+
+
+def _uniformity(a, space, target, nu):
+    pairs = sample_pairs(target, a.samples, a.seed)
+    rep = uniformity_spot_check(target, pairs)
+    return {"n_pairs": len(pairs)}, rep.C_U, _within(rep.C_U, a.bound)
+
+
+def _fatness(a, space, target, nu):
+    centers = sample_boundary(space, a.samples, a.seed)
+    radii = _parse_floats(a.radii) if a.radii else _default_radii(nu.mesh_scale)
+    rep = boundary_fatness(target, nu, a.p, centers, radii, floor=a.floor)
+    return {"radii": radii, "floor": a.floor}, rep.min_ratio, rep.passed
+
+
+@dataclass(frozen=True)
+class Check:
+    """A verify check.  ``run(a, space, target, nu)`` returns its row's
+    (params, value, pass); ``a`` holds only the options (argparse dests) in
+    ``reads``, and ``target`` is the dampened transform when --phi is given,
+    else the domain.  ``phi`` is "required", "optional" or "" (not read),
+    and ``nu`` says whether --nu is required.  The transform reads --p, so
+    --p is read wherever --phi is."""
+
+    run: Callable
+    reads: tuple[str, ...]
+    phi: str = ""
+    nu: bool = False
+
+
+# The checks, in --check's order.
+CHECKS = {
+    "poincare": Check(_poincare, ("p", "fields", "samples", "seed", "radii", "bound"), phi="optional"),
+    "hardy": Check(_hardy, ("fields", "seed", "bound"), phi="required"),
+    "adams": Check(_adams, ("p", "q", "p_tilde", "fields", "samples", "seed", "radii"), phi="required", nu=True),
+    "codim": Check(_codim, ("radii", "bound"), nu=True),
+    "besov": Check(_besov, ("p", "fields", "seed", "alpha"), nu=True),
+    "doubling": Check(_doubling, ("at_infinity", "samples", "seed", "radii", "bound"), phi="optional"),
+    "exponents": Check(_exponents, ("at_infinity", "samples", "seed", "radii", "expect", "tol"), phi="optional"),
+    "distinf": Check(_distinf, ("bound",), phi="required"),
+    "uniformity": Check(_uniformity, ("samples", "seed", "bound"), phi="optional"),
+    "fatness": Check(_fatness, ("p", "samples", "seed", "radii", "floor"), phi="required", nu=True),
 }
 
-
-def _check_verify_options(args) -> None:
-    """Reject an option that the chosen check does not read, unless it has
-    its default value, and ``--p-tilde`` next to ``--q`` (it only enters
-    the q that ``--q`` replaces)."""
-    given = ["verify", "--check", args.check, "--domain", args.domain]
-    defaults = vars(build_parser().parse_args(given))
-    skip = VERIFY_READS[args.check] | {"command", "func", "check", "domain", "out"}
-    for name, default in defaults.items():
-        if name not in skip and getattr(args, name) != default:
-            raise ValueError(f"verify: --check {args.check} does not read --{name.replace('_', '-')}")
-    if args.q is not None and args.p_tilde is not None:
-        raise ValueError("verify: --p-tilde is read only without --q")
+# The options that place a sampled sweep; a sweep at infinity reads distance_to_infinity instead.
+_SWEEP = ("samples", "seed", "radii")
 
 
-def _verify_rows(args) -> list[dict]:
-    _check_verify_options(args)
+def _verify_view(args, check: Check, default: Callable) -> argparse.Namespace:
+    """The options ``check`` reads in this call, in a namespace that holds
+    nothing else.  Any other verify option off its ``default`` is bad input."""
+    reads = set(check.reads)
+    why = {}
+    if args.at_infinity and "at_infinity" in reads:
+        reads -= set(_SWEEP)
+        why = dict.fromkeys(_SWEEP, " with --at-infinity")
+    view = argparse.Namespace(**{name: getattr(args, name) for name in check.reads if name in reads})
+    reads |= {"phi"} if check.phi else set()
+    reads |= {"nu"} if check.nu else set()
+    if check.phi == "required" or args.phi:
+        reads.add("p")
+    elif check.phi:
+        why["p"] = " without --phi"
+    for name in dict.fromkeys(n for c in CHECKS.values() for n in ("phi", "nu", "p", *c.reads)):
+        if name not in reads and getattr(args, name) != default(name):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"verify: --check {args.check} does not read {flag}{why.get(name, '')}")
+    return view
+
+
+def cmd_verify(args, default: Callable) -> int:
+    """Run one check; ``default`` gives each verify option's default."""
+    check = CHECKS[args.check]
+    view = _verify_view(args, check, default)
     if args.at_infinity and not args.phi:
         raise AnalysisError("--at-infinity requires --phi (the dampened pipeline)")
     space = load_domain(args.domain)
     nu = _load_nu(args.nu) if args.nu else None
     phi = _parse_phi(args.phi) if args.phi else None
-    seed = args.seed
-    rows: list[dict] = []
-
-    def add(check: str, params: dict, value, ok: bool) -> None:
-        rows.append({"check": check, "params": params, "value": value, "pass": bool(ok)})
-
-    def need_nu() -> BoundaryMeasure:
-        if nu is None:
-            raise AnalysisError(f"check {args.check!r} requires --nu")
-        return nu
-
-    def need_ts(attach: bool = False):
-        if phi is None:
-            raise AnalysisError(f"check {args.check!r} requires --phi")
-        ts = transform(space, phi, args.p)
-        return attach_infinity(ts) if attach else ts
-
-    def infinity_sweep():
-        ts = need_ts(attach=True)
-        d = ts.distance_to_infinity()
-        return ts, [ts.infinity_id], d[np.isfinite(d) & (d > 0)]
-
-    def default_radii(scale: float) -> list[float]:
-        out = []
-        r = 4 * scale
-        while r <= 0.25 * (1 + 1e-9) and len(out) < 4:
-            out.append(r)
-            r *= 2
-        return out or [4 * scale]
-
-    if args.check == "codim":
-        m = need_nu()
-        radii = _parse_floats(args.radii) if args.radii else default_radii(m.mesh_scale)
-        rep = verify_codimensionality(space, m, radii, spread_bound=16.0 if args.bound is None else args.bound)
-        add("codim", {"theta": m.theta, "radii": radii}, rep.spread, rep.passed)
-    elif args.check == "doubling":
-        if args.at_infinity:
-            target, centers, fin = infinity_sweep()
-            base_r = float(fin.min()) * 2
-            radii = [base_r * 2**k for k in range(5)]
-        else:
-            target = need_ts() if phi else space
-            centers = sample_interior(target, args.samples, seed)
-            radii = _parse_floats(args.radii) if args.radii else [0.5, 1.0, 2.0, 4.0]
-        rep = doubling_constant(target, centers, radii, bound=args.bound)
-        add("doubling", {"radii": radii, "at_infinity": bool(args.at_infinity)}, rep.max_ratio, rep.passed)
-    elif args.check == "exponents":
-        if args.at_infinity:
-            target, centers, fin = infinity_sweep()
-            lo = float(fin.min()) * 2
-            hi = float(fin.max()) * 0.5
-            radii = list(np.geomspace(lo, hi, 6)) if hi > lo else [lo, 2 * lo, 4 * lo]
-        else:
-            target = need_ts() if phi else space
-            centers = sample_interior(target, args.samples, seed)
-            radii = _parse_floats(args.radii) if args.radii else [1.0, 2.0, 4.0, 8.0]
-        fit = mass_exponents(target, centers, radii)
-        ok = fit.Q_plus <= fit.Q_minus
-        if args.expect is not None:
-            ok = ok and abs(fit.slope - args.expect) <= (0.3 if args.tol is None else args.tol)
-        add(
-            "exponents",
-            {"radii": [float(r) for r in radii], "expect": args.expect},
-            {"Q_minus": fit.Q_minus, "Q_plus": fit.Q_plus, "slope": fit.slope},
-            ok,
-        )
-    elif args.check == "distinf":
-        ts = need_ts(attach=True)
-        rep = dist_infinity_check(ts)
-        ok = args.bound is None or rep.kappa_emp <= args.bound
-        add("distinf", {"bound": args.bound}, rep.kappa_emp, ok)
-    elif args.check == "poincare":
-        target = need_ts() if phi else space
-        fields = random_smooth_fields(target, args.fields, seed)
-        centers = sample_interior(target, args.samples, seed + 1)
-        radii = _parse_floats(args.radii) if args.radii else [1.0, 2.0]
-        rep = poincare_check(target, args.p, centers, radii, fields)
-        ok = np.isfinite(rep.C_P) and (args.bound is None or rep.C_P <= args.bound)
-        add("poincare", {"lambda": rep.lam, "n_fields": args.fields}, rep.C_P, ok)
-    elif args.check == "hardy":
-        ts = need_ts()
-        fields = random_smooth_fields(space, args.fields, seed)
-        worst = max(hardy_check(ts, f) for f in fields)
-        ok = np.isfinite(worst) and (args.bound is None or worst <= args.bound)
-        add("hardy", {"n_fields": args.fields}, worst, ok)
-    elif args.check == "adams":
-        ts = need_ts()
-        m = need_nu()
-        if args.q is not None:
-            q = args.q
-        else:
-            centers = sample_interior(space, 3, seed)
-            bands = space.bands()
-            radii = [2.0**k for k in range(0, max(3, bands.n_max))]
-            fit = mass_exponents(space, centers, radii)
-            qb = (phi.beta * args.p - fit.Q_minus) / (phi.beta - 1)
-            q = adams_exponent(m.theta, args.p, qb, p_tilde=args.p_tilde)
-        fields = random_smooth_fields(ts, args.fields, seed)
-        centers = sample_boundary(space, min(args.samples, 10), seed + 2)
-        radii = _parse_floats(args.radii) if args.radii else [0.25, 0.5]
-        balls = [(c, r) for c in centers for r in radii]
-        worst = 0.0
-        violated = False
-        for f in fields:
-            rep = adams_check(ts, m, f, q, m.theta, balls)
-            worst = max(worst, rep.max_ratio)
-            violated = violated or bool(rep.violations)
-        add("adams", {"q": q, "n_fields": args.fields}, worst, np.isfinite(worst) and not violated)
-    elif args.check == "besov":
-        m = need_nu()
-        rng = np.random.default_rng(seed)
-        bids = [space.ids[i] for i in space.boundary_indices()]
-        alpha = args.alpha
-        worst = 0.0
-        for _ in range(args.fields):
-            f1 = {v: float(rng.normal()) for v in bids}
-            f2 = {v: float(rng.normal()) for v in bids}
-            f12 = {v: f1[v] + f2[v] for v in bids}
-            n1 = besov_norm(space, m, f1, alpha, args.p)
-            n2 = besov_norm(space, m, f2, alpha, args.p)
-            n12 = besov_norm(space, m, f12, alpha, args.p)
-            if n1 + n2 > 0:
-                worst = max(worst, n12 / (n1 + n2))
-        add("besov", {"alpha": alpha, "n_fields": args.fields}, worst, worst <= 1 + 1e-9)
-    elif args.check == "uniformity":
-        target = need_ts() if phi else space
-        pairs = sample_pairs(target, args.samples, seed)
-        rep = uniformity_spot_check(target, pairs)
-        ok = np.isfinite(rep.C_U) and (args.bound is None or rep.C_U <= args.bound)
-        add("uniformity", {"n_pairs": len(pairs)}, rep.C_U, ok)
-    elif args.check == "fatness":
-        ts = need_ts()
-        m = need_nu()
-        centers = sample_boundary(space, args.samples, seed)
-        radii = _parse_floats(args.radii) if args.radii else default_radii(m.mesh_scale)
-        rep = boundary_fatness(ts, m, args.p, centers, radii, floor=args.floor)
-        add("fatness", {"radii": radii, "floor": args.floor}, rep.min_ratio, rep.passed)
-    else:
-        raise AnalysisError(f"unknown check {args.check!r}")
-    return rows
-
-
-def cmd_verify(args) -> int:
-    rows = _verify_rows(args)
-    ok = all(r["pass"] for r in rows)
-    payload = _report_payload(args, {"rows": rows, "pass": ok})
+    if check.phi == "required" and phi is None:
+        raise AnalysisError(f"check {args.check!r} requires --phi")
+    if check.nu and nu is None:
+        raise AnalysisError(f"check {args.check!r} requires --nu")
+    target = transform(space, phi, args.p) if phi else space
+    params, value, ok = check.run(view, space, target, nu)
+    row = {"check": args.check, "params": params, "value": value, "pass": bool(ok)}
+    payload = _report_payload(args, {"rows": [row], "pass": row["pass"]})
     if args.out:
-        _write_rows(args.out, payload, rows)
-    for r in rows:
-        print(f"{r['check']}: value={r['value']} pass={r['pass']}")
-    return 0 if ok else 1
+        _write_rows(args.out, payload, [row])
+    print(f"{row['check']}: value={row['value']} pass={row['pass']}")
+    return 0 if row["pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -643,14 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="property checks with pass/fail rows")
-    p.add_argument(
-        "--check",
-        required=True,
-        choices=[
-            "poincare", "hardy", "adams", "codim", "besov",
-            "doubling", "exponents", "distinf", "uniformity", "fatness",
-        ],
-    )
+    p.add_argument("--check", required=True, choices=list(CHECKS))
     p.add_argument("--domain", required=True)
     p.add_argument("--phi", default=None)
     p.add_argument("--p", type=float, default=2.0)
@@ -668,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", type=float, default=1e-6)
     p.add_argument("--at-infinity", action="store_true", help="center sweeps at the infinity vertex")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=functools.partial(cmd_verify, default=p.get_default))
 
     p = sub.add_parser("report", help="merge JSON reports")
     p.add_argument("--inputs", nargs="+", required=True)

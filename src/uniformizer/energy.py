@@ -197,14 +197,14 @@ def hardy_check(t: TransformedSpace, u) -> float:
 # Besov boundary norm
 
 
-def besov_norm(space: GraphSpace, nu: BoundaryMeasure, f: dict, alpha: float, p: float) -> float:
+def besov_norm(space: GraphSpace, nu: BoundaryMeasure, f, alpha: float, p: float) -> float:
     """Boundary smoothness norm from a weighted double sum of differences.
 
     norm^p = sum over ordered boundary pairs x != y of
     |f(y)-f(x)|^p / (d(x,y)^{alpha p} nu(B(x, d(x,y)))) nu(x) nu(y),
-    with d the path metric of the ambient space and open balls.  ``f`` maps
-    vertex ids to values and must hold every id that nu weights.  Returns
-    the p-th root (homogeneous of degree 1 in f).
+    with d the path metric of the ambient space and open balls.  ``f`` holds
+    one value per vertex, in index order (only those that nu weights are
+    read).  Returns the p-th root (homogeneous of degree 1 in f).
     """
     if not (0 < alpha < 1):
         raise EnergyError(f"alpha={alpha:g} must lie in (0, 1)")
@@ -215,7 +215,7 @@ def besov_norm(space: GraphSpace, nu: BoundaryMeasure, f: dict, alpha: float, p:
     if idx.size < 2:
         return 0.0
     w = nu_vec[idx]
-    vals = np.array([float(f[space.ids[i]]) for i in idx])
+    vals = field_array(space, f)[idx]
     total = 0.0
     for i, row in enumerate(space.distance_rows(idx)):
         d = row[idx]
@@ -243,9 +243,6 @@ class TraceReport:
     oscillation: np.ndarray
     radii: list
     unresolved: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.ids, self.values))
 
     def nu_weighted_error(self, nu: BoundaryMeasure, f: dict) -> float:
         """nu-weighted mean of |Tu - f| over resolved boundary vertices;

@@ -289,7 +289,9 @@ def run_uniformity(space, nu):
 
 def run_besov(space, nu):
     rng = np.random.default_rng(7)
-    return besov_norm(space, nu, {vid: float(rng.normal()) for vid in nu.nu}, 0.5, 2.0)
+    f = np.zeros(space.n_vertices)
+    f[nu.array(space) > 0] = rng.normal(size=len(nu.nu))
+    return besov_norm(space, nu, f, 0.5, 2.0)
 
 
 BASE = ("strip", "cone", "strip_dampened", "cone_dampened")

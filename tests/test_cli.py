@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import math
 import pytest
 
 from conftest import column, put_column, set_entry
+from uniformizer import cli
 from uniformizer.cli import run
 from uniformizer.dampening import power
 from uniformizer.graphspace import GraphSpace, dump_domain, load_domain
@@ -760,16 +762,82 @@ def test_adams_exponents_out_of_range_exit_2(dom_file, nu_file, tmp_path, capsys
         (["--check", "besov", "--nu", "NU", "--phi", "power:2"], "verify: --check besov does not read --phi"),
         (["--check", "hardy", "--phi", "power:2", "--at-infinity"],
          "verify: --check hardy does not read --at-infinity"),
+        (["--check", "doubling", "--phi", "power:2", "--at-infinity", "--radii", "1,2"],
+         "verify: --check doubling does not read --radii with --at-infinity"),
+        (["--check", "exponents", "--phi", "power:2", "--at-infinity", "--samples", "3", "--seed", "4"],
+         "verify: --check exponents does not read --samples with --at-infinity"),
+        (["--check", "doubling", "--p", "3"], "verify: --check doubling does not read --p without --phi"),
+        (["--check", "exponents", "--p", "3"], "verify: --check exponents does not read --p without --phi"),
+        (["--check", "uniformity", "--p", "5"], "verify: --check uniformity does not read --p without --phi"),
     ],
-    ids=["adams-q-and-p-tilde", "poincare-q", "codim-p", "doubling-nu", "besov-phi", "hardy-at-infinity"],
+    ids=["adams-q-and-p-tilde", "poincare-q", "codim-p", "doubling-nu", "besov-phi", "hardy-at-infinity",
+         "doubling-at-infinity-radii", "exponents-at-infinity-samples", "doubling-p-without-phi",
+         "exponents-p-without-phi", "uniformity-p-without-phi"],
 )
 def test_verify_option_the_check_does_not_read_exits_2(dom_file, nu_file, tmp_path, capsys, argv, message):
     """A verify option that the chosen check does not read is bad input
     unless it keeps its default, and so is ``--p-tilde`` next to ``--q``
-    (it only enters the q that ``--q`` replaces)."""
+    (it only enters the q that ``--q`` replaces).  A sweep at infinity
+    places its centre and radii itself, and without ``--phi`` (no
+    transform) the doubling, exponent and uniformity sweeps read no p."""
     out = tmp_path / "out.json"
     argv = [nu_file if a == "NU" else a for a in argv]
     _assert_input_error(run(["verify", "--domain", dom_file, "--out", str(out)] + argv), capsys, out, message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--check", "codim"], "check 'codim' requires --nu"),
+        (["--check", "besov"], "check 'besov' requires --nu"),
+        (["--check", "hardy"], "check 'hardy' requires --phi"),
+        (["--check", "distinf"], "check 'distinf' requires --phi"),
+        (["--check", "adams", "--nu", "NU"], "check 'adams' requires --phi"),
+        (["--check", "fatness", "--phi", "power:2"], "check 'fatness' requires --nu"),
+    ],
+    ids=["codim", "besov", "hardy", "distinf", "adams", "fatness"],
+)
+def test_verify_without_a_required_input_exits_2(dom_file, nu_file, tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    argv = [nu_file if a == "NU" else a for a in argv]
+    _assert_input_error(run(["verify", "--domain", dom_file, "--out", str(out)] + argv), capsys, out, message)
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["--check", "poincare", "--fields", "2"], {"lambda", "n_fields"}),
+        (["--check", "hardy", "--phi", "power:2", "--fields", "2"], {"n_fields"}),
+        (["--check", "adams", "--phi", "power:2", "--nu", "NU", "--fields", "2", "--samples", "2"], {"q", "n_fields"}),
+        (["--check", "codim", "--nu", "NU"], {"theta", "radii"}),
+        (["--check", "besov", "--nu", "NU", "--fields", "2"], {"alpha", "n_fields"}),
+        (["--check", "doubling"], {"radii", "at_infinity"}),
+        (["--check", "doubling", "--phi", "power:2", "--at-infinity"], {"radii", "at_infinity"}),
+        (["--check", "exponents"], {"radii", "expect"}),
+        (["--check", "exponents", "--phi", "power:2", "--at-infinity"], {"radii", "expect"}),
+        (["--check", "distinf", "--phi", "power:2"], {"bound"}),
+        (["--check", "uniformity", "--samples", "3"], {"n_pairs"}),
+        (["--check", "fatness", "--phi", "power:2", "--nu", "NU", "--samples", "2", "--radii", "1"], {"radii", "floor"}),
+    ],
+    ids=["poincare", "hardy", "adams", "codim", "besov", "doubling", "doubling-at-infinity", "exponents",
+         "exponents-at-infinity", "distinf", "uniformity", "fatness"],
+)
+def test_every_check_runs_to_a_verdict(coarse_strip, tmp_path, argv, params):
+    """Each check reads only the options its table entry declares (any
+    other read raises AttributeError, not an input error) and writes one
+    row with its params."""
+    domain, nu = coarse_strip
+    out = tmp_path / "rows.json"
+    assert run(["verify", "--domain", domain, "--out", str(out)] + [nu if a == "NU" else a for a in argv]) in (0, 1)
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["check"] == argv[1] and set(row["params"]) == params
+
+
+def test_a_check_reading_an_undeclared_option_fails(coarse_strip, monkeypatch):
+    domain, nu = coarse_strip
+    monkeypatch.setitem(cli.CHECKS, "codim", dataclasses.replace(cli.CHECKS["codim"], reads=("radii",)))
+    with pytest.raises(AttributeError, match="bound"):
+        run(["verify", "--check", "codim", "--domain", domain, "--nu", nu])
 
 
 def test_verify_option_at_its_default_is_accepted(coarse_strip, capsys):

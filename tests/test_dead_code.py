@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 module-level private name is read somewhere in the package, every
 defaulted parameter of a package function is passed by some call, every
-public name and public method has a caller outside the unit tests, and
-every command-line option is passed by a test, a bench script or the README.
+public name and public method has a caller outside the unit tests,
+every command-line option is passed by a test, a bench script or the README,
+and every ``verify`` option is read by some check of ``cli.CHECKS``.
 
 The import check skips ``__init__.py``: it imports only to re-export.
 The one allowed exception is ``solver``'s ``spsolve``: nothing in the
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import uniformizer
-from uniformizer.cli import build_parser
+from uniformizer.cli import CHECKS, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "uniformizer"
@@ -256,3 +257,17 @@ def test_unpassed_options_are_found():
 def test_every_cli_option_is_passed():
     callers = [p.read_text() for d in ("tests", "bench") for p in (ROOT / d).glob("*.py")]
     assert unpassed_options(build_parser(), callers, (ROOT / "README.md").read_text()) == set()
+
+
+def test_every_verify_option_is_declared_by_a_check():
+    """The check table names only verify options, and every verify option
+    past --check, --domain and --out is read by some check; --check offers
+    the table's checks in its order."""
+    subparsers = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
+    verify = subparsers.choices["verify"]
+    options = {a.dest for a in verify._actions if a.option_strings} - {"help", "check", "domain", "out"}
+    declared = {name for check in CHECKS.values() for name in check.reads}
+    declared |= {"phi"} if any(check.phi for check in CHECKS.values()) else set()
+    declared |= {"nu"} if any(check.nu for check in CHECKS.values()) else set()
+    assert declared == options
+    assert next(a for a in verify._actions if a.dest == "check").choices == list(CHECKS)

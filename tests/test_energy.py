@@ -122,7 +122,7 @@ def test_besov_two_atom_closed_form(alpha, p):
     # unit atoms at unit distance: each ordered pair contributes
     # 1 / (1^{alpha p} * nu(open ball) = 1) so norm^p = 2 regardless of alpha, p
     space, nu = two_atom_boundary(1.0)
-    f = {"zl": 0.0, "m": 0.5, "zr": 1.0}
+    f = np.array([0.0, 0.5, 1.0])  # zl, m, zr
     assert besov_norm(space, nu, f, alpha, p) == pytest.approx(2.0 ** (1.0 / p), rel=1e-12)
 
 
@@ -130,24 +130,23 @@ def test_besov_distance_scaling():
     # at separation L the closed form becomes (2 / L^{alpha p})^{1/p}
     alpha, p, L = 0.5, 2.0, 4.0
     space, nu = two_atom_boundary(L)
-    f = {"zl": 0.0, "m": 0.5, "zr": 1.0}
+    f = np.array([0.0, 0.5, 1.0])
     expected = (2.0 / L ** (alpha * p)) ** (1.0 / p)
     assert besov_norm(space, nu, f, alpha, p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_besov_homogeneous_and_vanishes_on_constants():
     space, nu = two_atom_boundary(1.0)
-    f = {"zl": 0.0, "m": 0.5, "zr": 1.0}
-    g = {k: 3.0 * v for k, v in f.items()}
-    assert besov_norm(space, nu, g, 0.5, 2.0) == pytest.approx(
+    f = np.array([0.0, 0.5, 1.0])
+    assert besov_norm(space, nu, 3.0 * f, 0.5, 2.0) == pytest.approx(
         3.0 * besov_norm(space, nu, f, 0.5, 2.0), rel=1e-12
     )
-    assert besov_norm(space, nu, {"zl": 1.0, "m": 1.0, "zr": 1.0}, 0.5, 2.0) == 0.0
+    assert besov_norm(space, nu, np.ones(3), 0.5, 2.0) == 0.0
 
 
 def test_besov_rejects_bad_smoothness():
     space, nu = two_atom_boundary(1.0)
-    f = {"zl": 0.0, "m": 0.0, "zr": 1.0}
+    f = np.array([0.0, 0.0, 1.0])
     with pytest.raises(EnergyError):
         besov_norm(space, nu, f, 1.5, 2.0)
 
@@ -161,7 +160,8 @@ def test_besov_norm_directed_dijkstra_matches_undirected(monkeypatch):
     w = random_smooth_fields(space, 1, seed=7)[0]
     data = {space.ids[i]: float(w[i]) for i in space.boundary_indices()}
     sol = solve_p_harmonic(DirichletProblem(space, 2.0, data))
-    f = trace(space, sol.u, nu, [0.5, 0.25]).as_dict()
+    f = np.zeros(space.n_vertices)
+    f[nu.array(space) > 0] = trace(space, sol.u, nu, [0.5, 0.25]).values
     alpha = 1.0 - level2.theta / 2.0
     got = besov_norm(space, nu, f, alpha, 2.0)
 
@@ -260,7 +260,7 @@ def test_nu_naming_a_missing_vertex_is_rejected():
     names the first id that is not a vertex of the space."""
     space, _ = two_atom_boundary(1.0)
     nu = BoundaryMeasure(theta=1.0, mesh_scale=0.25, nu={"zl": 1.0, "ghost": 1.0, "zr": 1.0})
-    f = {"zl": 0.0, "m": 0.5, "zr": 1.0}
+    f = np.array([0.0, 0.5, 1.0])
     calls = [
         lambda: besov_norm(space, nu, f, 0.5, 2.0),
         lambda: trace(space, np.array([0.0, 0.5, 1.0]), nu, radii=[2.0, 1.0]),

@@ -1,5 +1,5 @@
-"""The README's Python blocks run as written: the file-format snippet and
-the Python API block."""
+"""The README's Python blocks run as written (the file-format snippet and
+the Python API block), and its table of verify checks is the CLI's."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from uniformizer import domains
+from uniformizer.cli import CHECKS
 from uniformizer.graphspace import dump_domain, from_payload
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -37,3 +38,10 @@ def test_readme_python_block_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0].split()[0] == "Parabolic"
+
+
+def test_readme_check_table_is_the_verify_table():
+    """The README's table of verify checks says what ``cli.CHECKS`` says."""
+    rows = re.findall(r"^\| `(\w+)` \| *(\w*) *\| *(\w*) *\| `([^`]*)` \|$", README.read_text(), flags=re.M)
+    readme = {name: (phi, nu, tuple(opt[2:].replace("-", "_") for opt in opts.split())) for name, phi, nu, opts in rows}
+    assert readme == {name: (c.phi, "required" if c.nu else "", c.reads) for name, c in CHECKS.items()}

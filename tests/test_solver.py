@@ -376,17 +376,19 @@ TERMS = st.floats(-3.0, 3.0)
     p=st.sampled_from([1.5, 2.0, 3.0]),
     lo=st.floats(-2.0, 0.0),
     width=st.floats(0.5, 8.0),
+    scale=st.integers(-300, 0).map(lambda k: 10.0**k),
 )
-def test_brentq_is_scipys_brentq(terms, p, lo, width):
+def test_brentq_is_scipys_brentq(terms, p, lo, width, scale):
     """On slopes of the line-search form, sum a sign(d + t e) |d + t e|^(p-1)
     e, over a bracket where the sign changes, the port returns scipy's root
     bit for bit after as many slope calls, and fails to converge where
-    scipy does."""
+    scipy does.  Scaled down to 1e-300, the step's denominators underflow
+    to 0: C divides to inf or NaN there and bisects, and so must the port."""
     a, d, e = (np.array(c) for c in zip(*terms))
 
     def slope(t):
         x = d + t * e
-        return float(np.sum(a * np.sign(x) * np.abs(x) ** (p - 1) * e))
+        return scale * float(np.sum(a * np.sign(x) * np.abs(x) ** (p - 1) * e))
 
     hi = lo + width
     f_lo, f_hi = slope(lo), slope(hi)
