@@ -415,6 +415,8 @@ def _doubling(a, space, target, nu):
 
 
 def _exponents(a, space, target, nu):
+    if a.tol is not None and a.expect is None:
+        raise ValueError("verify: --tol is read only with --expect")
     if a.at_infinity:
         target, centers, fin = _infinity_sweep(target)
         lo, hi = float(fin.min()) * 2, float(fin.max()) * 0.5
@@ -455,6 +457,8 @@ def _adams(a, space, target, nu):
         q = a.q
     else:
         beta = target.phi.beta
+        if beta is None:
+            raise ValueError(f"verify: --check adams with {target.phi.kind} dampening requires --q")
         qb = (beta * a.p - _exponent_fit(space, a.seed).Q_minus) / (beta - 1)
         q = adams_exponent(nu.theta, a.p, qb, p_tilde=a.p_tilde)
     fields = random_smooth_fields(target, a.fields, a.seed)

@@ -139,6 +139,7 @@ def poincare_check(space, p: float, centers: list, radii: list, fields) -> Poinc
     masses = edge_mass(space)
     report = PoincareReport(p=p, lam=lam)
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
+    grads = [upper_gradient(space, vals) for vals in fields]
     for center, d in zip(centers, space.distance_rows(centers, limit=lam * max(radii, default=0.0))):
         for r in radii:
             in_ball = d < r
@@ -155,9 +156,7 @@ def poincare_check(space, p: float, centers: list, radii: list, fields) -> Poinc
                     float((np.abs(vals[in_ball] - u_mean) * space.measure[in_ball]).sum())
                     / mu_ball
                 )
-                g = np.abs(vals[space.edge_u[emask]] - vals[space.edge_v[emask]])
-                g /= space.edge_length[emask]
-                grad_mean = float((masses[emask] * g**p).sum()) / mu_lam
+                grad_mean = float((masses[emask] * grads[fi][emask] ** p).sum()) / mu_lam
                 rhs = r * grad_mean ** (1.0 / p)
                 ratio = 0.0 if lhs == 0 else (np.inf if rhs == 0 else lhs / rhs)
                 report.rows.append(
@@ -186,8 +185,7 @@ def hardy_check(t: TransformedSpace, u) -> float:
         raise EnergyError("transformed measure vanishes on the base vertices")
     c = float((vals * mu_phi).sum()) / total
     lhs = float((np.abs(vals - c) ** t.p * mu_phi).sum())
-    g = np.abs(vals[base.edge_u] - vals[base.edge_v]) / base.edge_length
-    rhs = float((edge_mass(base) * g**t.p).sum())
+    rhs = p_energy(base, vals, t.p)
     if rhs == 0:
         return 0.0
     return lhs / rhs
@@ -374,6 +372,7 @@ def adams_check(
     masses = edge_mass(t)
     p = t.p
     vals = field_array(t, u)
+    grad = upper_gradient(t, vals)
     report = AdamsReport(q=q, theta=theta)
     nu_arr = nu.array(t)
     by_center: dict = {}
@@ -398,9 +397,7 @@ def adams_check(
             lhs = float((w * np.abs(uv - c) ** q).sum()) ** (1.0 / q)
             in_2b = d <= 2 * r * (1 + 1e-9)
             emask = in_2b[t.edge_u] & in_2b[t.edge_v]
-            g = np.abs(vals[t.edge_u[emask]] - vals[t.edge_v[emask]])
-            g /= t.edge_length[emask]
-            energy = float((masses[emask] * g**p).sum())
+            energy = float((masses[emask] * grad[emask] ** p).sum())
             rhs = r ** (1.0 - theta / q) / mu_ball ** (1.0 / p - 1.0 / q) * energy ** (1.0 / p)
             if rhs == 0:
                 if lhs > 0:

@@ -485,7 +485,8 @@ def test_report_determinism_modulo_timestamp(dom_file, tmp_path):
     assert first["config_hash"] == second["config_hash"]
 
 
-# Digests of the README pipeline's outputs on half_strip --h 0.5 --H 8.  A
+# Digests of the README pipeline's outputs on half_strip --h 0.5 --H 8, with
+# solves at p = 1.5 and 3 (which run the eps ladder) and a p = 3 capacity.  A
 # change that moves a byte of a domain file or of a solve body fails here.
 PIPELINE_DIGESTS = {
     "domain.json": "93a194cbafcce5f2ff2c3037f586bcb49e6a63f3406f3229f0758f23644972fa",
@@ -493,6 +494,11 @@ PIPELINE_DIGESTS = {
     "dampened.json": "7db08c210f34c65c509f5a97f5517f0af84ac938ba58ee4ef379a4cb2fe8e6ca",
     "sol.json": "2502c75a157c98c97617856bdd31d1d600c6451f6b795fda0dd9561e303fc992",
     "sol_phi.json": "42fa728981d4bdaf1021a6522d655aee6b36990a389a7bfb3fc6af8a46440607",
+    "sol_1.5.json": "fd32264f9fc96e0884827192d54f0a687f73ae541e04a1be8b7371e45e6f4ff4",
+    "sol_phi_1.5.json": "2799503406bd7225c569ba76e819621bc30e462702ccc99803588a148eac997e",
+    "sol_3.json": "74ee987954e5f727b62672e57aa1a5d0324551eaa3d8dff382e082f96211a241",
+    "sol_phi_3.json": "a8544923d988f5a8985a89973ede16fbe1d837fb4788694a9af0f58ebefbde21",
+    "cap_3.json": "703c68cb2c18603ca94a37aec88ea3d1f0f14b529774b1d883fcf3d76bcec4e1",
 }
 
 
@@ -510,21 +516,25 @@ def _body_bytes(path) -> bytes:
 
 def test_pipeline_outputs_are_byte_stable(tmp_path):
     f = {name: tmp_path / name for name in PIPELINE_DIGESTS}
+    domain = ["--domain", str(f["domain.json"])]
     argv = [
         ["example", "--name", "half_strip", "--h", "0.5", "--H", "8",
          "--out", str(f["domain.json"]), "--nu", str(f["nu.json"])],
-        ["transform", "--domain", str(f["domain.json"]), "--phi", "power:2", "--p", "2",
-         "--out", str(f["dampened.json"])],
-        ["solve", "--domain", str(f["domain.json"]), "--p", "2", "--data", "coord:x",
-         "--out", str(f["sol.json"])],
-        ["solve", "--domain", str(f["domain.json"]), "--phi", "power:2", "--p", "2",
-         "--data", "coord:x", "--out", str(f["sol_phi.json"])],
+        ["transform", *domain, "--phi", "power:2", "--p", "2", "--out", str(f["dampened.json"])],
+        ["capacity", *domain, "--p", "3", "--E", "v4_0", "--F", "v4_8", "--out", str(f["cap_3.json"])],
     ]
+    for p in ("2", "1.5", "3"):
+        suffix = "" if p == "2" else f"_{p}"
+        argv += [
+            ["solve", *domain, "--p", p, "--data", "coord:x", "--out", str(f[f"sol{suffix}.json"])],
+            ["solve", *domain, "--phi", "power:2", "--p", p, "--data", "coord:x",
+             "--out", str(f[f"sol_phi{suffix}.json"])],
+        ]
     for args in argv:
         assert run(args) == 0
     digests = {
         name: hashlib.sha256(
-            _body_bytes(path) if name.startswith("sol") else path.read_bytes()
+            _body_bytes(path) if name.startswith(("sol", "cap")) else path.read_bytes()
         ).hexdigest()
         for name, path in f.items()
     }
@@ -769,20 +779,34 @@ def test_adams_exponents_out_of_range_exit_2(dom_file, nu_file, tmp_path, capsys
         (["--check", "doubling", "--p", "3"], "verify: --check doubling does not read --p without --phi"),
         (["--check", "exponents", "--p", "3"], "verify: --check exponents does not read --p without --phi"),
         (["--check", "uniformity", "--p", "5"], "verify: --check uniformity does not read --p without --phi"),
+        (["--check", "exponents", "--tol", "0.01"], "verify: --tol is read only with --expect"),
     ],
     ids=["adams-q-and-p-tilde", "poincare-q", "codim-p", "doubling-nu", "besov-phi", "hardy-at-infinity",
          "doubling-at-infinity-radii", "exponents-at-infinity-samples", "doubling-p-without-phi",
-         "exponents-p-without-phi", "uniformity-p-without-phi"],
+         "exponents-p-without-phi", "uniformity-p-without-phi", "exponents-tol-without-expect"],
 )
 def test_verify_option_the_check_does_not_read_exits_2(dom_file, nu_file, tmp_path, capsys, argv, message):
     """A verify option that the chosen check does not read is bad input
     unless it keeps its default, and so is ``--p-tilde`` next to ``--q``
-    (it only enters the q that ``--q`` replaces).  A sweep at infinity
+    (it only enters the q that ``--q`` replaces) and ``--tol`` without
+    ``--expect`` (it is the slope's tolerance).  A sweep at infinity
     places its centre and radii itself, and without ``--phi`` (no
     transform) the doubling, exponent and uniformity sweeps read no p."""
     out = tmp_path / "out.json"
     argv = [nu_file if a == "NU" else a for a in argv]
     _assert_input_error(run(["verify", "--domain", dom_file, "--out", str(out)] + argv), capsys, out, message)
+
+
+def test_adams_with_tabulated_dampening_requires_q(dom_file, nu_file, tmp_path, capsys):
+    """Without ``--q`` the adams check derives q from the exponent formula,
+    which reads the dampening's beta; a tabulated dampening has none."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps([[t, min(1.0, t**-2.0)] for t in (0.5, 1, 2, 4, 8, 16)]))
+    out = tmp_path / "out.json"
+    argv = ["verify", "--check", "adams", "--domain", dom_file, "--nu", nu_file, "--phi", f"tabulated:{table}",
+            "--fields", "1", "--samples", "1", "--out", str(out)]
+    _assert_input_error(run(argv), capsys, out, "verify: --check adams with tabulated dampening requires --q")
+    assert run(argv + ["--q", "2"]) == 0
 
 
 @pytest.mark.parametrize(

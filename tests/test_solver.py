@@ -356,6 +356,34 @@ def test_solver_guards(strip_small):
         )
 
 
+def test_free_vertex_without_a_conductive_route_raises():
+    """A solve names the first free vertex, in index order, whose component
+    has no positive-conductance edge to a pin; w2 and w4 hang off the chain
+    w0 - w1 - w3 by massless edges."""
+    space = GraphSpace.from_arrays(
+        [f"w{i}" for i in range(5)],
+        np.array([0.0, 1.0, 1.0, 0.0, 1.0]),
+        np.array([True, False, False, True, False]),
+        np.array([0, 1, 2, 3]),
+        np.array([1, 3, 1, 4]),
+        np.ones(4),
+        edge_mass=np.array([1.0, 1.0, 0.0, 0.0]),
+    )
+    with pytest.raises(SolverError, match="free vertex 'w2' has no positive-conductance route to a pin"):
+        solve_p_harmonic(DirichletProblem(space, 3.0, {"w0": 0.0, "w3": 1.0}))
+
+
+def test_nan_energy_after_a_step_raises(strip_small, monkeypatch):
+    """A Newton step that leaves the energy NaN (here a line search that
+    returns NaN) is an error, not a NaN iterate that runs out the step
+    budget flagged only ``unconverged``."""
+    monkeypatch.setattr(solver, "brentq", lambda f, a, b, xtol: math.nan)
+    space = strip_small.space
+    ramp = {space.ids[i]: space.coords[i, 0] for i in space.boundary_indices()}
+    with pytest.raises(SolverError, match="energy became NaN"):
+        solve_p_harmonic(DirichletProblem(space, 3.0, ramp, SolveOptions(max_iter=1)))
+
+
 class Counted:
     """A function that counts its calls."""
 
