@@ -18,14 +18,16 @@
 * ``capacity``: condenser capacity as the energy of the equilibrium
   potential (pins 1 on E, 0 on F, restricted to U).
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
-  generation, started from a greedy path decomposition of the capacity
+  generation.  The driver routes the first path into a dense path matrix
+  (``_PathMatrix``: one row per generated path, one column per edge those
+  paths use).  ``_seed`` adds a greedy path decomposition of the capacity
   flow (the optimal path multipliers through an edge sum to p times that
-  flow).  Each restricted program is solved through its smooth
-  Lagrangian dual by projected Newton on a dense path matrix with one row
-  per generated path and one column per edge those paths use.  A round
-  that only produces the next cut stops its dual at KKT 1e-3 times the
-  violation of the last admitted path; the loop ends after a solve to KKT
-  1e-12 and one more route, whose dual value is returned as a lower bound.
+  flow), or is dropped with the flag ``seed-failed`` when that capacity
+  solve fails.  ``_cutting_planes`` solves each restricted program through
+  its smooth Lagrangian dual by projected Newton.  A round that only
+  produces the next cut stops its dual at KKT 1e-3 times the violation of
+  the last admitted path; the loop ends after a solve to KKT 1e-12 and one
+  more route, whose dual value is returned as a lower bound.
 * ``capacity_of_infinity``: shell condenser around the added point of a
   transformed space; the probe behind parabolicity classification.
 * ``solve_dirichlet_unbounded``: transform, attach infinity, pin boundary
@@ -761,46 +763,121 @@ def _flow_paths(
     return paths
 
 
-def modulus(
-    space,
-    cond: Condenser,
-    p: float,
-    tol: float = 1e-6,
-    max_paths: int = 200,
-) -> ModulusResult:
+class _PathMatrix:
+    """The generated paths: row i of ``A`` holds the lengths of path i on the
+    costed edges that some held path uses, column j standing for edge
+    ``used[j]`` (``col_of`` maps back, -1 for none; a costed edge no path
+    uses has s = 0, hence rho = 0).  Rows and columns grow in doubling
+    blocks, to ``cap`` rows; the first path is kept whatever the budget."""
+
+    def __init__(self, lengths: np.ndarray, masses: np.ndarray, max_paths: int):
+        self.lengths, self.masses, self.cap = lengths, masses, max(max_paths, 1)
+        self.col_of = np.full(lengths.size, -1, dtype=np.int64)
+        self.used = np.zeros(0, dtype=np.int64)
+        self.A = np.zeros((min(self.cap, 16), 64))
+        self.seen: set = set()
+        self.n = 0
+
+    def add(self, edges: np.ndarray) -> bool:
+        """Admit the path with these (sorted, distinct) edge ids; False,
+        with nothing changed, when that path is already held."""
+        key = edges.tobytes()
+        if key in self.seen:
+            return False
+        self.seen.add(key)
+        fresh = edges[self.col_of[edges] < 0]
+        self.col_of[fresh] = np.arange(self.used.size, self.used.size + fresh.size)
+        self.used = np.concatenate([self.used, fresh])
+        rows, cols = self.A.shape
+        more_rows = min(rows, self.cap - rows) if self.n == rows else 0
+        more_cols = max(cols, self.used.size - cols) if self.used.size > cols else 0
+        if more_rows or more_cols:
+            self.A = np.pad(self.A, ((0, more_rows), (0, more_cols)))
+        self.A[self.n, self.col_of[edges]] = self.lengths[edges]
+        self.n += 1
+        return True
+
+    def view(self) -> tuple[np.ndarray, np.ndarray]:
+        """The held rows on the used columns, and those columns' masses."""
+        return self.A[: self.n, : self.used.size], self.masses[self.used]
+
+
+def _seed(
+    space: GraphSpace, paths: _PathMatrix, E_idx, F_idx, in_U, costed, p: float
+) -> tuple[np.ndarray, list]:
+    """Multipliers for the held first route, at its one-path optimum (rho =
+    (lam l / (p m))^(1/(p-1)) has rho-length 1), and for the flow seed's
+    paths, which this admits: a greedy decomposition (``_flow_paths``) of
+    the capacity flow c |du|^(p-1) into at most min(_SEED_PATHS, rows left)
+    paths, each at p times its share (at the optimum the multipliers of the
+    paths through an edge sum to p times its flow).  The capacity is solved
+    only if a second path fits, and its flags are not reported; if it fails,
+    the seed is dropped with the flag ``seed-failed``."""
+    A, m = paths.view()
+    lam = [float(A[0] @ (A[0] / (p * m)) ** (1.0 / (p - 1.0))) ** (1.0 - p)]
+    k = min(_SEED_PATHS, paths.cap - paths.n)
+    if k <= 0:
+        return np.array(lam), []
+    try:
+        u = _capacity(space, E_idx, F_idx, p, None, in_U).potential
+    except SolverError:
+        return np.array(lam), ["seed-failed"]
+    conductance = np.where(costed, paths.masses / space.edge_length**p, 0.0)
+    for edges, amount in _flow_paths(space, u, conductance, E_idx, F_idx, p, k):
+        if paths.add(edges):
+            lam.append(p * amount)
+    return np.array(lam), []
+
+
+def _cutting_planes(
+    space: GraphSpace, paths: _PathMatrix, lam: np.ndarray, E_idx, F_idx, w: np.ndarray, p: float, tol: float
+) -> tuple[np.ndarray, float, float, list]:
+    """Constraint generation from the held paths at multipliers lam.  Each
+    round solves the restricted dual (``_restricted_dual``) warm, routes E
+    to F under w = rho * length (set in place on the used columns; 0 on the
+    other costed edges, 1 on a freebie, inf outside U), and admits a route
+    of cost below 1 - tol that is not held, at 1e-3 of the largest
+    multiplier.  The solve stops at KKT max(1e-12, 1e-3 v), v = 1 - cost of
+    the route that admitted the newest path (1 at first).  A route that
+    meets tol or is held, or a full matrix, ends the loop only after a
+    solve to KKT 1e-12 and one more route (flags ``stalled``,
+    ``path-budget``).  Returns that solve's r on the used columns, dual
+    value and KKT residual, and the flags."""
+    A, m_u = paths.view()
+    violation = 1.0
+    while True:
+        kkt_tol = max(_DUAL_KKT_TOL, _LOOSE_KKT_FACTOR * violation)
+        lam, r_u, lower, kkt = _restricted_dual(A, lam, m_u, p, kkt_tol)
+        w[paths.used] = r_u * space.edge_length[paths.used]
+        cost, _, epath = shortest_route(space, E_idx, F_idx, w)
+        converged, full = cost >= 1.0 - tol, paths.n >= paths.cap
+        if not (converged or full) and paths.add(np.unique(epath)):
+            A, m_u = paths.view()
+            lam = np.append(lam, 1e-3 * lam.max())
+            violation = 1.0 - cost
+        elif kkt_tol > _DUAL_KKT_TOL:
+            violation = 0.0  # end only after a tight solve: re-solve from lam, route again
+        else:
+            return r_u, lower, kkt, [] if converged else ["path-budget" if full else "stalled"]
+
+
+def modulus(space, cond: Condenser, p: float, tol: float = 1e-6, max_paths: int = 200) -> ModulusResult:
     """p-modulus of the family of E-F paths inside U by constraint generation.
 
-    Maintains an active path set, solves the restricted program through
-    its Lagrangian dual, then adds the most rho-violated path found by
-    Dijkstra under rho*length weights, until the shortest path carries
-    rho-length >= 1 - tol.
+    This driver checks the arguments and plates and routes the shortest E-F
+    path by length over edges of positive mass; with none it returns 0,
+    flagged ``zero-cost-connection`` (a massless E-F path exists) or
+    ``no-path``.  It admits that route to a ``_PathMatrix`` of
+    max(max_paths, 1) rows and runs ``_seed``, then ``_cutting_planes``.
+    The seed only moves the start: a wrong seed costs rounds, not accuracy,
+    and a failed one is dropped (flag ``seed-failed``).
 
-    The set starts with the shortest E-F path by length, at its one-path
-    optimum multiplier, and with a greedy decomposition of the capacity
-    flow c |du|^(p-1) into at most min(60, max_paths - 1) further E-F
-    paths, each at p times its share of the flow (``_flow_paths``; at the
-    optimum the multipliers of the paths through an edge sum to p times its
-    flow).  This costs one capacity solve, made only when the budget leaves
-    room for a second path and after the checks that no costed E-F path
-    exists (flags ``zero-cost-connection`` and ``no-path``); the flags of
-    that solve are not reported.  The seed only moves the start: a wrong
-    seed costs rounds, not accuracy.
-
-    The dual is maximized by projected Newton (``_restricted_dual``) over
-    one multiplier per path, warm-started from the previous round; each new
-    path starts at 1e-3 of the largest multiplier.  A round's solve only has
-    to yield the next cut, so it stops at a KKT residual of max(1e-12,
-    1e-3 v), v = 1 - cost of the route that admitted the newest path (1
-    before the first route).  When a route meets the tolerance, returns a
-    path already held, or the path budget is spent, the dual is solved again
-    from the current multipliers to KKT 1e-12 and routed once more before
-    the loop ends; so a stall is a held path found after a tight solve.
     ``value`` is the energy sum m rho^p of the returned density; ``lower``
     is the dual value, which by weak duality bounds the modulus of the full
-    family from below for any multipliers.  Both come from that closing
-    tight solve; the flag ``unconverged`` says it stopped above KKT 1e-12
-    (iteration cap or a failed line search), so ``lower`` is a dual value
-    but not the restricted optimum.
+    family from below for any multipliers.  Both come from the loop's
+    closing tight solve; the flag ``unconverged`` says it stopped above KKT
+    1e-12 (iteration cap or a failed line search), so ``lower`` is a dual
+    value but not the restricted optimum.
 
     Edges with zero mass are free for the minimization: they carry
     rho = 1/length at zero cost, so any path using one is satisfied a
@@ -814,107 +891,31 @@ def modulus(
         raise SolverError(f"max_paths={max_paths} must be >= 0")
     masses = edge_mass(space)
     E_idx, F_idx, in_U = _condenser_indices(space, cond)
-    ne = space.n_edges
-
     eu, ev, ln = space.edge_u, space.edge_v, space.edge_length
     e_in_U = in_U[eu] & in_U[ev]
     costed = e_in_U & (masses > 0)
     freebie = e_in_U & ~costed
-    rho = np.zeros(ne)
+    rho = np.zeros(space.n_edges)
     rho[freebie] = 1.0 / ln[freebie]
-    flags: list = []
-
-    w_first = np.where(costed, ln, np.inf)
     try:
-        _, _, epath = shortest_route(space, E_idx, F_idx, w_first)
+        _, _, epath = shortest_route(space, E_idx, F_idx, np.where(costed, ln, np.inf))
     except ValueError:
-        w_any = np.where(e_in_U, ln, np.inf)
         try:
-            shortest_route(space, E_idx, F_idx, w_any)
-            flags.append("zero-cost-connection")
+            shortest_route(space, E_idx, F_idx, np.where(e_in_U, ln, np.inf))
+            flags = ["zero-cost-connection"]
         except ValueError:
-            flags.append("no-path")
+            flags = ["no-path"]
         return ModulusResult(value=0.0, lower=0.0, rho=rho, paths_used=0, flags=flags)
 
-    # path matrix: row i holds the lengths of path i on the costed edges
-    # that some generated path uses, column j standing for edge used[j].  A
-    # costed edge no path uses has s = 0, hence rho = 0, and gets no column.
-    # Rows and columns are allocated in doubling blocks as paths arrive; the
-    # first path is kept whatever the budget.
-    col_of = np.full(ne, -1, dtype=np.int64)
-    used = np.zeros(0, dtype=np.int64)
-    row_cap = max(max_paths, 1)
-    A = np.zeros((min(row_cap, 16), 64))
-    seen: set = set()
-    n_paths = 0
-
-    def add_path(edges) -> None:
-        """Admit the path with these (sorted, distinct) edge ids."""
-        nonlocal A, used, n_paths
-        seen.add(edges.tobytes())
-        fresh = edges[col_of[edges] < 0]
-        col_of[fresh] = np.arange(used.size, used.size + fresh.size)
-        used = np.concatenate([used, fresh])
-        rows, cols = A.shape
-        more_rows = min(rows, row_cap - rows) if n_paths == rows else 0
-        more_cols = max(cols, used.size - cols) if used.size > cols else 0
-        if more_rows or more_cols:
-            A = np.pad(A, ((0, more_rows), (0, more_cols)))
-        A[n_paths, col_of[edges]] = ln[edges]
-        n_paths += 1
-
-    add_path(np.unique(epath))
-    # the one-path optimum: rho = (lam l / (p m))^(1/(p-1)) has rho-length 1
-    a0 = A[0, : used.size]
-    lam = [float(a0 @ (a0 / (p * masses[used])) ** (1.0 / (p - 1.0))) ** (1.0 - p)]
-    # the flow seed: at the optimum the multipliers of the paths through an
-    # edge sum to p times its capacity flow, so a decomposition of that flow
-    # starts the loop near its end
-    k = min(_SEED_PATHS, max_paths - 1)
-    if k > 0:
-        u = _capacity(space, E_idx, F_idx, p, None, in_U).potential
-        conductance = np.where(costed, masses / ln**p, 0.0)
-        for edges, amount in _flow_paths(space, u, conductance, E_idx, F_idx, p, k):
-            if edges.tobytes() not in seen:
-                add_path(edges)
-                lam.append(p * amount)
-    lam = np.array(lam)
-    m_u = masses[used]
-    # routing weights rho * length, kept in place: every costed edge outside
-    # `used` has rho = 0, and a freebie's rho-length is 1
-    w = np.where(costed, 0.0, np.inf)
-    w[freebie] = 1.0
-    violation = 1.0
-    while True:
-        kkt_tol = max(_DUAL_KKT_TOL, _LOOSE_KKT_FACTOR * violation)
-        lam, r_u, lower, kkt = _restricted_dual(A[:n_paths, : used.size], lam, m_u, p, kkt_tol)
-        w[used] = r_u * ln[used]
-        cost, _, epath = shortest_route(space, E_idx, F_idx, w)
-        edges = np.unique(epath)
-        converged = cost >= 1.0 - tol
-        held = not converged and edges.tobytes() in seen
-        if (converged or held or n_paths >= max_paths) and kkt_tol > _DUAL_KKT_TOL:
-            # the loop ends only after a tight solve: re-solve from lam, route again
-            violation = 0.0
-            continue
-        if converged:
-            break
-        if n_paths >= max_paths:
-            flags.append("path-budget")
-            break
-        if held:
-            flags.append("stalled")
-            break
-        add_path(edges)
-        m_u = masses[used]
-        lam = np.append(lam, 1e-3 * lam.max())
-        violation = 1.0 - cost
-    # rho, value and lower come from the last restricted solve
-    rho[used] = r_u
-    if kkt > _DUAL_KKT_TOL:
-        flags.append("unconverged")
-    value = float(np.sum(m_u * r_u**p))
-    return ModulusResult(value=value, lower=lower, rho=rho, paths_used=n_paths, flags=flags)
+    paths = _PathMatrix(ln, masses, max_paths)
+    paths.add(np.unique(epath))
+    lam, flags = _seed(space, paths, E_idx, F_idx, in_U, costed, p)
+    w = np.where(costed, 0.0, np.where(freebie, 1.0, np.inf))  # rho * length before any solve
+    r_u, lower, kkt, loop_flags = _cutting_planes(space, paths, lam, E_idx, F_idx, w, p, tol)
+    flags += loop_flags + (["unconverged"] if kkt > _DUAL_KKT_TOL else [])
+    rho[paths.used] = r_u
+    value = float(np.sum(masses[paths.used] * r_u**p))
+    return ModulusResult(value=value, lower=lower, rho=rho, paths_used=paths.n, flags=flags)
 
 
 def capacity_of_infinity(

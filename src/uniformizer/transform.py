@@ -106,7 +106,8 @@ def transform(space: GraphSpace, phi: Dampening, p: float) -> TransformedSpace:
 
     Only bounded boundaries are supported: a boundary whose approximate
     diameter exceeds ``DEFAULT_BOUNDARY_DIAMETER_BOUND`` (64) raises
-    TransformError.
+    TransformError.  So does a p so large that an interior vertex's
+    dampened measure mu phi(d)^p underflows to 0.
     """
     if not (1 <= p < np.inf):
         raise TransformError(f"transform: p={p:g} must be finite and >= 1")
@@ -121,10 +122,16 @@ def transform(space: GraphSpace, phi: Dampening, p: float) -> TransformedSpace:
     d = space.boundary_distance_array()
     rep = 0.5 * (d[space.edge_u] + d[space.edge_v])
     w_edge = edge_weight(phi, rep)
-    w_vertex = edge_weight(phi, d)
+    measure = space.measure * edge_weight(phi, d) ** p
+    lost = (measure == 0.0) & (space.measure > 0.0)
+    if lost.any():
+        vid = space.ids[int(np.argmax(lost))]
+        raise TransformError(
+            f"transform: at p={p:g} the {phi.label()} dampened measure of vertex {vid!r} underflows to 0"
+        )
     ts = TransformedSpace.from_arrays(
         list(space.ids),
-        space.measure * w_vertex**p,
+        measure,
         space.boundary_mask,
         space.edge_u,
         space.edge_v,

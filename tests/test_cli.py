@@ -194,6 +194,25 @@ def test_modulus_value_and_budget(dom_file, tmp_path):
     assert body["value"] <= 0.14310178764449752 * (1 + 1e-9)
 
 
+def test_modulus_drops_a_failed_seed(dom_file, tmp_path):
+    """At p = 20 the flow seed's capacity solve fails on this strip; the
+    modulus runs from the first route alone and says so."""
+    out = tmp_path / "mod.json"
+    argv = ["modulus", "--domain", dom_file, "--p", "20", "--E", "v4_0", "--F", "v4_8", "--out", str(out)]
+    assert run(argv) == 0
+    body = json.loads(out.read_text())
+    assert body["flags"][0] == "seed-failed"
+    assert body["paths_used"] > 1
+    assert 0 < body["value"] and abs(body["value"] - body["lower"]) <= 1e-6 * body["value"]
+
+
+def test_transform_at_p_120_keeps_every_measure(dom_file, tmp_path):
+    """Below the underflow that the p = 150 rows of
+    ``test_bad_p_tol_and_budget_exit_2`` refuse, the transform runs."""
+    out = tmp_path / "dampened.json"
+    assert run(["transform", "--domain", dom_file, "--phi", "power:2", "--p", "120", "--out", str(out)]) == 0
+
+
 def test_capacity_unknown_vertex(dom_file, capsys):
     code = run(["capacity", "--domain", dom_file, "--E", "zz", "--F", "v4_8"])
     err = capsys.readouterr().err
@@ -264,6 +283,12 @@ def test_solve_rejects_bad_continuation(dom_file, tmp_path, capsys, extra):
         (["capacity", "--p", "50", "--E", "v4_0", "--F", "v4_8"], "Factor is exactly singular"),
         (["solve", "--p", "100", "--data", "coord:x"], "Factor is exactly singular"),
         (["solve", "--p", "3", "--eps-schedule", "1e200", "--data", "coord:x"], "Factor is exactly singular"),
+        (["transform", "--p", "150", "--phi", "power:2"], "p=150 the power:2 dampened measure of vertex 'v0_48'"),
+        (["transform", "--p", "200", "--phi", "power:2"], "p=200 the power:2 dampened measure of vertex 'v0_26'"),
+        (["solve", "--p", "150", "--phi", "power:2", "--data", "coord:x"], "p=150 the power:2 dampened measure"),
+        (["solve", "--p", "200", "--phi", "power:2", "--data", "coord:x"], "p=200 the power:2 dampened measure"),
+        (["classify", "--p", "150", "--phi", "power:2"], "p=150 the power:2 dampened measure of vertex 'v0_48'"),
+        (["classify", "--p", "200", "--phi", "power:2"], "p=200 the power:2 dampened measure of vertex 'v0_26'"),
     ],
 )
 def test_bad_p_tol_and_budget_exit_2(dom_file, tmp_path, capsys, argv, message):
@@ -271,7 +296,7 @@ def test_bad_p_tol_and_budget_exit_2(dom_file, tmp_path, capsys, argv, message):
     outside (0, 1), a negative path budget, a Newton budget below 1 and a
     non-finite tol are each named in one line, with exit code 2 and no
     output.  So is a p or an eps so large that a Newton Hessian factors as
-    exactly singular."""
+    exactly singular, or so large that a dampened measure underflows."""
     out = tmp_path / "out.json"
     code = run(argv[:1] + ["--domain", dom_file, "--out", str(out)] + argv[1:])
     captured = capsys.readouterr()

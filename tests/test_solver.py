@@ -808,16 +808,17 @@ def test_condenser_modulus_rounds(cone_small, monkeypatch, p):
     assert len(rounds) <= 10
 
 
-@pytest.mark.parametrize("wrong", ["permuted", "distance", "shuffled"])
+@pytest.mark.parametrize("wrong", ["permuted", "distance", "shuffled", "failed"])
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_modulus_does_not_trust_its_seed(cone_small, monkeypatch, p, wrong):
     """The seed only picks the starting paths: ``value`` and ``lower`` come
     from the loop's own routing stop and closing tight solve.  Seeded from a
     wrong potential (a permutation of the capacity potential, whose walks
     die at once, or the distance ratio d_F / (d_E + d_F), whose walks reach
-    F by other paths) or with the right paths at wrong multipliers, the
-    modulus still returns the unseeded value, so it stays an independent
-    check of the capacity."""
+    F by other paths), with the right paths at wrong multipliers, or after
+    a capacity solve that fails (flag ``seed-failed``), the modulus still
+    returns the unseeded value, so it stays an independent check of the
+    capacity."""
     space = cone_small.space
     cond = cone_condenser(space)
     with monkeypatch.context() as m:
@@ -828,6 +829,8 @@ def test_modulus_does_not_trust_its_seed(cone_small, monkeypatch, p, wrong):
     seeded: list = []
 
     def wrong_potential(graph, E_idx, F_idx, *args):
+        if wrong == "failed":
+            raise SolverError("energy increased during iteration (132.785 -> inf)")
         res = capacity_solve(graph, E_idx, F_idx, *args)
         u = res.potential
         if wrong == "permuted":
@@ -850,9 +853,9 @@ def test_modulus_does_not_trust_its_seed(cone_small, monkeypatch, p, wrong):
         monkeypatch.setattr(solver, "_capacity", wrong_potential)
     monkeypatch.setattr(solver, "_flow_paths", recording)
     res = modulus(space, cond, p, tol=1e-6, max_paths=400)
-    assert (len(seeded) == 0) == (wrong == "permuted")
+    assert (len(seeded) == 0) == (wrong in ("permuted", "failed"))
     assert unseeded.flags == []
-    assert res.flags == []
+    assert res.flags == (["seed-failed"] if wrong == "failed" else [])
     assert res.value == pytest.approx(unseeded.value, rel=1e-9)
     assert res.lower == pytest.approx(unseeded.lower, rel=1e-9)
 
@@ -916,6 +919,58 @@ def test_modulus_seed_flags_do_not_leak(monkeypatch):
     monkeypatch.setattr(solver, "_capacity", flagged)
     cond = Condenser(E=["g0_0", "g0_1", "g0_2"], F=["g3_0", "g3_1", "g3_2"])
     assert modulus(grid_space(4, 3), cond, 2.0, tol=1e-9).flags == []
+
+
+def test_path_matrix_refuses_a_held_path():
+    paths = solver._PathMatrix(np.arange(1.0, 11.0), np.full(10, 2.0), 5)
+    assert paths.add(np.array([1, 4, 7]))
+    before = (paths.A.copy(), paths.used.copy(), paths.col_of.copy(), set(paths.seen))
+    assert not paths.add(np.array([1, 4, 7]))
+    assert paths.n == 1
+    np.testing.assert_array_equal(paths.A, before[0])
+    np.testing.assert_array_equal(paths.used, before[1])
+    np.testing.assert_array_equal(paths.col_of, before[2])
+    assert paths.seen == before[3]
+
+
+def test_path_matrix_maps_a_shared_column_once():
+    paths = solver._PathMatrix(np.arange(1.0, 11.0), np.arange(10.0), 5)
+    assert paths.add(np.array([1, 4, 7]))
+    assert paths.add(np.array([2, 4, 9]))
+    assert paths.used.tolist() == [1, 4, 7, 2, 9]
+    assert paths.col_of[[1, 4, 7, 2, 9]].tolist() == [0, 1, 2, 3, 4]
+    A, m = paths.view()
+    assert A.tolist() == [[2.0, 5.0, 8.0, 0.0, 0.0], [0.0, 5.0, 0.0, 3.0, 10.0]]
+    assert m.tolist() == [1.0, 4.0, 7.0, 2.0, 9.0]
+
+
+@pytest.mark.parametrize("max_paths", [0, 1, 40])
+def test_path_matrix_grows_and_views_the_admitted_paths(max_paths):
+    """Rows and columns grow past their first block (16 x 64) without
+    moving an earlier row's lengths, never past max(max_paths, 1) rows, and
+    the view is the dense path-by-edge matrix on the used columns."""
+    rng = np.random.default_rng(5)
+    ne = 500
+    ln, masses = rng.uniform(0.5, 2.0, ne), rng.uniform(0.1, 1.0, ne)
+    paths = solver._PathMatrix(ln, masses, max_paths)
+    admitted = []
+    while paths.n < paths.cap:
+        edges = np.sort(rng.choice(ne, 12, replace=False))
+        before = paths.A[: paths.n, : paths.used.size].copy()
+        assert paths.add(edges)
+        admitted.append(edges)
+        np.testing.assert_array_equal(paths.A[: before.shape[0], : before.shape[1]], before)
+    assert paths.A.shape[0] == paths.cap == max(max_paths, 1)
+    if max_paths == 40:
+        assert paths.A.shape[1] > 64
+    dense = np.zeros((len(admitted), ne))
+    for i, edges in enumerate(admitted):
+        dense[i, edges] = ln[edges]
+    A, m = paths.view()
+    assert np.unique(paths.used).size == paths.used.size
+    np.testing.assert_array_equal(A, dense[:, paths.used])
+    assert not np.delete(dense, paths.used, axis=1).any()
+    np.testing.assert_array_equal(m, masses[paths.used])
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
