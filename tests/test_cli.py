@@ -511,8 +511,9 @@ def test_report_determinism_modulo_timestamp(dom_file, tmp_path):
 
 
 # Digests of the README pipeline's outputs on half_strip --h 0.5 --H 8, with
-# solves at p = 1.5 and 3 (which run the eps ladder) and a p = 3 capacity.  A
-# change that moves a byte of a domain file or of a solve body fails here.
+# solves at p = 1.5 and 3 (which run the eps ladder), a p = 3 capacity and
+# power:2 classifications at p = 1.5 and 3.  A change that moves a byte of a
+# domain file or of a report body fails here.
 PIPELINE_DIGESTS = {
     "domain.json": "93a194cbafcce5f2ff2c3037f586bcb49e6a63f3406f3229f0758f23644972fa",
     "nu.json": "1d8dfacd2492a7a7d13dcd120d772de36ff7ca830485fe3116f964850e654769",
@@ -524,6 +525,8 @@ PIPELINE_DIGESTS = {
     "sol_3.json": "74ee987954e5f727b62672e57aa1a5d0324551eaa3d8dff382e082f96211a241",
     "sol_phi_3.json": "a8544923d988f5a8985a89973ede16fbe1d837fb4788694a9af0f58ebefbde21",
     "cap_3.json": "703c68cb2c18603ca94a37aec88ea3d1f0f14b529774b1d883fcf3d76bcec4e1",
+    "classify_1.5.json": "e3be84a2201949222fe8ee8a287e496a5afc572da714546e96b1998c652cae6f",
+    "classify_3.json": "d58f55648fe0ac103219e478c9b27b0b372810bf29a95902ac2c32d50a08bd68",
 }
 
 
@@ -555,11 +558,14 @@ def test_pipeline_outputs_are_byte_stable(tmp_path):
             ["solve", *domain, "--phi", "power:2", "--p", p, "--data", "coord:x",
              "--out", str(f[f"sol_phi{suffix}.json"])],
         ]
+    for p in ("1.5", "3"):
+        argv.append(["classify", *domain, "--phi", "power:2", "--p", p,
+                     "--out", str(f[f"classify_{p}.json"])])
     for args in argv:
         assert run(args) == 0
     digests = {
         name: hashlib.sha256(
-            _body_bytes(path) if name.startswith(("sol", "cap")) else path.read_bytes()
+            _body_bytes(path) if name.startswith(("sol", "cap", "classify")) else path.read_bytes()
         ).hexdigest()
         for name, path in f.items()
     }
