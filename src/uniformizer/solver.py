@@ -360,7 +360,17 @@ def _setup(graph, masses, p, pins_idx, pins_val, opts, vertex_mask, isolated) ->
         schedule = [(hi - lo) * EPS_FACTOR**k for k in range(5)]
 
     eu, ev, ln = graph.edge_u, graph.edge_v, graph.edge_length
-    a = np.where(mask[eu] & mask[ev], masses / ln**p, 0.0)
+    # at a huge p, l**p leaves the float range: name the first massive edge it takes out
+    massive = mask[eu] & mask[ev] & (masses > 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.where(massive, masses / ln**p, 0.0)
+    lost = massive & ~((a > 0) & (a < np.inf))
+    if lost.any():
+        k = int(np.argmax(lost))
+        raise SolverError(
+            f"at p={p:g} the conductance of edge {graph.ids[eu[k]]!r}-{graph.ids[ev[k]]!r} "
+            f"is {a[k]:g}, not positive and finite"
+        )
     pinned = np.zeros(nv, dtype=bool)
     pinned[pins_idx] = True
 

@@ -289,6 +289,8 @@ def test_solve_rejects_bad_continuation(dom_file, tmp_path, capsys, extra):
         (["solve", "--p", "200", "--phi", "power:2", "--data", "coord:x"], "p=200 the power:2 dampened measure"),
         (["classify", "--p", "150", "--phi", "power:2"], "p=150 the power:2 dampened measure of vertex 'v0_48'"),
         (["classify", "--p", "200", "--phi", "power:2"], "p=200 the power:2 dampened measure of vertex 'v0_26'"),
+        (["solve", "--p", "120", "--phi", "power:2", "--data", "coord:x"], "p=120 the conductance of edge"),
+        (["classify", "--p", "120", "--phi", "power:2"], "p=120 the conductance of edge"),
     ],
 )
 def test_bad_p_tol_and_budget_exit_2(dom_file, tmp_path, capsys, argv, message):
@@ -296,7 +298,8 @@ def test_bad_p_tol_and_budget_exit_2(dom_file, tmp_path, capsys, argv, message):
     outside (0, 1), a negative path budget, a Newton budget below 1 and a
     non-finite tol are each named in one line, with exit code 2 and no
     output.  So is a p or an eps so large that a Newton Hessian factors as
-    exactly singular, or so large that a dampened measure underflows."""
+    exactly singular, that an edge's conductance leaves (0, inf), or that
+    a dampened measure underflows."""
     out = tmp_path / "out.json"
     code = run(argv[:1] + ["--domain", dom_file, "--out", str(out)] + argv[1:])
     captured = capsys.readouterr()

@@ -204,6 +204,24 @@ def test_newton_system_plan_past_int32_keys():
     np.testing.assert_allclose(res.u, expected, atol=1e-9)
 
 
+def test_conductance_outside_zero_inf_raises():
+    """An edge with positive mass whose conductance m / l**p underflows
+    or overflows is named with p before any factorization; a massless edge
+    is exempt.  Here 1e-10**40 underflows to 0, so w1-w2 reads inf, and
+    the massless w0-w1 before it, 0 / 0, is passed over."""
+    space = GraphSpace.from_arrays(
+        [f"w{i}" for i in range(4)],
+        np.array([0.0, 1.0, 1.0, 0.0]),
+        np.array([True, False, False, True]),
+        np.array([0, 1, 2]),
+        np.array([1, 2, 3]),
+        np.array([1e-10, 1e-10, 1.0]),
+        edge_mass=np.array([0.0, 1.0, 1.0]),
+    )
+    with pytest.raises(SolverError, match="at p=40 the conductance of edge 'w1'-'w2' is inf"):
+        solve_p_harmonic(DirichletProblem(space, 40.0, {"w0": 0.0, "w3": 1.0}))
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_single_free_vertex_matches_scalar_minimization(p):
     space = GraphSpace(
