@@ -204,6 +204,35 @@ def test_newton_system_plan_past_int32_keys():
     np.testing.assert_allclose(res.u, expected, atol=1e-9)
 
 
+def _chain_system():
+    """The Newton system of a chain pin - 0 - 1 - 2 - pin over its three free slots."""
+    su, sv = np.array([-1, 0, 1, 2]), np.array([0, 1, 2, -1])
+    return solver._NewtonSystem(su, sv, su >= 0, sv >= 0, 3, keep=False)
+
+
+@pytest.mark.parametrize(
+    "b, w",
+    [
+        (np.array([1.0, math.inf, 0.0]), np.ones(4)),  # an inf in the right-hand side
+        (np.array([1e300, 0.0, 1e300]), np.full(4, 1e-300)),  # a solution past the float range
+    ],
+)
+def test_newton_system_refuses_a_solve_that_is_not_finite(b, w):
+    """A solve that is not finite after refinement raises, naming the Newton
+    system, instead of handing the line search a NaN step."""
+    with pytest.raises(SolverError, match="Newton system: the solve is not finite"):
+        _chain_system().solve(b, [], w)
+
+
+def test_newton_system_finite_solve_is_unaffected():
+    """A well-posed solve passes the finite test: the tridiagonal (2, -1)
+    Hessian of unit weights maps (1, 0, 0) to (3, 2, 1) / 4."""
+    flags = []
+    x = _chain_system().solve(np.array([1.0, 0.0, 0.0]), flags, np.ones(4))
+    np.testing.assert_allclose(x, [0.75, 0.5, 0.25], rtol=1e-15)
+    assert flags == []
+
+
 def test_conductance_outside_zero_inf_raises():
     """An edge with positive mass whose conductance m / l**p underflows
     or overflows is named with p before any factorization; a massless edge
