@@ -57,7 +57,6 @@ from .dampening import (
 from .dampening import validate as validate_dampening
 from .domains import GENERATORS, generate
 from .energy import (
-    EnergyError,
     adams_check,
     adams_exponent,
     besov_norm,
@@ -78,23 +77,13 @@ from .solver import (
 )
 from .transform import (
     BoundaryMeasure,
-    TransformError,
     attach_infinity,
     transform,
     verify_codimensionality,
 )
 from .util import atomic_write_text, canonical_json, config_hash
 
-INPUT_ERRORS = (
-    DomainFormatError,
-    DampeningError,
-    TransformError,
-    SolverError,
-    AnalysisError,
-    EnergyError,
-    OSError,
-    ValueError,
-)
+INPUT_ERRORS = (OSError, ValueError)  # every package error is a ValueError
 
 
 def _parse_phi(spec: str) -> Dampening:

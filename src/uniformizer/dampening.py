@@ -24,7 +24,7 @@ interpolation through given samples).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -152,22 +152,31 @@ def edge_weight(phi: Dampening, t) -> np.ndarray:
 # -- tail integrals ----------------------------------------------------------
 
 
-def tail_integral(phi: Dampening, t: float) -> float:
-    """Integral of phi over (t, infinity) to relative accuracy 1e-8 or better.
+def tail_integral(phi: Dampening, t):
+    """Integral of phi over (t, infinity) to relative accuracy 1e-8 or better,
+    for a scalar t (a float) or an array of them (an array).
 
-    Power tails are closed form; log_power uses adaptive quadrature on the
-    decaying branch; tabulated tails are summed segment-wise in closed form
-    plus a power-law extrapolation of the last segment (an error if that
-    extrapolation diverges).
+    Power tails are closed form, elementwise on an array; log_power uses
+    adaptive quadrature on the decaying branch; tabulated tails are summed
+    segment-wise in closed form plus a power-law extrapolation of the last
+    segment (an error if that extrapolation diverges).  The other kinds take
+    an array one distinct value at a time.
     """
-    if not (t >= 0 and math.isfinite(t)):
+    many = np.ndim(t) > 0
+    arr = np.asarray(t, dtype=float)
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
         raise DampeningError("tail_integral: t must be finite and >= 0")
     if phi.kind == "power":
         if phi.beta <= 1:
             raise DampeningError("tail_integral diverges: power with beta <= 1")
-        if t >= 1.0:
-            return t ** (1.0 - phi.beta) / (phi.beta - 1.0)
-        return (1.0 - t) + 1.0 / (phi.beta - 1.0)
+        if many:
+            top, flat = np.maximum(arr, 1.0), np.maximum(0.0, 1.0 - arr)
+        else:  # Python floats: np.power and ** can differ in the last bit
+            top, flat = max(t, 1.0), max(0.0, 1.0 - t)
+        return top ** (1.0 - phi.beta) / (phi.beta - 1.0) + flat
+    if many:
+        uniq, inverse = np.unique(arr, return_inverse=True)
+        return np.array([tail_integral(phi, float(s)) for s in uniq])[inverse]
     if phi.kind == "log_power":
         start = max(t, 1.0)
         flat = max(0.0, 1.0 - t)
@@ -224,20 +233,6 @@ def _tabulated_tail(phi: Dampening, t: float) -> float:
     return total
 
 
-def tail_integral_many(phi: Dampening, ts) -> np.ndarray:
-    """tail_integral over an array; closed form vectorized for the power kind."""
-    arr = np.asarray(ts, dtype=float)
-    if phi.kind == "power":
-        if phi.beta <= 1:
-            raise DampeningError("tail_integral diverges: power with beta <= 1")
-        big = np.maximum(arr, 1.0)
-        tail_at_one_plus = big ** (1.0 - phi.beta) / (phi.beta - 1.0)
-        return tail_at_one_plus + np.maximum(0.0, 1.0 - arr)
-    uniq, inverse = np.unique(arr, return_inverse=True)
-    vals = np.array([tail_integral(phi, float(t)) for t in uniq])
-    return vals[inverse]
-
-
 # -- validation --------------------------------------------------------------
 
 
@@ -259,19 +254,10 @@ class PhiValidationReport:
         return all(self.passes.values())
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "n_max": self.n_max,
-            "tail_integral_estimate": self.tail_integral_estimate,
-            "C_phi_emp": self.C_phi_emp,
-            "tau_emp": self.tau_emp,
-            "cond5_implied_constant": self.cond5_implied_constant,
-            "cond6_implied_constant": self.cond6_implied_constant,
-            "pass": dict(self.passes),
-            "all_pass": self.all_pass,
-            "flags": list(self.flags),
-        }
+        """The fields, ``passes`` under the key ``pass``, and ``all_pass``."""
+        out = asdict(self)
+        out["pass"] = out.pop("passes")
+        return {**out, "all_pass": self.all_pass}
 
 
 def _dyadic_range(phi: Dampening, j_hi: int) -> tuple[int, bool]:

@@ -79,6 +79,21 @@ def cantor_intervals(level: int) -> list[tuple[float, float]]:
     return cells
 
 
+def _cantor_cells(xs: np.ndarray, h: float, level: int, lo: float) -> np.ndarray:
+    """The level-l Cantor cell holding each grid coordinate of ``xs``, -1 in
+    a gap; the cells are ``cantor_intervals`` carried from [0, 1] to
+    [lo, 1].  Raises when a cell is narrower than the mesh (3^-level < h)."""
+    if 3.0 ** (-level) < h * (1 - 1e-12):
+        raise DomainFormatError(
+            f"cantor level {level} unresolvable at mesh h={h:g} (3^-level < h)"
+        )
+    cell_of = np.full(xs.size, -1, dtype=np.int64)
+    for ci, (a, b) in enumerate(cantor_intervals(level)):
+        inside = (xs >= lo + (1 - lo) * a - 1e-9) & (xs <= lo + (1 - lo) * b + 1e-9)
+        cell_of[inside] = ci
+    return cell_of
+
+
 def _build_grid(
     present: np.ndarray,
     boundary: np.ndarray,
@@ -175,25 +190,13 @@ def cantor_slit(h: float, H: float, level: int) -> DomainBundle:
     2^-level split evenly over its vertices.
     """
     present, _, half_cols, _ = _cone_masks(h, H)
-    if 3.0 ** (-level) < h * (1 - 1e-12):
-        raise DomainFormatError(
-            f"cantor level {level} unresolvable at mesh h={h:g} (3^-level < h)"
-        )
-    cells = [(2 * a - 1, 2 * b - 1) for a, b in cantor_intervals(level)]
-    nx = present.shape[1]
-    xs = (np.arange(nx) - half_cols) * h
-    cell_of = np.full(nx, -1, dtype=np.int64)
-    for ci, (lo, hi) in enumerate(cells):
-        inside = (xs >= lo - 1e-9) & (xs <= hi + 1e-9)
-        cell_of[inside] = ci
+    cell_of = _cantor_cells((np.arange(present.shape[1]) - half_cols) * h, h, level, -1.0)
     boundary = np.zeros_like(present)
     boundary[0, :] = present[0, :] & (cell_of >= 0)
     space, idmap = _build_grid(present, boundary, h, -(half_cols * h), 0.0, -half_cols, 0)
 
-    counts = np.zeros(len(cells), dtype=np.int64)
     cols = np.nonzero(boundary[0, :])[0]
-    for c in cols:
-        counts[cell_of[c]] += 1
+    counts = np.bincount(cell_of[cols], minlength=2**level)
     if (counts == 0).any():
         raise DomainFormatError("cantor cell contains no grid vertex; refine the mesh")
     mass = 2.0 ** (-level)
@@ -219,18 +222,9 @@ def plane_minus_cantor_square(h: float, R: float, level: int) -> DomainBundle:
     """
     k1 = _check_mesh(h)
     _check_extent(R, name="R")
-    if 3.0 ** (-level) < h * (1 - 1e-12):
-        raise DomainFormatError(
-            f"cantor level {level} unresolvable at mesh h={h:g} (3^-level < h)"
-        )
     n_side = 2 * int(round(R / h)) + 1
     x0 = 0.5 - R
-    xs = x0 + np.arange(n_side) * h
-    intervals = cantor_intervals(level)
-    axis_cell = np.full(n_side, -1, dtype=np.int64)
-    for ci, (lo, hi) in enumerate(intervals):
-        inside = (xs >= lo - 1e-9) & (xs <= hi + 1e-9)
-        axis_cell[inside] = ci
+    axis_cell = _cantor_cells(x0 + np.arange(n_side) * h, h, level, 0.0)
     in_axis = axis_cell >= 0
     in_cell = in_axis[:, None] & in_axis[None, :]  # [row=y, col=x]
 
@@ -249,7 +243,7 @@ def plane_minus_cantor_square(h: float, R: float, level: int) -> DomainBundle:
         present, boundary, h, x0, x0, 0, 0, drop_boundary_boundary_edges=True
     )
 
-    n_int = len(intervals)
+    n_int = 2**level
     rows, cols = np.nonzero(boundary)
     cell_ids = axis_cell[cols] * n_int + axis_cell[rows]
     counts = np.bincount(cell_ids, minlength=n_int * n_int)

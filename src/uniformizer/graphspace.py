@@ -117,8 +117,8 @@ def _edge_arrays(
     finite.  They run on whole arrays; the error names the first failing
     edge and, on it, the first failing check.
     """
-    eu, ev = np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64)
-    el = np.asarray(lengths, dtype=float)
+    eu, ev = np.ascontiguousarray(eu, dtype=np.int64), np.ascontiguousarray(ev, dtype=np.int64)
+    el = np.ascontiguousarray(lengths, dtype=float)
     unknown = (eu < 0) | (eu >= n) | (ev < 0) | (ev >= n)
     loop = eu == ev
     seen_before = np.ones(eu.size, dtype=bool)
@@ -146,13 +146,15 @@ class GraphSpace:
 
     Vertices and edges keep their construction order throughout; all arrays
     are aligned with that order, which is what makes serialized output
-    byte-stable.  ``infinity_id`` (set through ``from_arrays``) marks the
-    single added point used by dampened (transformed) spaces; it is exempt
-    from the measure-positivity rule but from nothing else.  The space is
-    frozen, so its caches stay true: the arrays of vertex and edge data are
-    read-only, ``ids`` is a tuple and ``index`` a read-only map.  ``coords``
-    is None or an (n, dim >= 1) float64 array, a row of NaN for a vertex
-    without coordinates; a block that is all NaN is stored as None.
+    byte-stable.  The tuple form ``GraphSpace(ids, measures, boundary_flags,
+    edges)`` and ``from_arrays`` run the same checks.  ``infinity_id`` (set
+    through ``from_arrays``) marks the single added point used by dampened
+    (transformed) spaces; it is exempt from the measure-positivity rule but
+    from nothing else.  The space is frozen, so its caches stay true: the
+    arrays of vertex and edge data are read-only, ``ids`` is a tuple and
+    ``index`` a read-only map.  ``coords`` is None or an (n, dim >= 1)
+    float64 array, a row of NaN for a vertex without coordinates; a block
+    that is all NaN is stored as None.
 
     The edge-mass slot holds one mass per edge.  ``from_arrays(edge_mass=...)``
     fills it with explicit masses (the dampened ones of a transform);
@@ -168,13 +170,8 @@ class GraphSpace:
         edges: Sequence[tuple[str, str, float]],
         coords: np.ndarray | None = None,
     ):
-        self._set_vertices(ids, measures, boundary_flags, None)
         us, vs, lengths = zip(*[(u, v, ln) for u, v, ln in edges]) if len(edges) else ((), (), ())
-        self.edge_u, self.edge_v, self.edge_length = _edge_arrays(
-            _end_indices(self.index, us), _end_indices(self.index, vs), lengths, self.n_vertices,
-            lambda k: (us[k], vs[k]),
-        )
-        self._finish_init(coords)
+        self._build(ids, measures, boundary_flags, us, vs, lengths, coords, by_id=True)
 
     @classmethod
     def from_arrays(
@@ -189,40 +186,21 @@ class GraphSpace:
         infinity_id: str | None = None,
         edge_mass: np.ndarray | None = None,
     ) -> "GraphSpace":
-        """Array fast path for graphs derived from an already-validated one.
+        """The space whose edge k joins vertex indices ``edge_u[k]`` and
+        ``edge_v[k]``, checked as the tuple form is; a message names an end
+        ``ids[i]``, or ``i`` when it is outside the ids.  ``edge_mass``, when
+        given, fills the edge-mass slot in place of the length-share rule."""
+        space = cls.__new__(cls)
+        space._build(ids, measures, boundary_flags, edge_u, edge_v, edge_length, coords, infinity_id, edge_mass)
+        return space
 
-        Endpoint indices must refer to `ids`; pair uniqueness is trusted, the
-        cheap vector checks (positive finite lengths, no self loops, finite
-        nonnegative masses) still run.  ``edge_mass``, when given, fills the
-        edge-mass slot in place of the length-share rule.  The space owns
-        what it is given: arrays of the right dtype are kept, not copied, and
-        made read-only, ``coords`` included.
-        """
-        obj = cls.__new__(cls)
-        obj._set_vertices(ids, measures, boundary_flags, infinity_id)
-        obj.edge_u = np.ascontiguousarray(edge_u, dtype=np.int64)
-        obj.edge_v = np.ascontiguousarray(edge_v, dtype=np.int64)
-        obj.edge_length = np.ascontiguousarray(edge_length, dtype=float)
-        if (obj.edge_u == obj.edge_v).any():
-            raise DomainFormatError("edges: self loop")
-        if not (np.isfinite(obj.edge_length).all() and (obj.edge_length > 0).all()):
-            raise DomainFormatError("edges: lengths must be positive and finite")
-        if edge_mass is not None:
-            edge_mass = _frozen(np.array(edge_mass, dtype=float))
-            if edge_mass.shape != obj.edge_length.shape or not (
-                np.isfinite(edge_mass).all() and (edge_mass >= 0).all()
-            ):
-                raise DomainFormatError("edges: masses must align with edges, finite and >= 0")
-        obj._finish_init(coords, edge_mass)
-        return obj
-
-    def _set_vertices(
-        self,
-        ids: Sequence[str],
-        measures: Sequence[float],
-        boundary_flags: Sequence[bool],
-        infinity_id: str | None,
+    def _build(
+        self, ids, measures, boundary_flags, u, v, lengths, coords, infinity_id=None, edge_mass=None, by_id=False
     ) -> None:
+        """The one construction path; every check runs here, once.  Edge ends
+        ``u`` and ``v`` are vertex ids when ``by_id``, else vertex indices.
+        The space owns what it is given: arrays of the right dtype are kept,
+        not copied, and made read-only, ``coords`` included."""
         self.ids: tuple[str, ...] = tuple(ids)
         self.index = MappingProxyType(_vertex_index(self.ids))
         n = len(self.ids)
@@ -232,20 +210,26 @@ class GraphSpace:
             raise DomainFormatError("vertices: measure/boundary arrays misaligned")
         self.infinity_id = infinity_id
         self.infinity_index = self.index[infinity_id] if infinity_id is not None else -1
-
-    def _finish_init(self, coords: np.ndarray | None, edge_mass: np.ndarray | None = None) -> None:
+        if by_id:  # an end is named as it was given
+            eu, ev, ends = _end_indices(self.index, u), _end_indices(self.index, v), lambda k: (u[k], v[k])
+        else:  # an end is named by its id, or by its index when it has none
+            eu, ev, ends = u, v, lambda k: tuple(self.ids[i] if 0 <= i < n else i for i in (int(u[k]), int(v[k])))
+        self.edge_u, self.edge_v, self.edge_length = _edge_arrays(eu, ev, lengths, n, ends)
+        if edge_mass is not None:
+            edge_mass = _frozen(np.array(edge_mass, dtype=float))
+            if edge_mass.shape != self.edge_length.shape or not (
+                np.isfinite(edge_mass).all() and (edge_mass >= 0).all()
+            ):
+                raise DomainFormatError("edges: masses must align with edges, finite and >= 0")
         self._validate_measures()
         for a in (self.edge_u, self.edge_v, self.edge_length, self.measure, self.boundary_mask):
             _frozen(a)
         coords = None if coords is None else np.ascontiguousarray(coords, dtype=float)
-        if coords is not None and (coords.ndim != 2 or coords.shape[0] != self.n_vertices or coords.size == 0):
-            raise DomainFormatError(f"vertices.coords: shape {coords.shape}, not ({self.n_vertices}, dim >= 1)")
+        if coords is not None and (coords.ndim != 2 or coords.shape[0] != n or coords.size == 0):
+            raise DomainFormatError(f"vertices.coords: shape {coords.shape}, not ({n}, dim >= 1)")
         self.coords = None if coords is None or np.isnan(coords).all() else _frozen(coords)
         self._edge_mass = edge_mass
-        self._adjacency = None
-        self._route = None
-        self._boundary_distance = None
-        self._bands = None
+        self._adjacency = self._route = self._boundary_distance = self._bands = None
         self._check_connected()
 
     # -- construction checks ------------------------------------------------
@@ -589,12 +573,7 @@ def from_payload(payload: dict) -> GraphSpace:
         nan = np.isnan(rows)
         checks.append((~nan.any(axis=1) | nan.all(axis=1), "'coords' must be all numbers or all NaN"))
     _first_offender("vertices", checks)
-    space = GraphSpace.__new__(GraphSpace)
-    space._set_vertices(ids, measure, flags, None)
-    space.edge_u, space.edge_v, space.edge_length = _edge_arrays(
-        eu, ev, el, n, lambda k: tuple(ids[i] if 0 <= i < n else i for i in (int(eu[k]), int(ev[k])))
-    )
-    space._finish_init(rows)
+    space = GraphSpace.from_arrays(ids, measure, flags, eu, ev, el, coords=rows)
     from .transform import from_recipe  # here, as transform imports this module
 
     return from_recipe(space, payload["dampening"]) if "dampening" in payload else space

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dampening import Dampening, DampeningError, edge_weight, read_profile, tail_integral_many
+from .dampening import Dampening, DampeningError, edge_weight, read_profile, tail_integral
 from .energy import edge_mass
 from .graphspace import DomainFormatError, GraphSpace, _frozen, _numbers, _require
 
@@ -161,7 +161,7 @@ def attach_infinity(ts: TransformedSpace) -> TransformedSpace:
     if outer.size == 0:
         raise TransformError("attach_infinity: outermost band has no interior vertices")
     d = space.boundary_distance_array()
-    tail = tail_integral_many(ts.phi, d[outer])
+    tail = tail_integral(ts.phi, d[outer])
 
     inf_index = len(space.ids)
     measures = np.append(ts.measure, 0.0)

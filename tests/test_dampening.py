@@ -25,7 +25,6 @@ from uniformizer.dampening import (
     power,
     tabulated,
     tail_integral,
-    tail_integral_many,
     validate,
 )
 
@@ -118,10 +117,17 @@ def test_log_power_tail_matches_quadrature(t):
     assert tail_integral(log_power(beta), t) == pytest.approx(oracle, rel=1e-8)
 
 
-def test_tail_integral_many_matches_scalar():
-    phi = power(1.5)
-    ts = np.array([1.0, 2.0, 7.0, 64.0])
-    got = tail_integral_many(phi, ts)
+@pytest.mark.parametrize(
+    "phi",
+    [power(1.5), log_power(2.0), tabulated([(1.0, 1.0), (8.0, 0.125), (64.0, 1 / 512)])],
+    ids=["power", "log_power", "tabulated"],
+)
+def test_tail_integral_of_an_array_matches_scalar(phi):
+    """An array gives an array, entry by entry the float of the scalar call
+    (a repeated t included)."""
+    ts = np.array([0.25, 1.0, 2.0, 7.0, 2.0, 64.0])
+    got = tail_integral(phi, ts)
+    assert isinstance(got, np.ndarray) and isinstance(tail_integral(phi, 2.0), float)
     np.testing.assert_allclose(got, [tail_integral(phi, float(t)) for t in ts], rtol=1e-12)
 
 

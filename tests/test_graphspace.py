@@ -402,13 +402,31 @@ def test_duplicate_vertex_id_rejected():
         (lambda p: p["edges"].pop("length"), "length"),
         (lambda p: set_entry(p, "vertices", 0, boundary=2), "boolean"),
         (lambda p: (set_entry(p, "vertices", 3, id="nope"), _append_edge(p, 0, 3, 1.0)), "nope"),
+        # from_arrays runs the checks of a file's edge columns
+        (lambda p: _cycle_from_arrays([0, 1, 2, 3, 1], [1, 2, 3, 0, 0]), r"^edges\[4\]: duplicate edge 'b'-'a'$"),
+        (lambda p: _cycle_from_arrays([0, 1, 2, 3], [1, 2, 4, 0]), r"^edges\[2\]: unknown endpoint 'c' or 4$"),
+        (lambda p: _cycle_from_arrays([0, 1, 3, 3], [1, 2, 3, 0]), r"^edges\[2\]: self loop at 'd'$"),
     ],
 )
 def test_payload_diagnostics_name_the_offender(mutate, fragment):
+    """A mutated file form of cycle_space, or edge columns given to
+    from_arrays, is refused with a message naming the offender."""
     payload = cycle_space().to_payload()
-    mutate(payload)
     with pytest.raises(DomainFormatError, match=fragment):
+        mutate(payload)
         from_payload(payload)
+
+
+def _cycle_from_arrays(edge_u: list[int], edge_v: list[int]) -> GraphSpace:
+    """cycle_space's vertices with the given edge ends, each of length 1."""
+    return GraphSpace.from_arrays(
+        ["a", "b", "c", "d"],
+        np.array([0.0, 1.0, 2.0, 0.5]),
+        np.array([True, False, False, False]),
+        np.array(edge_u),
+        np.array(edge_v),
+        np.ones(len(edge_u)),
+    )
 
 
 def _append_edge(p: dict, u: int, v: int, length: float) -> None:
