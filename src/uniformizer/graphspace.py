@@ -86,6 +86,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_ID_RULE = "'id' must be a nonempty string"
+
+
+def _nonempty_strings(ids: Sequence) -> np.ndarray:
+    """Per id, whether it is a nonempty string (``_ID_RULE``)."""
+    return np.array([isinstance(x, str) and x != "" for x in ids], dtype=bool)
+
+
 def _vertex_index(ids: list[str]) -> dict[str, int]:
     """Position of each vertex id; names the first repeated id."""
     index = dict(zip(ids, range(len(ids))))
@@ -119,6 +127,9 @@ def _edge_arrays(
     """
     eu, ev = np.ascontiguousarray(eu, dtype=np.int64), np.ascontiguousarray(ev, dtype=np.int64)
     el = np.ascontiguousarray(lengths, dtype=float)
+    for key, col in (("v", ev), ("length", el)):  # named as a file's columns are
+        if col.size != eu.size:
+            raise DomainFormatError(f"edges: '{key}' has {col.size} entries, 'u' has {eu.size}")
     unknown = (eu < 0) | (eu >= n) | (ev < 0) | (ev >= n)
     loop = eu == ev
     seen_before = np.ones(eu.size, dtype=bool)
@@ -202,7 +213,13 @@ class GraphSpace:
         The space owns what it is given: arrays of the right dtype are kept,
         not copied, and made read-only, ``coords`` included."""
         self.ids: tuple[str, ...] = tuple(ids)
+        try:  # before the index, which an unhashable id breaks; join is the cheapest pass that takes only strings
+            "".join(self.ids)
+        except TypeError:
+            _first_offender("vertices", [(_nonempty_strings(self.ids), _ID_RULE)])
         self.index = MappingProxyType(_vertex_index(self.ids))
+        if "" in self.index:
+            raise DomainFormatError(f"vertices[{self.index['']}]: {_ID_RULE}")
         n = len(self.ids)
         self.measure = np.ascontiguousarray(measures, dtype=float)
         self.boundary_mask = np.ascontiguousarray(boundary_flags, dtype=bool)
@@ -230,6 +247,8 @@ class GraphSpace:
         self.coords = None if coords is None or np.isnan(coords).all() else _frozen(coords)
         self._edge_mass = edge_mass
         self._adjacency = self._route = self._boundary_distance = self._bands = None
+        # solver._capacity's last equilibrium (key, result), transform's boundary diameter
+        self._equilibrium = self._boundary_diameter = None
         self._check_connected()
 
     # -- construction checks ------------------------------------------------
@@ -567,7 +586,7 @@ def from_payload(payload: dict) -> GraphSpace:
     checks = []
     # a check that holds for the whole column at once adds no flags
     if set(map(type, ids)) != {str} or "" in ids:
-        checks.append((np.array([isinstance(x, str) and x != "" for x in ids]), "'id' must be a nonempty string"))
+        checks.append((_nonempty_strings(ids), _ID_RULE))
     checks.append((flags <= 1, "'boundary' must be a boolean, byte 0 or 1"))
     if rows is not None:
         nan = np.isnan(rows)

@@ -9,26 +9,31 @@
   drop below sqrt(tol), and the last level stops at a drop below tol with
   a step of at most 1e-10 of the range.  The exact line search finds the
   root of the slope by ``brentq``, a port of Brent's method as scipy's C
-  ``brentq`` runs it.  The Newton steps and the line search act only on
+  ``brentq`` runs it, handed the slopes at both ends of the bracket that
+  the step already has.  The Newton steps and the line search act only on
   the edges with a free end; the first Hessian of a solve is ordered by
-  minimum degree on A^T + A, the later ones reuse that order and a planned
-  CSC structure (_NewtonSystem), and SuperLU factors them in symmetric
-  mode with one-column panels and no relaxed supernodes, once in all at
-  p = 2; a solve that is not finite raises.  ``_minimize`` drives it:
-  ``_setup`` checks and plans, ``_newton_level`` runs one eps level.
+  minimum degree on A^T + A, the later ones reuse that order and overwrite
+  the values of one planned CSC matrix (_NewtonSystem), and SuperLU
+  factors them in symmetric mode with one-column panels and no relaxed
+  supernodes, once in all at p = 2; a solve that is not finite raises.
+  ``_minimize`` drives it: ``_setup`` checks and plans, ``_newton_level``
+  runs one eps level.
 * ``capacity``: condenser capacity as the energy of the equilibrium
-  potential (pins 1 on E, 0 on F, restricted to U).
+  potential (pins 1 on E, 0 on F, restricted to U).  Under default options
+  the space keeps the last one, so ``modulus`` after ``capacity`` on one
+  condenser reads it instead of solving again.
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
   generation.  The driver routes the first path into a dense path matrix
   (``_PathMatrix``: one row per generated path, one column per edge those
   paths use).  ``_seed`` adds a greedy path decomposition of the capacity
   flow (the optimal path multipliers through an edge sum to p times that
   flow), or is dropped with the flag ``seed-failed`` when that capacity
-  solve fails.  ``_cutting_planes`` solves each restricted program through
-  its smooth Lagrangian dual by projected Newton.  A round that only
-  produces the next cut stops its dual at KKT 1e-3 times the violation of
-  the last admitted path; the loop ends after a solve to KKT 1e-12 and one
-  more route, whose dual value is returned as a lower bound.
+  solve fails; a ``capacity`` call just before on the same condenser and
+  p has already solved it.  ``_cutting_planes`` solves each restricted
+  program through its smooth Lagrangian dual by projected Newton.  A round
+  that only produces the next cut stops its dual at KKT 1e-3 times the
+  violation of the last admitted path; the loop ends after a solve to KKT
+  1e-12 and one more route, whose dual value is returned as a lower bound.
 * ``capacity_of_infinity``: shell condenser around the added point of a
   transformed space; the probe behind parabolicity classification.
 * ``solve_dirichlet_unbounded``: transform, attach infinity, pin boundary
@@ -154,8 +159,8 @@ class UnboundedSolveResult:
 
 def _psi_sum(a, d, p, eps):
     if p == 2:
-        return float(np.sum(a * (d * d + eps * eps)))
-    return float(np.sum(a * (d * d + eps * eps) ** (p / 2)))
+        return float((a * (d * d + eps * eps)).sum())
+    return float((a * (d * d + eps * eps) ** (p / 2)).sum())
 
 
 def _psi_prime(a, d, p, eps):
@@ -175,8 +180,8 @@ def _slope_sum(g: np.ndarray) -> float:
     """Line-search slope from its per-edge terms g; 0 when the sum is within
     round-off of the terms, where its sign is noise and brentq would only
     bisect it down to xtol, so such a t counts as the root."""
-    s = float(np.sum(g))
-    return 0.0 if abs(s) <= 1e-14 * float(np.sum(np.abs(g))) else s
+    s = float(g.sum())
+    return 0.0 if abs(s) <= 1e-14 * float(np.abs(g).sum()) else s
 
 
 # brentq's relative tolerance and iteration budget (scipy's defaults)
@@ -189,20 +194,23 @@ def _negative(x: float) -> bool:
     return math.copysign(1.0, x) < 0.0
 
 
-def brentq(f, a: float, b: float, xtol: float) -> float:
+def brentq(f, a: float, b: float, xtol: float, fa: float | None = None, fb: float | None = None) -> float:
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4): a port
     of scipy's C ``brentq`` loop that does the same float operations in
-    the same order, so it returns the same root after the same calls."""
+    the same order, so it returns the same root after the same calls.
+    ``fa`` and ``fb``, when given, are f(a) and f(b), which are then not
+    evaluated again: the same root after two fewer calls."""
 
-    def value(x: float) -> float:
-        fx = f(x)
+    def value(x: float, fx: float | None = None) -> float:
+        if fx is None:
+            fx = f(x)
         if math.isnan(fx):
             raise SolverError(f"line search: slope at t={x!r} is NaN")
         return fx
 
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre, fa), value(xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -265,7 +273,8 @@ class _NewtonSystem:
     """Newton Hessians sum_e w(e) (1_su - 1_sv)(1_su - 1_sv)^T, su/sv the
     free slots of the moving edges' ends (-1 at a fixed end, fu/fv False).
     The first is factored in the order ORDERING finds, which is then baked
-    into a CSC plan: each later one is one bincount, already permuted,
+    into one CSC matrix, built and checked once: each later Hessian is one
+    bincount, already permuted, written over that matrix's values and
     factored in natural order, in one-column panels with no relaxed
     supernodes (PANEL_SIZE, RELAX).  A factor is freed after its solve (held
     through a line search, it fragments the heap) unless ``keep``: then
@@ -293,10 +302,11 @@ class _NewtonSystem:
             return sp.csc_matrix((data, (self.rows, self.cols)), shape=(n, n))
         if self.cell is None:
             cells, self.cell = np.unique(o[self.cols] * n + o[self.rows], return_inverse=True)
-            self.indices = (cells % n).astype(np.int32)
-            self.indptr = np.searchsorted(cells, np.arange(n + 1) * n).astype(np.int32)
-        vals = np.bincount(self.cell, weights=data, minlength=self.indices.size)
-        return sp.csc_matrix((vals, self.indices, self.indptr), shape=(n, n))
+            indices = (cells % n).astype(np.int32)
+            indptr = np.searchsorted(cells, np.arange(n + 1) * n).astype(np.int32)
+            self.baked = sp.csc_matrix((np.zeros(indices.size), indices, indptr), shape=(n, n))
+        self.baked.data = np.bincount(self.cell, weights=data, minlength=self.baked.nnz)
+        return self.baked
 
     def solve(self, b: np.ndarray, flags: list, w: np.ndarray) -> np.ndarray:
         """Solve with the Hessian of weights w (a kept factor ignores w), refined once."""
@@ -442,14 +452,15 @@ def _newton_level(
         def slope(t):
             return _slope_sum(_psi_prime(aa, d + t * dd, p, eps) * dd)
 
-        if _slope_sum(w1 * dd) >= 0.0:  # w1 is psi' at t = 0
+        s_0 = _slope_sum(w1 * dd)  # w1 is psi' at t = 0, so this is slope(0)
+        if s_0 >= 0.0:
             return steps, 0.0, False
         t_hi = 2.0
         s_hi = slope(t_hi)
         while s_hi < 0.0 and t_hi < 1024.0:
             t_hi *= 2.0
             s_hi = slope(t_hi)
-        t = t_hi if s_hi <= 0.0 else brentq(slope, 0.0, t_hi, xtol=1e-13)
+        t = t_hi if s_hi <= 0.0 else brentq(slope, 0.0, t_hi, xtol=1e-13, fa=s_0, fb=s_hi)
         u[plan.free_idx] += t * delta
         # the next step's differences and F_old
         d = u[au] - u[av]
@@ -609,6 +620,9 @@ def capacity(space, cond: Condenser, p: float, options: SolveOptions | None = No
     The minimization runs over the subgraph induced by U (default: all
     vertices); edge masses come from the ambient space.  Free components of
     U with no conductive route to E or F sit at 0 and contribute nothing.
+    With default options the space keeps the last result (see
+    ``_capacity``): a later ``capacity`` of the same condenser and p, or
+    the seed of its ``modulus``, reads a copy of it instead of solving.
     """
     E_idx, F_idx, mask = _condenser_indices(space, cond)
     return _capacity(space, E_idx, F_idx, p, options, mask)
@@ -623,15 +637,37 @@ def _capacity(
     mask: np.ndarray | None = None,
 ) -> CapacityResult:
     """``capacity`` on validated plates: disjoint, non-empty index arrays
-    without repeats, inside the vertex mask of U (None for every vertex)."""
+    without repeats, inside the vertex mask of U (None for every vertex).
+
+    Under default options (None or equal to ``SolveOptions()``) the frozen
+    space keeps the last result, keyed by E, F, the mask and p: a call with
+    that key returns it without solving.  The space holds one result at a
+    time, and every caller gets its own copy, so none can change what a
+    later call reads."""
+    opts = options or SolveOptions()
+    key = None
+    if opts == SolveOptions():
+        key = (p, E_idx.tobytes(), F_idx.tobytes(), None if mask is None else mask.tobytes())
+        if space._equilibrium is not None and space._equilibrium[0] == key:
+            return _copied(space._equilibrium[1])
     res = _minimize(
         space, edge_mass(space), p,
         np.concatenate([E_idx, F_idx]),
         np.concatenate([np.ones(E_idx.size), np.zeros(F_idx.size)]),
-        options or SolveOptions(),
+        opts,
         vertex_mask=mask, isolated="constant",
     )
-    return CapacityResult(value=res.energy, potential=res.u, solve=res)
+    out = CapacityResult(value=res.energy, potential=res.u, solve=res)
+    if key is not None:
+        space._equilibrium = (key, _copied(out))
+    return out
+
+
+def _copied(res: CapacityResult) -> CapacityResult:
+    """A copy of a capacity result that shares no mutable part with it."""
+    s = res.solve
+    u = s.u.copy()
+    return CapacityResult(res.value, u, SolveResult(u, s.energy, s.iterations, s.residual, list(s.flags)))
 
 
 # KKT tolerance of the closing restricted solve.  The ridge on H makes a
@@ -831,9 +867,10 @@ def _seed(
     paths, which this admits: a greedy decomposition (``_flow_paths``) of
     the capacity flow c |du|^(p-1) into at most min(_SEED_PATHS, rows left)
     paths, each at p times its share (at the optimum the multipliers of the
-    paths through an edge sum to p times its flow).  The capacity is solved
-    only if a second path fits, and its flags are not reported; if it fails,
-    the seed is dropped with the flag ``seed-failed``."""
+    paths through an edge sum to p times its flow).  The capacity is read
+    only if a second path fits (from the space's kept result when
+    ``capacity`` has just solved it), and its flags are not reported; if it
+    fails, the seed is dropped with the flag ``seed-failed``."""
     A, m = paths.view()
     lam = [float(A[0] @ (A[0] / (p * m)) ** (1.0 / (p - 1.0))) ** (1.0 - p)]
     k = min(_SEED_PATHS, paths.cap - paths.n)
@@ -891,7 +928,11 @@ def modulus(space, cond: Condenser, p: float, tol: float = 1e-6, max_paths: int 
     ``no-path``.  It admits that route to a ``_PathMatrix`` of
     max(max_paths, 1) rows and runs ``_seed``, then ``_cutting_planes``.
     The seed only moves the start: a wrong seed costs rounds, not accuracy,
-    and a failed one is dropped (flag ``seed-failed``).
+    and a failed one is dropped (flag ``seed-failed``).  Its equilibrium
+    potential is the one ``capacity`` returns: after ``capacity`` of the
+    same condenser and p on this space (default options), the seed reads a
+    copy of that kept result and solves nothing, so the duality check
+    capacity = modulus makes one equilibrium solve, not two.
 
     ``value`` is the energy sum m rho^p of the returned density; ``lower``
     is the dual value, which by weak duality bounds the modulus of the full

@@ -93,12 +93,15 @@ class TransformedSpace(GraphSpace):
 
 
 def _approx_boundary_diameter(space: GraphSpace) -> float:
-    """Double-sweep lower bound on the boundary set diameter (guard only)."""
-    bidx = space.boundary_indices()
-    d0 = space.distances_from(int(bidx[0]))
-    far = int(bidx[np.argmax(d0[bidx])])
-    d1 = space.distances_from(far)
-    return float(np.max(d1[bidx]))
+    """Double-sweep lower bound on the boundary set diameter (guard only),
+    swept once per space: the space is frozen, so it keeps the value."""
+    if space._boundary_diameter is None:
+        bidx = space.boundary_indices()
+        d0 = space.distances_from(int(bidx[0]))
+        far = int(bidx[np.argmax(d0[bidx])])
+        d1 = space.distances_from(far)
+        space._boundary_diameter = float(np.max(d1[bidx]))
+    return space._boundary_diameter
 
 
 def transform(space: GraphSpace, phi: Dampening, p: float) -> TransformedSpace:

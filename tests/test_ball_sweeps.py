@@ -353,3 +353,25 @@ def test_doubling_sweep_searches_once_per_block(monkeypatch):
     step = graphspace.ROW_CHUNK_FLOATS // space.n_vertices
     assert len(calls) == math.ceil(len(centers) / step) == 2
     assert sum(calls) == 64
+
+
+def test_boundary_diameter_is_swept_once_per_base(monkeypatch):
+    """Two transforms of one base and a fatness check on it read one double
+    sweep, two single-source searches, between them: the frozen base keeps
+    its boundary diameter as it keeps its boundary distances."""
+    strip = domains.half_strip(0.25, 8.0)
+    base = strip.space
+    centers = sample_boundary(base, 3, 5)
+    sweeps = []
+    search = GraphSpace.distances_from
+
+    def counted(self, *args, **kwargs):
+        sweeps.append(self)
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphSpace, "distances_from", counted)
+    transform(base, power(2.0), 2.0)
+    transform(base, power(2.0), 1.5)
+    boundary_fatness(base, strip.nu, 2.0, centers, [0.25, 0.5])
+    assert len(sweeps) == 2
+    assert all(space is base for space in sweeps)

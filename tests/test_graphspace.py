@@ -406,11 +406,31 @@ def test_duplicate_vertex_id_rejected():
         (lambda p: _cycle_from_arrays([0, 1, 2, 3, 1], [1, 2, 3, 0, 0]), r"^edges\[4\]: duplicate edge 'b'-'a'$"),
         (lambda p: _cycle_from_arrays([0, 1, 2, 3], [1, 2, 4, 0]), r"^edges\[2\]: unknown endpoint 'c' or 4$"),
         (lambda p: _cycle_from_arrays([0, 1, 3, 3], [1, 2, 3, 0]), r"^edges\[2\]: self loop at 'd'$"),
+        (lambda p: _cycle_from_arrays([0, 1, 2, 3], [1, 2, 3]), r"^edges: 'v' has 3 entries, 'u' has 4$"),
+        (
+            lambda p: GraphSpace.from_arrays(
+                ["a", "b", "c"], np.array([0.0, 1.0, 1.0]), np.array([True, False, False]),
+                np.array([0, 1]), np.array([1, 2]), np.ones(3),
+            ),
+            r"^edges: 'length' has 3 entries, 'u' has 2$",
+        ),
+        # both builders refuse an id that a file could not carry back
+        (
+            lambda p: GraphSpace(["a", 7, "c"], [0.0, 1.0, 1.0], [True, False, False], [("a", 7, 1.0), (7, "c", 1.0)]),
+            r"^vertices\[1\]: 'id' must be a nonempty string$",
+        ),
+        (
+            lambda p: GraphSpace.from_arrays(
+                ["a", "b", "", "d"], np.array([0.0, 1.0, 2.0, 0.5]), np.array([True, False, False, False]),
+                np.array([0, 1, 2, 3]), np.array([1, 2, 3, 0]), np.ones(4),
+            ),
+            r"^vertices\[2\]: 'id' must be a nonempty string$",
+        ),
     ],
 )
 def test_payload_diagnostics_name_the_offender(mutate, fragment):
-    """A mutated file form of cycle_space, or edge columns given to
-    from_arrays, is refused with a message naming the offender."""
+    """A mutated file form of cycle_space, or a space built from columns or
+    tuples, is refused with a message naming the offender."""
     payload = cycle_space().to_payload()
     with pytest.raises(DomainFormatError, match=fragment):
         mutate(payload)

@@ -160,12 +160,14 @@ def test_newton_system_matches_dense_solve(strip_small, monkeypatch, p):
 
 def test_newton_system_orders_and_factors_once(strip_small, monkeypatch):
     """One solve at p = 3 runs the fill-reducing ordering once and factors
-    every later step in natural order; a p = 2 solve factors once."""
-    calls = []
+    every later step in natural order, each step's values written over one
+    baked CSC matrix; a p = 2 solve factors once."""
+    calls, matrices = [], []
     splu = solver.splu
 
     def counting(A, permc_spec, **kwargs):
         calls.append(permc_spec)
+        matrices.append(A)
         return splu(A, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(solver, "splu", counting)
@@ -174,6 +176,7 @@ def test_newton_system_orders_and_factors_once(strip_small, monkeypatch):
     res = solve_p_harmonic(DirichletProblem(space, 3.0, f))
     assert res.iterations >= 2
     assert calls[0] == solver.ORDERING and set(calls[1:]) == {"NATURAL"}
+    assert len(matrices) >= 3 and all(A is matrices[1] for A in matrices[2:])
     calls.clear()
     res = solve_p_harmonic(DirichletProblem(space, 2.0, f))
     assert calls == [solver.ORDERING]
@@ -424,7 +427,7 @@ def test_nan_energy_after_a_step_raises(strip_small, monkeypatch):
     """A Newton step that leaves the energy NaN (here a line search that
     returns NaN) is an error, not a NaN iterate that runs out the step
     budget flagged only ``unconverged``."""
-    monkeypatch.setattr(solver, "brentq", lambda f, a, b, xtol: math.nan)
+    monkeypatch.setattr(solver, "brentq", lambda f, a, b, xtol, fa, fb: math.nan)
     space = strip_small.space
     ramp = {space.ids[i]: space.coords[i, 0] for i in space.boundary_indices()}
     with pytest.raises(SolverError, match="energy became NaN"):
@@ -457,7 +460,8 @@ def test_brentq_is_scipys_brentq(terms, p, lo, width, scale):
     """On slopes of the line-search form, sum a sign(d + t e) |d + t e|^(p-1)
     e, over a bracket where the sign changes, the port returns scipy's root
     bit for bit after as many slope calls, and fails to converge where
-    scipy does.  Scaled down to 1e-300, the step's denominators underflow
+    scipy does; handed the slopes at both ends, it does the same after two
+    fewer calls.  Scaled down to 1e-300, the step's denominators underflow
     to 0: C divides to inf or NaN there and bisects, and so must the port."""
     a, d, e = (np.array(c) for c in zip(*terms))
 
@@ -468,15 +472,19 @@ def test_brentq_is_scipys_brentq(terms, p, lo, width, scale):
     hi = lo + width
     f_lo, f_hi = slope(lo), slope(hi)
     assume(f_lo != 0 and f_hi != 0 and (f_lo < 0) != (f_hi < 0))
-    theirs, ours = Counted(slope), Counted(slope)
+    theirs, ours, given = Counted(slope), Counted(slope), Counted(slope)
     try:
         want = scipy_brentq(theirs, lo, hi, xtol=1e-13)
     except RuntimeError:  # no convergence in 100 iterations
         with pytest.raises(SolverError, match="no convergence"):
             solver.brentq(ours, lo, hi, xtol=1e-13)
+        with pytest.raises(SolverError, match="no convergence"):
+            solver.brentq(given, lo, hi, xtol=1e-13, fa=f_lo, fb=f_hi)
     else:
         assert solver.brentq(ours, lo, hi, xtol=1e-13).hex() == want.hex()
+        assert solver.brentq(given, lo, hi, xtol=1e-13, fa=f_lo, fb=f_hi).hex() == want.hex()
     assert ours.calls == theirs.calls
+    assert given.calls == theirs.calls - 2
 
 
 def test_brentq_rejects_a_nan_slope_and_a_bracket_without_a_root():
@@ -484,6 +492,8 @@ def test_brentq_rejects_a_nan_slope_and_a_bracket_without_a_root():
         solver.brentq(lambda t: -1.0 if t == 0.0 else math.nan, 0.0, 1.0, xtol=1e-13)
     with pytest.raises(SolverError, match="one sign"):
         solver.brentq(lambda t: t + 1.0, 0.0, 1.0, xtol=1e-13)
+    with pytest.raises(SolverError, match=r"slope at t=1\.0 is NaN"):  # a supplied end slope is checked too
+        solver.brentq(lambda t: -1.0, 0.0, 1.0, xtol=1e-13, fa=-1.0, fb=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +581,85 @@ def test_capacity_guards():
         capacity(space, Condenser(E=["g0_0"], F=["g0_0"]), 2.0)
     with pytest.raises(SolverError, match="outside U"):
         capacity(space, Condenser(E=["g0_0"], F=["g2_2"], U=["g0_0", "g1_1"]), 2.0)
+
+
+def counted_minimize(monkeypatch) -> list:
+    """Record the p of every ``_minimize`` call from here on."""
+    calls: list = []
+    minimize_ = solver._minimize
+
+    def counting(graph, masses, p, *args, **kwargs):
+        calls.append(p)
+        return minimize_(graph, masses, p, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_minimize", counting)
+    return calls
+
+
+KEPT_CONDENSER = Condenser(E=["g0_1", "g0_2"], F=["g4_1", "g4_2"])
+
+
+def modulus_bits(space) -> tuple:
+    res = modulus(space, KEPT_CONDENSER, 3.0)
+    return res.value.hex(), res.lower.hex(), res.paths_used, res.flags
+
+
+def test_modulus_seeds_from_the_capacity_it_follows(monkeypatch):
+    """``capacity`` then ``modulus`` of one condenser solve the equilibrium
+    once, and the modulus keeps the bits of one that solves its own."""
+    fresh = modulus_bits(grid_space(5, 4))
+    calls = counted_minimize(monkeypatch)
+    space = grid_space(5, 4)
+    capacity(space, KEPT_CONDENSER, 3.0)
+    assert modulus_bits(space) == fresh
+    assert calls == [3.0]
+
+
+def test_a_kept_capacity_cannot_be_changed_through_a_result(monkeypatch):
+    """Every call gets its own copy: changing a returned potential, solve
+    or flag list leaves the next ``capacity`` and ``modulus`` as they were."""
+    fresh = modulus_bits(grid_space(5, 4))
+    space = grid_space(5, 4)
+    first = capacity(space, KEPT_CONDENSER, 3.0)
+    want = (first.value, first.potential.copy(), first.solve.energy, first.solve.iterations, first.solve.flags[:])
+    calls = counted_minimize(monkeypatch)
+    for _ in range(2):
+        res = capacity(space, KEPT_CONDENSER, 3.0)
+        assert res.potential is res.solve.u
+        assert (res.value, res.solve.energy, res.solve.iterations, res.solve.flags) == want[:1] + want[2:]
+        np.testing.assert_array_equal(res.potential, want[1])
+        first.potential[:] = 7.0
+        first.solve.u[0] = -1.0
+        first.solve.flags.append("unconverged")
+        first = res
+    assert modulus_bits(space) == fresh
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"p": 2.5},
+        {"cond": Condenser(E=["g0_1"], F=KEPT_CONDENSER.F)},
+        {"cond": Condenser(E=KEPT_CONDENSER.E, F=["g4_2"])},
+        {"cond": Condenser(E=KEPT_CONDENSER.E, F=KEPT_CONDENSER.F, U=[f"g{i}_{j}" for i in range(5) for j in range(3)])},
+        {"options": SolveOptions(tol=1e-10)},
+    ],
+    ids=["p", "E", "F", "U", "options"],
+)
+def test_a_changed_capacity_solves_again(monkeypatch, change):
+    """The space keeps one result, for default options: a change of p, E,
+    F or U solves and takes the place of the kept result, which then
+    solves again; other options solve on every call and keep nothing."""
+    space = grid_space(5, 4)
+    capacity(space, KEPT_CONDENSER, 3.0)
+    calls = counted_minimize(monkeypatch)
+    other = {"cond": KEPT_CONDENSER, "p": 3.0, "options": None, **change}
+    for _ in range(2):
+        capacity(space, other["cond"], other["p"], other["options"])
+    assert len(calls) == (2 if "options" in change else 1)
+    capacity(space, KEPT_CONDENSER, 3.0)  # replaced, or left alone under other options
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
