@@ -247,7 +247,7 @@ class GraphSpace:
         self.coords = None if coords is None or np.isnan(coords).all() else _frozen(coords)
         self._edge_mass = edge_mass
         self._adjacency = self._route = self._boundary_distance = self._bands = None
-        # solver._capacity's last equilibrium (key, result), transform's boundary diameter
+        # solver.capacity's last potential (key, read-only copy), transform's boundary diameter
         self._equilibrium = self._boundary_diameter = None
         self._check_connected()
 

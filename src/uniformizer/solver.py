@@ -20,8 +20,8 @@
   runs one eps level.
 * ``capacity``: condenser capacity as the energy of the equilibrium
   potential (pins 1 on E, 0 on F, restricted to U).  Under default options
-  the space keeps the last one, so ``modulus`` after ``capacity`` on one
-  condenser reads it instead of solving again.
+  the space keeps a read-only copy of the last potential, so ``modulus``
+  after ``capacity`` on one condenser reads it instead of solving again.
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
   generation.  The driver routes the first path into a dense path matrix
   (``_PathMatrix``: one row per generated path, one column per edge those
@@ -59,7 +59,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from .dampening import Dampening
 from .energy import edge_mass
-from .graphspace import GraphSpace, shortest_route
+from .graphspace import GraphSpace, _frozen, shortest_route
 from .transform import TransformedSpace, attach_infinity, transform
 
 
@@ -194,23 +194,20 @@ def _negative(x: float) -> bool:
     return math.copysign(1.0, x) < 0.0
 
 
-def brentq(f, a: float, b: float, xtol: float, fa: float | None = None, fb: float | None = None) -> float:
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4): a port
-    of scipy's C ``brentq`` loop that does the same float operations in
-    the same order, so it returns the same root after the same calls.
-    ``fa`` and ``fb``, when given, are f(a) and f(b), which are then not
-    evaluated again: the same root after two fewer calls."""
+def brentq(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4), given
+    fa = f(a) and fb = f(b): a port of scipy's C ``brentq`` loop that does
+    the same float operations in the same order, so it returns the same
+    root after the same calls, less the two at the ends."""
 
-    def value(x: float, fx: float | None = None) -> float:
-        if fx is None:
-            fx = f(x)
+    def checked(x: float, fx: float) -> float:
         if math.isnan(fx):
             raise SolverError(f"line search: slope at t={x!r} is NaN")
         return fx
 
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre, fa), value(xcur, fb)
+    fpre, fcur = checked(a, fa), checked(b, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -252,7 +249,7 @@ def brentq(f, a: float, b: float, xtol: float, fa: float | None = None, fb: floa
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = checked(xcur, f(xcur))
     raise SolverError(f"line search: no convergence after {_BRENT_MAXITER} iterations")
 
 
@@ -460,7 +457,7 @@ def _newton_level(
         while s_hi < 0.0 and t_hi < 1024.0:
             t_hi *= 2.0
             s_hi = slope(t_hi)
-        t = t_hi if s_hi <= 0.0 else brentq(slope, 0.0, t_hi, xtol=1e-13, fa=s_0, fb=s_hi)
+        t = t_hi if s_hi <= 0.0 else brentq(slope, 0.0, t_hi, s_0, s_hi, xtol=1e-13)
         u[plan.free_idx] += t * delta
         # the next step's differences and F_old
         d = u[au] - u[av]
@@ -620,12 +617,21 @@ def capacity(space, cond: Condenser, p: float, options: SolveOptions | None = No
     The minimization runs over the subgraph induced by U (default: all
     vertices); edge masses come from the ambient space.  Free components of
     U with no conductive route to E or F sit at 0 and contribute nothing.
-    With default options the space keeps the last result (see
-    ``_capacity``): a later ``capacity`` of the same condenser and p, or
-    the seed of its ``modulus``, reads a copy of it instead of solving.
+    Under default options (None or equal to ``SolveOptions()``) the space
+    keeps a read-only copy of the potential, keyed by E, F, the U mask and
+    p, in place of the one kept before: the seed of a later ``modulus`` of
+    the same condenser and p reads it instead of solving again.
     """
     E_idx, F_idx, mask = _condenser_indices(space, cond)
-    return _capacity(space, E_idx, F_idx, p, options, mask)
+    res = _capacity(space, E_idx, F_idx, p, options, mask)
+    if (options or SolveOptions()) == SolveOptions():
+        space._equilibrium = (_equilibrium_key(E_idx, F_idx, mask, p), _frozen(res.potential.copy()))
+    return res
+
+
+def _equilibrium_key(E_idx: np.ndarray, F_idx: np.ndarray, mask: np.ndarray, p: float) -> tuple:
+    """What a kept capacity potential is the potential of."""
+    return p, E_idx.tobytes(), F_idx.tobytes(), mask.tobytes()
 
 
 def _capacity(
@@ -637,37 +643,15 @@ def _capacity(
     mask: np.ndarray | None = None,
 ) -> CapacityResult:
     """``capacity`` on validated plates: disjoint, non-empty index arrays
-    without repeats, inside the vertex mask of U (None for every vertex).
-
-    Under default options (None or equal to ``SolveOptions()``) the frozen
-    space keeps the last result, keyed by E, F, the mask and p: a call with
-    that key returns it without solving.  The space holds one result at a
-    time, and every caller gets its own copy, so none can change what a
-    later call reads."""
-    opts = options or SolveOptions()
-    key = None
-    if opts == SolveOptions():
-        key = (p, E_idx.tobytes(), F_idx.tobytes(), None if mask is None else mask.tobytes())
-        if space._equilibrium is not None and space._equilibrium[0] == key:
-            return _copied(space._equilibrium[1])
+    without repeats, inside the vertex mask of U (None for every vertex)."""
     res = _minimize(
         space, edge_mass(space), p,
         np.concatenate([E_idx, F_idx]),
         np.concatenate([np.ones(E_idx.size), np.zeros(F_idx.size)]),
-        opts,
+        options or SolveOptions(),
         vertex_mask=mask, isolated="constant",
     )
-    out = CapacityResult(value=res.energy, potential=res.u, solve=res)
-    if key is not None:
-        space._equilibrium = (key, _copied(out))
-    return out
-
-
-def _copied(res: CapacityResult) -> CapacityResult:
-    """A copy of a capacity result that shares no mutable part with it."""
-    s = res.solve
-    u = s.u.copy()
-    return CapacityResult(res.value, u, SolveResult(u, s.energy, s.iterations, s.residual, list(s.flags)))
+    return CapacityResult(value=res.energy, potential=res.u, solve=res)
 
 
 # KKT tolerance of the closing restricted solve.  The ridge on H makes a
@@ -867,19 +851,23 @@ def _seed(
     paths, which this admits: a greedy decomposition (``_flow_paths``) of
     the capacity flow c |du|^(p-1) into at most min(_SEED_PATHS, rows left)
     paths, each at p times its share (at the optimum the multipliers of the
-    paths through an edge sum to p times its flow).  The capacity is read
-    only if a second path fits (from the space's kept result when
-    ``capacity`` has just solved it), and its flags are not reported; if it
-    fails, the seed is dropped with the flag ``seed-failed``."""
+    paths through an edge sum to p times its flow).  The capacity potential
+    is read only if a second path fits: the space's kept one when it is of
+    this condenser and p, else from a solve whose flags are not reported
+    and whose failure drops the seed with the flag ``seed-failed``."""
     A, m = paths.view()
     lam = [float(A[0] @ (A[0] / (p * m)) ** (1.0 / (p - 1.0))) ** (1.0 - p)]
     k = min(_SEED_PATHS, paths.cap - paths.n)
     if k <= 0:
         return np.array(lam), []
-    try:
-        u = _capacity(space, E_idx, F_idx, p, None, in_U).potential
-    except SolverError:
-        return np.array(lam), ["seed-failed"]
+    kept = space._equilibrium
+    if kept is not None and kept[0] == _equilibrium_key(E_idx, F_idx, in_U, p):
+        u = kept[1]
+    else:
+        try:
+            u = _capacity(space, E_idx, F_idx, p, None, in_U).potential
+        except SolverError:
+            return np.array(lam), ["seed-failed"]
     conductance = np.where(costed, paths.masses / space.edge_length**p, 0.0)
     for edges, amount in _flow_paths(space, u, conductance, E_idx, F_idx, p, k):
         if paths.add(edges):
@@ -930,8 +918,8 @@ def modulus(space, cond: Condenser, p: float, tol: float = 1e-6, max_paths: int 
     The seed only moves the start: a wrong seed costs rounds, not accuracy,
     and a failed one is dropped (flag ``seed-failed``).  Its equilibrium
     potential is the one ``capacity`` returns: after ``capacity`` of the
-    same condenser and p on this space (default options), the seed reads a
-    copy of that kept result and solves nothing, so the duality check
+    same condenser and p on this space (default options), the seed reads
+    the potential that call kept and solves nothing, so the duality check
     capacity = modulus makes one equilibrium solve, not two.
 
     ``value`` is the energy sum m rho^p of the returned density; ``lower``
