@@ -25,15 +25,15 @@
 * ``modulus``: p-modulus of the E-F path family by cutting-plane constraint
   generation.  The driver routes the first path into a dense path matrix
   (``_PathMatrix``: one row per generated path, one column per edge those
-  paths use).  ``_seed`` adds a greedy path decomposition of the capacity
-  flow (the optimal path multipliers through an edge sum to p times that
-  flow), or is dropped with the flag ``seed-failed`` when that capacity
-  solve fails; a ``capacity`` call just before on the same condenser and
-  p has already solved it.  ``_cutting_planes`` solves each restricted
-  program through its smooth Lagrangian dual by projected Newton.  A round
-  that only produces the next cut stops its dual at KKT 1e-3 times the
-  violation of the last admitted path; the loop ends after a solve to KKT
-  1e-12 and one more route, whose dual value is returned as a lower bound.
+  paths use).  ``_seed`` fills the rest of the path budget from a greedy
+  path decomposition of the capacity flow (the optimal path multipliers
+  through an edge sum to p times that flow), or is dropped with the flag
+  ``seed-failed`` when that capacity solve fails; a ``capacity`` call just
+  before on the same condenser and p has already solved it.
+  ``_cutting_planes`` solves each restricted program to KKT 1e-12 through
+  its smooth Lagrangian dual by projected Newton, routes once more, and
+  admits a violated route or returns; the dual value is returned as a
+  lower bound.
 * ``capacity_of_infinity``: shell condenser around the added point of a
   transformed space; the probe behind parabolicity classification.
 * ``solve_dirichlet_unbounded``: transform, attach infinity, pin boundary
@@ -654,24 +654,16 @@ def _capacity(
     return CapacityResult(value=res.energy, potential=res.u, solve=res)
 
 
-# KKT tolerance of the closing restricted solve.  The ridge on H makes a
-# Newton step miss by about 1e-10 of its length, so a solve that starts a few
+# KKT tolerance of every restricted solve.  The ridge on H makes a Newton
+# step miss by about 1e-10 of its length, so a solve that starts a few
 # percent off the optimum (as flow-seeded multipliers do) can meet 1e-11
 # after one step at a KKT of a few 1e-12, leaving value and lower that far
 # apart; 1e-12 asks for the next step.
 _DUAL_KKT_TOL = 1e-12
-# An intermediate restricted solve only has to produce the next cut: it
-# stops at a KKT residual of this factor times the violation 1 - cost of
-# the route that admitted the newest path (never below _DUAL_KKT_TOL).
-_LOOSE_KKT_FACTOR = 1e-3
-# Paths the capacity-flow seed may admit beside the first route: with 60
-# the windowed criterion-3 cases lose 40-97% of their rounds, with 20 only
-# 15-33%.
-_SEED_PATHS = 60
 
 
 def _restricted_dual(
-    A: np.ndarray, lam: np.ndarray, m: np.ndarray, p: float, kkt_tol: float
+    A: np.ndarray, lam: np.ndarray, m: np.ndarray, p: float
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Maximize the Lagrangian dual of the restricted modulus program,
 
@@ -684,10 +676,10 @@ def _restricted_dual(
     eps is the smaller of the projected-gradient (KKT) residual and 1e-8 of
     the largest multiplier, so multipliers on their way to 0 cannot zigzag.
     An Armijo search runs along the projection arc; the stop is a KKT
-    residual of ``kkt_tol``, 200 iterations, or a search that finds no
+    residual of ``_DUAL_KKT_TOL``, 200 iterations, or a search that finds no
     increase.  Returns lam, r, D(lam), which by weak duality bounds from
     below the modulus of any family holding the rows of A, and the KKT
-    residual at lam (above ``kkt_tol`` when the solve stopped early).
+    residual at lam (above ``_DUAL_KKT_TOL`` when the solve stopped early).
     """
     q = 1.0 / (p - 1.0)
     pm = p * m
@@ -704,7 +696,7 @@ def _restricted_dual(
     g = 1.0 - A @ r
     for _ in range(200):
         kkt = kkt_residual(lam, g)
-        if kkt <= kkt_tol:
+        if kkt <= _DUAL_KKT_TOL:
             break
         free = (lam > min(kkt, 1e-8 * lam.max())) | (g > 0)
         AF, gF = A[free], g[free]
@@ -763,8 +755,11 @@ def _flow_paths(
     runs from high to low potential u: up to k walks, each from E along the
     largest remaining outgoing flow until it reaches F, less its bottleneck.
     Returns (sorted edge ids, amount) per walk.  An edge with a NaN end
-    (outside U) carries no flow, and a walk that meets a dead end ends the
-    decomposition.  Every step lowers u, so no walk can cycle."""
+    (outside U) carries no flow.  A walk that meets a dead end (no outgoing
+    slot, or none with flow left) zeroes the slot that led there and starts
+    again from E; the decomposition ends when no flow leaves E.  It ends:
+    every step lowers u, so a walk takes at most n steps, and every restart
+    or completed walk zeroes at least one slot."""
     n = space.n_vertices
     eu, ev = space.edge_u, space.edge_v
     du = u[eu] - u[ev]
@@ -787,10 +782,14 @@ def _flow_paths(
     head, start, at_F = head.tolist(), start.tolist(), at_F.tolist()
     paths: list = []
     slots, trail = from_E, []
-    while len(paths) < k and slots:
-        slot = max(slots, key=left.__getitem__)  # the first maximum
-        if left[slot] <= 0:
-            break
+    while len(paths) < k:
+        slot = max(slots, key=left.__getitem__, default=-1)  # the first maximum
+        if slot < 0 or left[slot] <= 0:  # a dead end
+            if not trail:
+                break
+            left[trail[-1]] = 0.0
+            slots, trail = from_E, []
+            continue
         trail.append(slot)
         v = head[slot]
         if at_F[v]:
@@ -849,15 +848,15 @@ def _seed(
     """Multipliers for the held first route, at its one-path optimum (rho =
     (lam l / (p m))^(1/(p-1)) has rho-length 1), and for the flow seed's
     paths, which this admits: a greedy decomposition (``_flow_paths``) of
-    the capacity flow c |du|^(p-1) into at most min(_SEED_PATHS, rows left)
-    paths, each at p times its share (at the optimum the multipliers of the
-    paths through an edge sum to p times its flow).  The capacity potential
+    the capacity flow c |du|^(p-1) into as many paths as rows are left,
+    each at p times its share (at the optimum the multipliers of the paths
+    through an edge sum to p times its flow).  The capacity potential
     is read only if a second path fits: the space's kept one when it is of
     this condenser and p, else from a solve whose flags are not reported
     and whose failure drops the seed with the flag ``seed-failed``."""
     A, m = paths.view()
     lam = [float(A[0] @ (A[0] / (p * m)) ** (1.0 / (p - 1.0))) ** (1.0 - p)]
-    k = min(_SEED_PATHS, paths.cap - paths.n)
+    k = paths.cap - paths.n
     if k <= 0:
         return np.array(lam), []
     kept = space._equilibrium
@@ -883,28 +882,20 @@ def _cutting_planes(
     to F under w = rho * length (set in place on the used columns; 0 on the
     other costed edges, 1 on a freebie, inf outside U), and admits a route
     of cost below 1 - tol that is not held, at 1e-3 of the largest
-    multiplier.  The solve stops at KKT max(1e-12, 1e-3 v), v = 1 - cost of
-    the route that admitted the newest path (1 at first).  A route that
-    meets tol or is held, or a full matrix, ends the loop only after a
-    solve to KKT 1e-12 and one more route (flags ``stalled``,
-    ``path-budget``).  Returns that solve's r on the used columns, dual
-    value and KKT residual, and the flags."""
+    multiplier.  A route that meets tol or is held, or a full matrix, ends
+    the loop (flags ``stalled``, ``path-budget``).  Returns the last
+    solve's r on the used columns, dual value and KKT residual, and the
+    flags."""
     A, m_u = paths.view()
-    violation = 1.0
     while True:
-        kkt_tol = max(_DUAL_KKT_TOL, _LOOSE_KKT_FACTOR * violation)
-        lam, r_u, lower, kkt = _restricted_dual(A, lam, m_u, p, kkt_tol)
+        lam, r_u, lower, kkt = _restricted_dual(A, lam, m_u, p)
         w[paths.used] = r_u * space.edge_length[paths.used]
         cost, _, epath = shortest_route(space, E_idx, F_idx, w)
         converged, full = cost >= 1.0 - tol, paths.n >= paths.cap
-        if not (converged or full) and paths.add(np.unique(epath)):
-            A, m_u = paths.view()
-            lam = np.append(lam, 1e-3 * lam.max())
-            violation = 1.0 - cost
-        elif kkt_tol > _DUAL_KKT_TOL:
-            violation = 0.0  # end only after a tight solve: re-solve from lam, route again
-        else:
+        if converged or full or not paths.add(np.unique(epath)):
             return r_u, lower, kkt, [] if converged else ["path-budget" if full else "stalled"]
+        A, m_u = paths.view()
+        lam = np.append(lam, 1e-3 * lam.max())
 
 
 def modulus(space, cond: Condenser, p: float, tol: float = 1e-6, max_paths: int = 200) -> ModulusResult:
@@ -914,9 +905,11 @@ def modulus(space, cond: Condenser, p: float, tol: float = 1e-6, max_paths: int 
     path by length over edges of positive mass; with none it returns 0,
     flagged ``zero-cost-connection`` (a massless E-F path exists) or
     ``no-path``.  It admits that route to a ``_PathMatrix`` of
-    max(max_paths, 1) rows and runs ``_seed``, then ``_cutting_planes``.
-    The seed only moves the start: a wrong seed costs rounds, not accuracy,
-    and a failed one is dropped (flag ``seed-failed``).  Its equilibrium
+    max(max_paths, 1) rows and runs ``_seed``, which may fill every row
+    left, then ``_cutting_planes``, whose first restricted solve and route
+    usually end it.  The seed only moves the start: a wrong seed costs
+    rounds, not accuracy, and a failed one is dropped (flag
+    ``seed-failed``).  Its equilibrium
     potential is the one ``capacity`` returns: after ``capacity`` of the
     same condenser and p on this space (default options), the seed reads
     the potential that call kept and solves nothing, so the duality check
@@ -924,8 +917,8 @@ def modulus(space, cond: Condenser, p: float, tol: float = 1e-6, max_paths: int 
 
     ``value`` is the energy sum m rho^p of the returned density; ``lower``
     is the dual value, which by weak duality bounds the modulus of the full
-    family from below for any multipliers.  Both come from the loop's
-    closing tight solve; the flag ``unconverged`` says it stopped above KKT
+    family from below for any multipliers.  Both come from the loop's last
+    restricted solve; the flag ``unconverged`` says it stopped above KKT
     1e-12 (iteration cap or a failed line search), so ``lower`` is a dual
     value but not the restricted optimum.
 

@@ -291,6 +291,10 @@ def test_solve_rejects_bad_continuation(dom_file, tmp_path, capsys, extra):
         (["classify", "--p", "200", "--phi", "power:2"], "p=200 the power:2 dampened measure of vertex 'v0_26'"),
         (["solve", "--p", "120", "--phi", "power:2", "--data", "coord:x"], "p=120 the conductance of edge"),
         (["classify", "--p", "120", "--phi", "power:2"], "p=120 the conductance of edge"),
+        (["verify", "--check", "poincare", "--phi", "power:2", "--p", "150"],
+         "transform: at p=150 the power:2 dampened measure of vertex 'v0_48'"),
+        (["verify", "--check", "hardy", "--phi", "power:2", "--p", "200"],
+         "transform: at p=200 the power:2 dampened measure of vertex 'v0_26'"),
     ],
 )
 def test_bad_p_tol_and_budget_exit_2(dom_file, tmp_path, capsys, argv, message):
